@@ -33,6 +33,13 @@ class ConvAlgorithm(abc.ABC):
     name: str = "abstract"
     #: Human-readable label used in experiment tables (papers' legend names).
     label: str = "abstract"
+    #: The ``HardwareConfig`` fields :meth:`schedule_candidates` reads, or
+    #: ``None`` when undeclared.  Two configs that agree on these fields
+    #: get the same candidates, which is what lets the evaluation engine
+    #: memoize them, so a subclass that changes what its schedule reads
+    #: redeclares them (``tests/test_schedule_memo.py`` checks each
+    #: declaration with a recording proxy).
+    schedule_reads: tuple[str, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # applicability
@@ -65,6 +72,23 @@ class ConvAlgorithm(abc.ABC):
     @abc.abstractmethod
     def schedule(self, spec: ConvSpec, hw: HardwareConfig) -> list[Phase]:
         """Analytical-model schedule for a full-size layer."""
+
+    def schedule_candidates(
+        self, spec: ConvSpec, hw: HardwareConfig
+    ) -> tuple[list[Phase], ...]:
+        """Every schedule :meth:`schedule` can return for ``spec`` on
+        configs that agree with ``hw`` on :attr:`schedule_reads`.
+
+        :meth:`choose_candidate` picks one per config; ``schedule(spec,
+        hw)`` equals ``candidates[choose_candidate(candidates, hw)]``.
+        """
+        return (self.schedule(spec, hw),)
+
+    def choose_candidate(
+        self, candidates: Sequence[list[Phase]], hw: HardwareConfig
+    ) -> int:
+        """Index of the candidate :meth:`schedule` returns on ``hw``."""
+        return 0
 
     # ------------------------------------------------------------------ #
     def conv_fn(self):

@@ -20,6 +20,7 @@ Micro-kernel structure (as in oneDNN-style NHWC direct convolution):
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.errors import ConfigError
 from repro.isa.machine import VectorMachine
 from repro.nn.layer import DTYPE_BYTES, ConvSpec
 from repro.nn.reference import pad_input
+from repro.simulator.analytical.cachemodel import stream_dram_bytes
 from repro.simulator.analytical.phases import DataStream, Phase
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -58,6 +60,9 @@ class DirectConv(ConvAlgorithm):
 
     name = "direct"
     label = "Direct"
+    #: the tilings read the vector length only; the L2 size only chooses
+    #: between them (:meth:`choose_candidate`)
+    schedule_reads = ("vlen_bits", "lmul")
 
     def __init__(self, unroll_ow: int = _ACC_REGS) -> None:
         if unroll_ow < 1:
@@ -230,6 +235,13 @@ class DirectConv(ConvAlgorithm):
           larger L2 at long vector lengths (paper §4.2.2);
         * no im2col materialization: compulsory traffic is just the tensors.
         """
+        candidates = self.schedule_candidates(spec, hw)
+        return candidates[self.choose_candidate(candidates, hw)]
+
+    def schedule_candidates(
+        self, spec: ConvSpec, hw: HardwareConfig
+    ) -> tuple[list[Phase], ...]:
+        """The schedule under each tiling: row-major, then group-major."""
         vle = hw.vlmax_f32
         ic, oc = spec.ic, spec.oc
         oh, ow = spec.oh, spec.ow
@@ -322,24 +334,36 @@ class DirectConv(ConvAlgorithm):
             ),
         )
 
-        def _order_cost(streams) -> float:
-            from repro.simulator.analytical.cachemodel import stream_dram_bytes
-
-            return sum(stream_dram_bytes(s, hw) for s in streams)
-
-        chosen = min(row_major, group_major, key=_order_cost)
-        kernel = Phase(
-            name="direct_kernel",
-            vector_ops=fma,
-            vector_active=active_oc,
-            vmem_ops=w_loads + out_stores,
-            vmem_active=active_oc,
-            scalar_ops=scalar,
-            streams=chosen
-            + (
-                DataStream(
-                    "output", bytes=out_elems * DTYPE_BYTES, passes=1.0, is_write=True
-                ),
-            ),
+        output = DataStream(
+            "output", bytes=out_elems * DTYPE_BYTES, passes=1.0, is_write=True
         )
-        return [layout, kernel]
+        return tuple(
+            [
+                layout,
+                Phase(
+                    name="direct_kernel",
+                    vector_ops=fma,
+                    vector_active=active_oc,
+                    vmem_ops=w_loads + out_stores,
+                    vmem_active=active_oc,
+                    scalar_ops=scalar,
+                    streams=tiling + (output,),
+                ),
+            ]
+            for tiling in (row_major, group_major)
+        )
+
+    def choose_candidate(
+        self, candidates: Sequence[list[Phase]], hw: HardwareConfig
+    ) -> int:
+        """The tiling with the least DRAM traffic at ``hw``'s L2 size.
+
+        The cost sums the tiling's own streams (the kernel's streams less
+        the shared output); on a tie the first candidate wins.
+        """
+
+        def tiling_cost(i: int) -> float:
+            tiling = candidates[i][-1].streams[:-1]
+            return sum(stream_dram_bytes(s, hw) for s in tiling)
+
+        return min(range(len(candidates)), key=tiling_cost)

@@ -76,6 +76,8 @@ class Im2colGemm3(_Im2colGemmBase):
 
     name = "im2col_gemm3"
     label = "im2col+GEMM - 3 loops"
+    #: vector length (``vlmax_f32``) and the LMUL register budget
+    schedule_reads = ("vlen_bits", "lmul")
 
     def __init__(self, unroll: int = gk.UNROLL) -> None:
         gk._check_unroll(unroll)
@@ -112,6 +114,8 @@ class Im2colGemm6(_Im2colGemmBase):
 
     name = "im2col_gemm6"
     label = "im2col+GEMM - 6 loops"
+    #: vector length only (``vlmax_f32``); the blocks are knobs, not L2-sized
+    schedule_reads = ("vlen_bits", "lmul")
 
     def __init__(
         self, blocks: tuple[int, int, int] = (gk.BLOCK_M, gk.BLOCK_N, gk.BLOCK_K)

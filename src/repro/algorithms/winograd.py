@@ -91,6 +91,9 @@ class WinogradConv(ConvAlgorithm):
 
     name = "winograd"
     label = "Winograd"
+    #: vector length, the ISA (SVE's zip/transpose intrinsics) and the L1
+    #: size (the tuple-multiplication spill test)
+    schedule_reads = ("vlen_bits", "lmul", "isa", "l1_kib")
 
     def __init__(
         self,

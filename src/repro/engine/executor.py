@@ -34,10 +34,13 @@ import importlib
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NoReturn, Sequence, cast
 
 from repro import faults, obs
+from repro.algorithms.base import ConvAlgorithm
 from repro.algorithms.registry import (
     effective_algorithm,
     get_algorithm,
@@ -51,6 +54,7 @@ from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.analytical.grid import (
     GRID_BACKEND_CHOICES,
+    PhaseRows,
     PhaseTable,
     evaluate_phase_table,
     resolve_grid_backend,
@@ -72,6 +76,14 @@ _POOL_MIN_BATCH = 256
 
 #: Exit code of an injected worker crash (recognizable in core-dump triage).
 _CRASH_EXIT = 17
+
+#: Bound of the process-wide task -> (resolved name, cache key) memo.
+_KEY_MEMO_SIZE = 16384
+
+#: Bound of each engine's schedule memo; the paper grid needs 412 entries
+#: (28 layers x 4 algorithms x 4 vector lengths, less the layers Winograd
+#: does not apply to).
+_SCHEDULE_MEMO_SIZE = 4096
 
 #: One-time flag for the serial-degradation warning (reset by tests).
 _warned_serial_fallback = False
@@ -133,6 +145,78 @@ def _cell_token(name: str, spec: ConvSpec, hw: HardwareConfig) -> str:
     return f"{name}:{spec.index}:{hw.vlen_bits}:{hw.l2_mib:g}"
 
 
+@lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _resolved_key(
+    algorithm: str,
+    spec: ConvSpec,
+    hw: HardwareConfig,
+    fallback: bool,
+    calibration: Calibration | None,
+) -> tuple[str, str]:
+    """A task's algorithm after Winograd* fallback, and its cache key.
+
+    One memo lookup per task on the warm path; a miss derives the key
+    with :func:`~repro.engine.keys.cache_key`.  Process-wide, like that
+    derivation: both are functions of the arguments alone (the registry
+    maps a name to one algorithm for the life of the process).
+    """
+    if fallback:
+        algorithm = effective_algorithm(algorithm, spec).name
+    return algorithm, cache_key(algorithm, spec, hw, calibration)
+
+
+class ScheduleMemo:
+    """Bounded LRU of schedules and their PhaseTable rows, per engine.
+
+    An entry is keyed on the algorithm instance, the layer, and the values
+    of the hardware fields the algorithm declares its schedule reads
+    (:attr:`~repro.algorithms.base.ConvAlgorithm.schedule_reads`), and
+    holds each candidate schedule's :class:`PhaseRows` (and the candidates
+    themselves when the algorithm chooses between several).  Cells
+    that differ only in fields the schedule does not read — the L2 size,
+    for most algorithms — share one entry; Direct, which reads the L2 size
+    only to choose between its two tilings, makes that choice per cell.
+
+    The memo lives in the engine's grid path only.  ``ConvAlgorithm.
+    schedule``, ``layer_cycles`` and the per-cell path stay memo-free,
+    an independent oracle for the parity suites and benchmark checks.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def rows(
+        self, algo: ConvAlgorithm, spec: ConvSpec, hw: HardwareConfig
+    ) -> PhaseRows:
+        """The PhaseTable rows of ``algo.schedule(spec, hw)``."""
+        reads = algo.schedule_reads
+        if reads is None:  # undeclared: never memoized
+            return PhaseRows.from_phases(algo.schedule(spec, hw))
+        key = (algo, spec, *[getattr(hw, name) for name in reads])
+        # pop + re-insert touches the entry with one key comparison
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            self.misses += 1
+            candidates = algo.schedule_candidates(spec, hw)
+            rows = [PhaseRows.from_phases(c) for c in candidates]
+            # the schedules themselves are kept only when there is a choice
+            entry = (candidates if len(candidates) > 1 else None, rows)
+            if len(self._entries) >= _SCHEDULE_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        else:
+            self.hits += 1
+        self._entries[key] = entry
+        candidates, rows = entry
+        if candidates is None:
+            return rows[0]
+        return rows[algo.choose_candidate(candidates, hw)]
+
+
 def _compute_chunk(
     items: list[_Cell],
     calibration: Calibration | None,
@@ -183,7 +267,8 @@ def _compute_chunk(
 def _compute_grid(
     items: list[_Cell],
     calibration: Calibration | None,
-    backend: str | None = None,
+    backend: str | None,
+    schedules: ScheduleMemo,
 ) -> list[_CellResult]:
     """Serial evaluation of resolved cells through one tensorized grid call.
 
@@ -192,50 +277,61 @@ def _compute_grid(
     (or injected fault) raises yields its :class:`CellError` in place —
     but the analytical model itself runs once over a columnar
     :class:`~repro.simulator.analytical.grid.PhaseTable` covering every
-    surviving cell, instead of per-phase Python per cell.  Records are
-    bit-identical to :func:`repro.algorithms.registry.layer_cycles` by
+    surviving cell, instead of per-phase Python per cell.  Schedules and
+    their table rows come from the engine's ``schedules`` memo.  Records
+    are bit-identical to :func:`repro.algorithms.registry.layer_cycles` by
     the grid module's parity contract.
     """
     plan = faults.active_plan()
+    hits, misses = schedules.hits, schedules.misses
     out: list[_CellResult] = []
-    grid_cells = []  # (algorithm, phases, hw) for cells whose schedule built
+    grid_cells = []  # (algorithm, rows, hw) for cells whose schedule built
     grid_slots: list[int] = []  # position in `out` to fill with the record
-    for idx, name, spec, hw in items:
-        with obs.span("engine.point", cat="engine", algorithm=name, layer=spec.index):
-            try:
-                if plan is not None and plan.cell_fails(_cell_token(name, spec, hw)):
-                    faults.mark_injected("engine.cell")
-                    raise InjectedFaultError(
-                        f"injected cell error for {_cell_token(name, spec, hw)}"
+    with obs.span("engine.schedule", cat="engine", cells=len(items)):
+        for idx, name, spec, hw in items:
+            with obs.span(
+                "engine.point", cat="engine", algorithm=name, layer=spec.index
+            ):
+                try:
+                    if plan is not None and plan.cell_fails(
+                        _cell_token(name, spec, hw)
+                    ):
+                        faults.mark_injected("engine.cell")
+                        raise InjectedFaultError(
+                            f"injected cell error for {_cell_token(name, spec, hw)}"
+                        )
+                    algo = get_algorithm(name)
+                    algo.check_applicable(spec)
+                    rows = schedules.rows(algo, spec, hw)
+                except Exception as exc:  # per-cell isolation (not BaseException)
+                    err = CellError(
+                        algorithm=name,
+                        layer=spec.index,
+                        vlen_bits=hw.vlen_bits,
+                        l2_mib=hw.l2_mib,
+                        error_type=type(exc).__name__,
+                        error_module=type(exc).__module__,
+                        message=str(exc),
                     )
-                algo = get_algorithm(name)
-                algo.check_applicable(spec)
-                phases = algo.schedule(spec, hw)
-            except Exception as exc:  # per-cell isolation (not BaseException)
-                err = CellError(
-                    algorithm=name,
-                    layer=spec.index,
-                    vlen_bits=hw.vlen_bits,
-                    l2_mib=hw.l2_mib,
-                    error_type=type(exc).__name__,
-                    error_module=type(exc).__module__,
-                    message=str(exc),
-                )
-                out.append((idx, err))
-            else:
-                grid_slots.append(len(out))
-                out.append((idx, None))  # type: ignore[arg-type]
-                grid_cells.append((algo.name, phases, hw))
+                    out.append((idx, err))
+                else:
+                    grid_slots.append(len(out))
+                    out.append((idx, None))  # type: ignore[arg-type]
+                    grid_cells.append((algo.name, rows, hw))
+    if obs.enabled():
+        obs.count("engine.schedule_memo.hits", schedules.hits - hits)
+        obs.count("engine.schedule_memo.misses", schedules.misses - misses)
     if grid_cells:
         with obs.span("engine.grid", cat="engine", cells=len(grid_cells)):
-            records = evaluate_phase_table(
-                PhaseTable.from_cells(grid_cells, calibration=calibration),
-                backend=backend,
-            )
+            with obs.span("engine.table", cat="engine"):
+                table = PhaseTable.from_cells(grid_cells, calibration=calibration)
+            with obs.span("engine.evaluate", cat="engine", rows=table.n_rows):
+                records = evaluate_phase_table(table, backend=backend)
         if obs.enabled():
             obs.count("engine.grid_cells", len(grid_cells))
-        for slot, record in zip(grid_slots, records):
-            out[slot] = (out[slot][0], record)
+        with obs.span("engine.assemble", cat="engine", cells=len(records)):
+            for slot, record in zip(grid_slots, records):
+                out[slot] = (out[slot][0], record)
     return out
 
 
@@ -317,27 +413,21 @@ class EvaluationEngine:
         self.retry_backoff_s = retry_backoff_s
         self.pool_min_batch = pool_min_batch
         self.grid_backend = grid_backend
+        self.schedules = ScheduleMemo()
 
     # ------------------------------------------------------------------ #
     # single cell
     # ------------------------------------------------------------------ #
-    def resolve(self, task: EvalTask) -> EvalTask:
-        """Apply Winograd* fallback so the cell is content-addressable.
-
-        After resolution the task's algorithm is applicable to its layer,
-        and equal resolved tasks share one cache entry (a ``winograd``
-        fallback cell aliases the direct ``im2col_gemm6`` cell).
-        """
-        if task.fallback:
-            name = effective_algorithm(task.algorithm, task.spec).name
-            if name != task.algorithm:
-                return replace(task, algorithm=name, fallback=False)
-        return task
-
     def key(self, task: EvalTask) -> str:
-        """The content-addressed cache key of a task."""
-        task = self.resolve(task)
-        return cache_key(task.algorithm, task.spec, task.hw, self.calibration)
+        """The content-addressed cache key of a task.
+
+        Keyed after Winograd* fallback, so equal resolved cells share one
+        cache entry (a ``winograd`` fallback cell aliases the direct
+        ``im2col_gemm6`` cell).
+        """
+        return _resolved_key(
+            task.algorithm, task.spec, task.hw, task.fallback, self.calibration
+        )[1]
 
     def evaluate(
         self,
@@ -371,60 +461,11 @@ class EvaluationEngine:
         result slots (duplicates of a failing cell share one error record)
         and never caches it.
         """
-        if on_error not in ("raise", "record"):
-            raise EngineError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-        tasks = [self.resolve(t) for t in tasks]
-        workers = self.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise EngineError(f"max_workers must be >= 1, got {workers}")
-
-        with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
-            disk_hits_before = self.cache.stats.disk_hits
-            results: list[LayerCycles | CellError | None] = [None] * len(tasks)
-            missing: dict[str, list[int]] = {}  # key -> task indices needing it
-            for i, task in enumerate(tasks):
-                if not self.use_cache:
-                    missing.setdefault(self.key(task), []).append(i)
-                    continue
-                key = self.key(task)
-                record = self.cache.get(key)
-                if record is not None:
-                    results[i] = record
-                else:
-                    missing.setdefault(key, []).append(i)
-
-            if obs.enabled():
-                served = len(tasks) - sum(len(ix) for ix in missing.values())
-                disk_hits = self.cache.stats.disk_hits - disk_hits_before
-                obs.count("engine.cache.memory_hits", served - disk_hits)
-                obs.count("engine.cache.disk_hits", disk_hits)
-                obs.count("engine.cache.misses", len(missing))
-
-            if missing:
-                # one representative cell per distinct key, in first-seen order
-                cells = [
-                    (
-                        indices[0],
-                        tasks[indices[0]].algorithm,
-                        tasks[indices[0]].spec,
-                        tasks[indices[0]].hw,
-                    )
-                    for indices in missing.values()
-                ]
-                computed = self._compute(cells, workers)
-                for (key, indices), (_, record) in zip(missing.items(), computed):
-                    if isinstance(record, CellError):
-                        obs.count("engine.cell_errors")
-                        if on_error == "raise":
-                            record.reraise()
-                        # failed cells are never cached: a later retry of
-                        # the same key recomputes instead of replaying the
-                        # failure from the cache
-                    elif self.use_cache:
-                        self.cache.put(key, record)
-                    for i in indices:
-                        results[i] = record
-        return cast("list[LayerCycles | CellError]", results)
+        return self._evaluate(
+            [(t.algorithm, t.spec, t.hw, t.fallback) for t in tasks],
+            max_workers,
+            on_error,
+        )
 
     def sweep(
         self,
@@ -446,14 +487,68 @@ class EvaluationEngine:
             for ci in range(len(configs))
             for name in algorithms
         ]
-        records = self.evaluate_many(
-            [
-                EvalTask(name, specs[si], configs[ci], fallback=fallback)
-                for si, ci, name in order
-            ],
-            max_workers=max_workers,
+        records = self._evaluate(
+            [(name, specs[si], configs[ci], fallback) for si, ci, name in order],
+            max_workers,
+            "raise",
         )
         return dict(zip(order, cast("list[LayerCycles]", records)))
+
+    def _evaluate(
+        self,
+        tasks: list[tuple[str, ConvSpec, HardwareConfig, bool]],
+        max_workers: int | None,
+        on_error: str,
+    ) -> list[LayerCycles | CellError]:
+        """:meth:`evaluate_many` over ``(algorithm, spec, hw, fallback)``."""
+        if on_error not in ("raise", "record"):
+            raise EngineError(f"on_error must be 'raise' or 'record', got {on_error!r}")
+        cal = self.calibration
+        # one memo lookup per task: (resolved algorithm name, cache key)
+        resolved = [_resolved_key(a, s, h, f, cal) for a, s, h, f in tasks]
+        workers = self.max_workers if max_workers is None else max_workers
+        if workers < 1:
+            raise EngineError(f"max_workers must be >= 1, got {workers}")
+
+        with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
+            disk_hits_before = self.cache.stats.disk_hits
+            results: list[LayerCycles | CellError | None] = [None] * len(tasks)
+            missing: dict[str, list[int]] = {}  # key -> task indices needing it
+            get = self.cache.get
+            for i, (_, key) in enumerate(resolved):
+                record = get(key) if self.use_cache else None
+                if record is None:
+                    missing.setdefault(key, []).append(i)
+                else:
+                    results[i] = record
+
+            if obs.enabled():
+                served = len(tasks) - sum(len(ix) for ix in missing.values())
+                disk_hits = self.cache.stats.disk_hits - disk_hits_before
+                obs.count("engine.cache.memory_hits", served - disk_hits)
+                obs.count("engine.cache.disk_hits", disk_hits)
+                obs.count("engine.cache.misses", len(missing))
+
+            if missing:
+                # one representative cell per distinct key, in first-seen order
+                cells = [
+                    (i, resolved[i][0], tasks[i][1], tasks[i][2])
+                    for i in (indices[0] for indices in missing.values())
+                ]
+                computed = self._compute(cells, workers)
+                for (key, indices), (_, record) in zip(missing.items(), computed):
+                    if isinstance(record, CellError):
+                        obs.count("engine.cell_errors")
+                        if on_error == "raise":
+                            record.reraise()
+                        # failed cells are never cached: a later retry of
+                        # the same key recomputes instead of replaying the
+                        # failure from the cache
+                    elif self.use_cache:
+                        self.cache.put(key, record)
+                    for i in indices:
+                        results[i] = record
+        return cast("list[LayerCycles | CellError]", results)
 
     # ------------------------------------------------------------------ #
     # execution backends
@@ -501,7 +596,9 @@ class EvaluationEngine:
         if self.grid_backend == "percell":
             return _compute_chunk(cells, self.calibration)
         try:
-            return _compute_grid(cells, self.calibration, self.grid_backend)
+            return _compute_grid(
+                cells, self.calibration, self.grid_backend, self.schedules
+            )
         except Exception:
             obs.count("engine.grid_fallbacks")
             return _compute_chunk(cells, self.calibration)

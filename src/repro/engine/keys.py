@@ -13,7 +13,15 @@ model reads when timing one grid cell:
 
 Keys are SHA-256 over a canonical (sorted-keys, fixed-separator) JSON
 encoding — stable across processes, interpreter hash seeds, and the
-insertion order of payload dicts.
+insertion order of payload dicts.  Field values are canonicalized by their
+annotated type, so equal dataclasses always encode equally
+(``paper2_rvv(512, 1)`` and ``paper2_rvv(512, 1.0)`` share one key).
+
+:func:`cache_key` derives that encoding from precomputed pieces — the
+default calibration's fingerprint (computed at import), the canonical JSON
+of each ``ConvSpec`` and ``HardwareConfig`` once per value — spliced in
+the byte order ``json.dumps(sort_keys=True)`` produces, so the key is byte
+for byte :func:`key_from_payload` of the full payload.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import json
 from dataclasses import fields
 from enum import Enum
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
@@ -32,22 +41,43 @@ from repro.simulator.hwconfig import HardwareConfig
 #: Bump when the record serialization schema changes (old entries ignored).
 SCHEMA_VERSION = 1
 
+#: Canonical JSON fragments kept (distinct ``ConvSpec``/``HardwareConfig``
+#: values; the paper grid has 28 + 16).
+_FRAGMENT_MEMO_SIZE = 256
 
-def _jsonable(value):
-    """Canonical JSON-compatible form of a dataclass field value."""
+#: Annotated field types whose values are canonicalized (annotations are
+#: strings under ``from __future__ import annotations``).
+_CASTS = {"bool": bool, "int": int, "float": float, bool: bool, int: int, float: float}
+
+
+def _canonical(value, annotation):
+    """Canonical JSON-compatible form of one dataclass field value.
+
+    A number equal to its value in the field's annotated type takes that
+    spelling (``1`` in a ``float`` field encodes as ``1.0``, ``1`` in a
+    ``bool`` field as ``true``) and ``-0.0`` encodes as ``0.0``: equal
+    values always encode equally, so a key never depends on which of two
+    equal configs a memo saw first.  Values that already have their
+    annotated type keep their encoding, so their keys do not change.
+    """
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, bool) or value is None:
-        return value
+    cast = _CASTS.get(annotation)
+    if cast is not None and isinstance(value, (int, float)) and type(value) is not cast:
+        try:
+            canonical = cast(value)
+        except (OverflowError, ValueError):  # inf/nan in an int field
+            canonical = None
+        if canonical == value:
+            value = canonical
     if isinstance(value, float):
-        # distinguish 1 from 1.0 so int/float field edits change the key
-        return float(value)
+        return value + 0.0  # -0.0 -> 0.0; every other float is unchanged
     return value
 
 
 def dataclass_payload(obj) -> dict:
     """All constructor fields of a (frozen) dataclass as a plain dict."""
-    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return {f.name: _canonical(getattr(obj, f.name), f.type) for f in fields(obj)}
 
 
 def calibration_fingerprint(calibration: Calibration | None = None) -> str:
@@ -72,7 +102,12 @@ def key_from_payload(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_FRAGMENT_MEMO_SIZE)
+def _fragment(obj: ConvSpec | HardwareConfig) -> str:
+    """The canonical JSON of one dataclass, once per value."""
+    return json.dumps(dataclass_payload(obj), sort_keys=True, separators=(",", ":"))
+
+
 def cache_key(
     algorithm: str,
     spec: ConvSpec,
@@ -81,19 +116,25 @@ def cache_key(
 ) -> str:
     """The content-addressed key of one (algorithm, layer, config) cell.
 
-    All four inputs are hashable (frozen dataclasses), so key derivation
-    itself is memoized — repeat lookups of a hot cell skip the canonical
-    JSON + SHA-256 work entirely without affecting the derived value.
+    Equal to ``key_from_payload`` of ``{"schema", "algorithm", "spec":
+    dataclass_payload(spec), "hw": dataclass_payload(hw), "calibration":
+    calibration_fingerprint(calibration)}`` byte for byte: the memoized
+    fragments are spliced in sorted key order (``algorithm`` <
+    ``calibration`` < ``hw`` < ``schema`` < ``spec``) with the same
+    separators, and the algorithm name is escaped by the encoder
+    ``json.dumps`` uses for strings.
     """
-    return key_from_payload(
-        {
-            "schema": SCHEMA_VERSION,
-            "algorithm": algorithm,
-            "spec": dataclass_payload(spec),
-            "hw": dataclass_payload(hw),
-            "calibration": calibration_fingerprint(calibration),
-        }
+    fingerprint = (
+        CALIBRATION_VERSION
+        if calibration is None
+        else calibration_fingerprint(calibration)
     )
+    blob = (
+        f'{{"algorithm":{encode_basestring_ascii(algorithm)},'
+        f'"calibration":"{fingerprint}","hw":{_fragment(hw)},'
+        f'"schema":{SCHEMA_VERSION:d},"spec":{_fragment(spec)}}}'
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------- #

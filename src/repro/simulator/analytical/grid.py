@@ -39,7 +39,7 @@ and the hypothesis suite in ``tests/test_property_analytical_grid.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -70,6 +70,97 @@ class RowCycles(NamedTuple):
     startup_cycles: np.ndarray
     dram_bytes: np.ndarray
     l2_bytes: np.ndarray
+
+
+#: Instruction-count fields of a :class:`Phase`, in :attr:`PhaseRows.ops`
+#: column order (and the :class:`PhaseTable` columns of the same names).
+_OP_FIELDS = (
+    "vector_ops", "vector_active", "vmem_ops", "vmem_active",
+    "nonunit_fraction", "scalar_ops",
+)
+
+#: :class:`DataStream` fields, in :attr:`PhaseRows.streams` column order.
+_STREAM_FIELDS = ("bytes", "passes", "reuse_ws", "scalar_access", "resident_source")
+
+#: Per-cell :class:`PhaseTable` columns, in :func:`_hw_columns` order; the
+#: flags travel as 0.0/1.0 until the table is built.
+_HW_FIELDS = (
+    "chime_den_unit", "chime_den_nonunit", "deadtime", "vector_issue",
+    "vmem_issue", "scalar_cpi", "l2_bytes_per_cycle", "cache_bytes",
+    "vec_exposure", "line_bytes", "dram_latency", "mlp", "dram_bw",
+    "phase_startup", "scalar_exposure_on", "resident_source_on",
+)
+_HW_FLAGS = ("scalar_exposure_on", "resident_source_on")
+
+
+class PhaseRows(NamedTuple):
+    """One schedule's :class:`PhaseTable` rows, extracted once.
+
+    :meth:`PhaseTable.from_cells` accepts these in place of a ``Phase``
+    list, so a caller that evaluates one schedule on many configs (the
+    engine's schedule memo) walks its phases and streams once, not once
+    per config.
+    """
+
+    #: Phase name per row.
+    names: tuple[str, ...]
+    #: ``(phases, 6)`` instruction columns, in :data:`_OP_FIELDS` order.
+    ops: np.ndarray
+    #: ``(streams, 5)`` stream columns, in :data:`_STREAM_FIELDS` order
+    #: (the flags as 0.0/1.0).
+    streams: np.ndarray
+    #: ``(streams, 2)``: (phase row, stream slot) of each stream.
+    stream_at: np.ndarray
+
+    @classmethod
+    def from_phases(cls, phases: Sequence[Phase]) -> "PhaseRows":
+        ops = [[getattr(ph, f) for f in _OP_FIELDS] for ph in phases]
+        streams = []
+        stream_at = []
+        for r, ph in enumerate(phases):
+            for j, s in enumerate(ph.streams):
+                streams.append([getattr(s, f) for f in _STREAM_FIELDS])
+                stream_at.append((r, j))
+        return cls(
+            names=tuple(ph.name for ph in phases),
+            ops=np.array(ops, dtype=np.float64).reshape(-1, len(_OP_FIELDS)),
+            streams=np.array(streams, dtype=np.float64).reshape(
+                -1, len(_STREAM_FIELDS)
+            ),
+            stream_at=np.array(stream_at, dtype=np.int64).reshape(-1, 2),
+        )
+
+
+def _hw_columns(cfg: HardwareConfig, cal: Calibration) -> tuple:
+    """One cell's :data:`_HW_FIELDS` values.
+
+    The exact scalar expressions of :class:`AnalyticalTimingModel`, so the
+    columns carry the same float64 values the per-cell path sees.
+    """
+    datapath = cfg.datapath_f32_per_cycle
+    decoupled = cfg.style is VectorUnitStyle.DECOUPLED
+    prefetch = cfg.software_prefetch or cfg.hardware_prefetch
+    exposure = cal.latency_exposure * (
+        cal.prefetch_latency_factor if prefetch else 1.0
+    )
+    return (
+        max(1.0, datapath),
+        max(1.0, datapath / cal.nonunit_penalty),
+        cal.decoupled_deadtime if decoupled else 0.0,
+        cal.vector_issue,
+        cal.vmem_issue,
+        cal.scalar_cpi,
+        cal.l2_bytes_per_cycle,
+        effective_l2_bytes(cfg),
+        0.5 if decoupled else exposure,
+        cfg.line_bytes,
+        cfg.dram_latency,
+        DramModel.from_config(cfg).mlp,
+        cal.dram_efficiency * cfg.dram_bytes_per_cycle,
+        cal.phase_startup,
+        bool(cal.enable_scalar_exposure),
+        bool(cal.enable_resident_source),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,110 +229,70 @@ class PhaseTable:
     ) -> "PhaseTable":
         """Build the table from ``(algorithm, phases, hw[, calibration])``.
 
-        ``calibration`` is the table-wide default (``None`` →
-        :data:`DEFAULT_CALIBRATION`); a 4-tuple cell overrides it for
-        that cell only.  The schedules themselves are built by the
+        ``phases`` is a schedule's ``Phase`` list or its already extracted
+        :class:`PhaseRows`.  ``calibration`` is the table-wide default
+        (``None`` → :data:`DEFAULT_CALIBRATION`); a 4-tuple cell overrides
+        it for that cell only.  The schedules themselves are built by the
         caller (``ConvAlgorithm.schedule``), so this constructor is pure
-        data movement plus the per-cell scalar derivations.
+        data movement plus the per-config scalar derivations.
         """
         default_cal = calibration or DEFAULT_CALIBRATION
-        n_cells = len(cells)
         algorithms: list[str] = []
-        phase_lists: list[Sequence[Phase]] = []
-        cals: list[Calibration] = []
-        configs: list[HardwareConfig] = []
+        rows: list[PhaseRows] = []
+        hw_index: dict[tuple[int, int], int] = {}  # (id(hw), id(cal)) -> row
+        hw_rows: list[tuple] = []
+        hw_of_cell: list[int] = []
         for cell in cells:
             if len(cell) == 4:
                 name, phases, hw, cal = cell
             else:
                 name, phases, hw = cell
                 cal = None
+            cal = cal or default_cal
             algorithms.append(name)
-            phase_lists.append(list(phases))
-            configs.append(hw)
-            cals.append(cal or default_cal)
+            if not isinstance(phases, PhaseRows):
+                phases = PhaseRows.from_phases(phases)
+            rows.append(phases)
+            # one derivation per distinct (config, calibration) object
+            slot = hw_index.setdefault((id(hw), id(cal)), len(hw_rows))
+            if slot == len(hw_rows):
+                hw_rows.append(_hw_columns(hw, cal))
+            hw_of_cell.append(slot)
 
-        phase_counts = np.array(
-            [len(p) for p in phase_lists], dtype=np.int64
-        )
+        n_cells = len(rows)
+        phase_counts = np.array([len(r.names) for r in rows], dtype=np.int64)
         n_rows = int(phase_counts.sum())
         cell_of_row = np.repeat(np.arange(n_cells, dtype=np.int64), phase_counts)
-        max_streams = max(
-            (len(ph.streams) for pl in phase_lists for ph in pl), default=0
+        ops = _stack([r.ops for r in rows], len(_OP_FIELDS))
+        streams = _stack([r.streams for r in rows], len(_STREAM_FIELDS))
+        stream_at = _stack([r.stream_at for r in rows], 2, np.int64)
+        # stream (row, slot) in the table: each cell's rows start after the
+        # rows of the cells before it
+        first_row = np.cumsum(phase_counts) - phase_counts
+        row = stream_at[:, 0] + np.repeat(
+            first_row, [len(r.streams) for r in rows]
         )
-        s_width = max(1, max_streams)
-
-        names: list[str] = []
-        vector_ops = np.zeros(n_rows)
-        vector_active = np.zeros(n_rows)
-        vmem_ops = np.zeros(n_rows)
-        vmem_active = np.zeros(n_rows)
-        nonunit_fraction = np.zeros(n_rows)
-        scalar_ops = np.zeros(n_rows)
+        col = stream_at[:, 1]
+        s_width = max(1, int(col.max()) + 1 if len(col) else 0)
         stream_bytes = np.zeros((n_rows, s_width))
         stream_passes = np.ones((n_rows, s_width))
         stream_reuse_ws = np.zeros((n_rows, s_width))
         stream_scalar = np.zeros((n_rows, s_width), dtype=bool)
         stream_resident = np.zeros((n_rows, s_width), dtype=bool)
-        r = 0
-        for pl in phase_lists:
-            for ph in pl:
-                names.append(ph.name)
-                vector_ops[r] = ph.vector_ops
-                vector_active[r] = ph.vector_active
-                vmem_ops[r] = ph.vmem_ops
-                vmem_active[r] = ph.vmem_active
-                nonunit_fraction[r] = ph.nonunit_fraction
-                scalar_ops[r] = ph.scalar_ops
-                for j, s in enumerate(ph.streams):
-                    stream_bytes[r, j] = s.bytes
-                    stream_passes[r, j] = s.passes
-                    stream_reuse_ws[r, j] = s.reuse_ws
-                    stream_scalar[r, j] = s.scalar_access
-                    stream_resident[r, j] = s.resident_source
-                r += 1
+        stream_bytes[row, col] = streams[:, 0]
+        stream_passes[row, col] = streams[:, 1]
+        stream_reuse_ws[row, col] = streams[:, 2]
+        stream_scalar[row, col] = streams[:, 3] != 0.0
+        stream_resident[row, col] = streams[:, 4] != 0.0
 
-        chime_den_unit = np.zeros(n_cells)
-        chime_den_nonunit = np.zeros(n_cells)
-        deadtime = np.zeros(n_cells)
-        vector_issue = np.zeros(n_cells)
-        vmem_issue = np.zeros(n_cells)
-        scalar_cpi = np.zeros(n_cells)
-        l2_bpc = np.zeros(n_cells)
-        cache_bytes = np.zeros(n_cells)
-        vec_exposure = np.zeros(n_cells)
-        line_bytes = np.zeros(n_cells)
-        dram_latency = np.zeros(n_cells)
-        mlp = np.zeros(n_cells)
-        dram_bw = np.zeros(n_cells)
-        phase_startup = np.zeros(n_cells)
-        scalar_exposure_on = np.zeros(n_cells, dtype=bool)
-        resident_source_on = np.zeros(n_cells, dtype=bool)
-        for i, (cfg, cal) in enumerate(zip(configs, cals)):
-            # the exact scalar expressions of AnalyticalTimingModel — the
-            # columns carry the same float64 values the per-cell path sees
-            datapath = cfg.datapath_f32_per_cycle
-            chime_den_unit[i] = max(1.0, datapath)
-            chime_den_nonunit[i] = max(1.0, datapath / cal.nonunit_penalty)
-            decoupled = cfg.style is VectorUnitStyle.DECOUPLED
-            deadtime[i] = cal.decoupled_deadtime if decoupled else 0.0
-            vector_issue[i] = cal.vector_issue
-            vmem_issue[i] = cal.vmem_issue
-            scalar_cpi[i] = cal.scalar_cpi
-            l2_bpc[i] = cal.l2_bytes_per_cycle
-            cache_bytes[i] = effective_l2_bytes(cfg)
-            prefetch = cfg.software_prefetch or cfg.hardware_prefetch
-            exposure = cal.latency_exposure * (
-                cal.prefetch_latency_factor if prefetch else 1.0
-            )
-            vec_exposure[i] = 0.5 if decoupled else exposure
-            line_bytes[i] = cfg.line_bytes
-            dram_latency[i] = cfg.dram_latency
-            mlp[i] = DramModel.from_config(cfg).mlp
-            dram_bw[i] = cal.dram_efficiency * cfg.dram_bytes_per_cycle
-            phase_startup[i] = cal.phase_startup
-            scalar_exposure_on[i] = cal.enable_scalar_exposure
-            resident_source_on[i] = cal.enable_resident_source
+        # one contiguous array per column, like the per-cell scalars
+        op_columns = dict(zip(_OP_FIELDS, np.ascontiguousarray(ops.T)))
+        per_config = np.array(hw_rows, dtype=np.float64).reshape(-1, len(_HW_FIELDS))
+        hw_columns = dict(
+            zip(_HW_FIELDS, np.ascontiguousarray(per_config[hw_of_cell].T))
+        )
+        for flag in _HW_FLAGS:
+            hw_columns[flag] = hw_columns[flag] != 0.0
 
         return cls(
             n_cells=n_cells,
@@ -249,35 +300,20 @@ class PhaseTable:
             algorithms=tuple(algorithms),
             phase_counts=phase_counts,
             cell_of_row=cell_of_row,
-            phase_names=tuple(names),
-            vector_ops=vector_ops,
-            vector_active=vector_active,
-            vmem_ops=vmem_ops,
-            vmem_active=vmem_active,
-            nonunit_fraction=nonunit_fraction,
-            scalar_ops=scalar_ops,
+            phase_names=tuple(chain.from_iterable(r.names for r in rows)),
             stream_bytes=stream_bytes,
             stream_passes=stream_passes,
             stream_reuse_ws=stream_reuse_ws,
             stream_scalar=stream_scalar,
             stream_resident=stream_resident,
-            chime_den_unit=chime_den_unit,
-            chime_den_nonunit=chime_den_nonunit,
-            deadtime=deadtime,
-            vector_issue=vector_issue,
-            vmem_issue=vmem_issue,
-            scalar_cpi=scalar_cpi,
-            l2_bytes_per_cycle=l2_bpc,
-            cache_bytes=cache_bytes,
-            vec_exposure=vec_exposure,
-            line_bytes=line_bytes,
-            dram_latency=dram_latency,
-            mlp=mlp,
-            dram_bw=dram_bw,
-            phase_startup=phase_startup,
-            scalar_exposure_on=scalar_exposure_on,
-            resident_source_on=resident_source_on,
+            **op_columns,
+            **hw_columns,
         )
+
+
+def _stack(blocks: list[np.ndarray], width: int, dtype=np.float64) -> np.ndarray:
+    """Concatenate per-cell row blocks (an empty table has no blocks)."""
+    return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype)
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from repro.engine import (
     record_from_dict,
     record_to_dict,
 )
+from repro.engine.keys import dataclass_payload
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.hwconfig import HardwareConfig
@@ -85,6 +86,42 @@ class TestCacheKeys:
             )
             keys.append(out.stdout.strip())
         assert keys[0] == keys[1] == cache_key("direct", spec, hw)
+
+    def test_equal_configs_share_one_key_in_any_order(self, spec):
+        """Equal values spelled differently (``1`` vs ``1.0``, ``1`` vs
+        ``True``, ``-0.0`` vs ``0.0``) get one key: in a fresh derivation,
+        through the memos in either order, and in a process that only saw
+        one spelling."""
+        as_int = HardwareConfig.paper2_rvv(512, 1)
+        as_float = HardwareConfig.paper2_rvv(512, 1.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        assert dataclass_payload(as_int) == dataclass_payload(as_float)
+        assert json.dumps(dataclass_payload(as_int)["l2_mib"]) == "1.0"
+        normalized = spec.__class__(**{**spec.__dict__, "batch_normalize": 1})
+        assert dataclass_payload(normalized)["batch_normalize"] is True
+        assert calibration_fingerprint(
+            Calibration(vector_issue=1)
+        ) == CALIBRATION_VERSION
+        assert calibration_fingerprint(
+            Calibration(decoupled_deadtime=-0.0)
+        ) == calibration_fingerprint(Calibration(decoupled_deadtime=0.0))
+        float_key = cache_key("direct", spec, as_float)
+        assert cache_key("direct", spec, as_int) == float_key
+        code = (
+            "from repro.engine import cache_key\n"
+            "from repro.nn.layer import ConvSpec\n"
+            "from repro.simulator.hwconfig import HardwareConfig\n"
+            "print(cache_key('direct',"
+            " ConvSpec(ic=16, oc=32, ih=28, iw=28, kh=3, kw=3, index=3),"
+            " HardwareConfig.paper2_rvv(512, 1)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == float_key
+
 
 
 class TestRecordSerialization:
