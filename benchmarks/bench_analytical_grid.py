@@ -9,7 +9,7 @@ bit-identical records.
 The comparison mirrors what the engine fast path replaces.  The
 per-cell path resolves the algorithm, rebuilds the loop-nest schedule
 and evaluates the model *for every cell of every call* (that is what
-``registry.layer_cycles`` / ``executor._compute_chunk`` do).  The
+``registry.layer_cycles`` does, the per-cell reference).  The
 columnar :class:`PhaseTable` is built **once per grid** by design and
 then evaluated in one tensorized call, so the table build sits outside
 the timed region the same way the per-cell side's applicability
@@ -102,9 +102,8 @@ def test_grid_vs_percell_speedup(benchmark):
     table = PhaseTable.from_cells(_prebuilt_cells(work))
 
     def percell():
-        # the retained per-cell path, exactly as executor._compute_chunk
-        # dispatches it: every call re-resolves the algorithm, rebuilds
-        # the schedule and evaluates the model
+        # the per-cell reference path: every call re-resolves the
+        # algorithm, rebuilds the schedule and evaluates the model
         return [
             layer_cycles(name, spec, hw, fallback=False)
             for name, spec, hw in work
@@ -164,9 +163,9 @@ def test_grid_compiled_matches_numpy(benchmark):
 
 
 def test_cold_engine_batch_uses_grid(benchmark):
-    """End-to-end: a cold cache-disabled engine batch (serial) through the
-    tensorized path must beat the pinned per-cell mode and stay
-    bit-identical — the serving/campaign cold-start this PR targets."""
+    """End-to-end: a cold cache-disabled engine batch through the
+    tensorized path must beat per-cell ``layer_cycles`` calls over the
+    same tasks and stay bit-identical — the serving/campaign cold start."""
     from repro.engine import EvalTask, EvaluationEngine
 
     specs = workload("vgg16") + workload("yolov3")
@@ -177,13 +176,18 @@ def test_cold_engine_batch_uses_grid(benchmark):
         for name in ALGORITHM_NAMES
     ]
     fast = EvaluationEngine(use_cache=False)
-    slow = EvaluationEngine(use_cache=False, grid_backend="percell")
 
-    for a, b in zip(fast.evaluate_many(tasks), slow.evaluate_many(tasks)):
+    def percell():
+        return [
+            layer_cycles(t.algorithm, t.spec, t.hw, fallback=t.fallback)
+            for t in tasks
+        ]
+
+    for a, b in zip(fast.evaluate_many(tasks), percell()):
         assert records_equal(a, b)
 
     fast_s = _best_of(lambda: fast.evaluate_many(tasks))
-    slow_s = _best_of(lambda: slow.evaluate_many(tasks))
+    slow_s = _best_of(percell)
     benchmark(lambda: fast.evaluate_many(tasks))
     print(f"\ncold engine {len(tasks)}-task batch: per-cell "
           f"{slow_s * 1e3:.0f} ms, grid fast path {fast_s * 1e3:.0f} ms "

@@ -107,9 +107,9 @@ class Im2colGemm6(_Im2colGemmBase):
 
     ``blocks`` are the BLIS-like (blockM, blockN, blockK) tile sizes
     (default: the paper's tuned 16x512x128).  Non-default values are
-    produced by :mod:`repro.schedule` variants (absorbing the old
-    ``blocktuner`` grid); the traced and analytical faces honour the same
-    tiles.
+    produced by :mod:`repro.schedule` variants (the block grid of
+    :func:`repro.schedule.templates.gemm6_block_candidates`); the traced
+    and analytical faces honour the same tiles.
     """
 
     name = "im2col_gemm6"

@@ -1,4 +1,4 @@
-"""Memoized + parallel evaluation engine for the analytical model.
+"""Memoized evaluation engine for the analytical model.
 
 The figure harnesses, the campaign runner and the selection dataset all
 evaluate cells of the same (layer, algorithm, hardware) grid; this package
@@ -6,37 +6,29 @@ gives them a shared substrate:
 
 * :mod:`repro.engine.keys` — content-addressed cache keys (SHA-256 over a
   canonical encoding of spec + config + algorithm + calibration version);
-* :mod:`repro.engine.cache` — an in-memory LRU tier plus an optional
-  on-disk JSON tier under ``results/cache/``;
-* :mod:`repro.engine.executor` — the :class:`EvaluationEngine` facade and
-  a deterministic process-parallel batch executor.
+* :mod:`repro.engine.cache` — the in-memory LRU the records live in;
+* :mod:`repro.engine.executor` — the :class:`EvaluationEngine` facade:
+  cache lookup, one tensorized grid call over the cold cells, LRU insert.
 
-A process-wide default engine (memory tier only, serial) backs the adapters
-in :mod:`repro.experiments.common`; ``repro-experiments --workers/--no-cache``
+A process-wide default engine backs the adapters in
+:mod:`repro.experiments.common`; ``repro-experiments --no-cache``
 reconfigures it.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.engine.cache import DEFAULT_CACHE_DIR, CacheStats, MemoCache
-from repro.engine.checkpoint import CheckpointJournal, grid_fingerprint
+from repro.engine.cache import CacheStats, MemoCache
 from repro.engine.executor import CellError, EvalTask, EvaluationEngine
 from repro.engine.keys import (
     CALIBRATION_VERSION,
     cache_key,
     calibration_fingerprint,
-    record_from_dict,
-    record_to_dict,
 )
 
 __all__ = [
     "CALIBRATION_VERSION",
     "CacheStats",
     "CellError",
-    "CheckpointJournal",
-    "DEFAULT_CACHE_DIR",
     "EvalTask",
     "EvaluationEngine",
     "MemoCache",
@@ -44,49 +36,25 @@ __all__ = [
     "calibration_fingerprint",
     "configure_default",
     "default_engine",
-    "grid_fingerprint",
-    "record_from_dict",
-    "record_to_dict",
 ]
 
 _default: EvaluationEngine | None = None
 
 
 def default_engine() -> EvaluationEngine:
-    """The process-wide shared engine (created lazily, memory tier only)."""
+    """The process-wide shared engine (created lazily)."""
     global _default
     if _default is None:
         _default = EvaluationEngine()
     return _default
 
 
-def configure_default(
-    max_workers: int | None = None,
-    use_cache: bool | None = None,
-    disk_dir=None,
-    chunk_timeout_s: float | None = None,
-    max_retries: int | None = None,
-    retry_backoff_s: float | None = None,
-) -> EvaluationEngine:
-    """Reconfigure the shared engine (CLI ``--workers`` / ``--no-cache``).
+def configure_default(use_cache: bool | None = None) -> EvaluationEngine:
+    """Reconfigure the shared engine (CLI ``--no-cache``).
 
-    Passing ``disk_dir`` attaches the on-disk tier (e.g.
-    :data:`DEFAULT_CACHE_DIR`); ``None`` leaves the current tier unchanged.
-    The resilience knobs (``chunk_timeout_s``, ``max_retries``,
-    ``retry_backoff_s``) mirror the :class:`EvaluationEngine` constructor
-    and back the CLI ``--chunk-timeout`` / ``--max-retries`` flags.
+    ``None`` leaves the current setting unchanged.
     """
     engine = default_engine()
-    if max_workers is not None:
-        engine.max_workers = max_workers
     if use_cache is not None:
         engine.use_cache = use_cache
-    if disk_dir is not None:
-        engine.cache.disk_dir = Path(disk_dir)
-    if chunk_timeout_s is not None:
-        engine.chunk_timeout_s = chunk_timeout_s
-    if max_retries is not None:
-        engine.max_retries = max_retries
-    if retry_backoff_s is not None:
-        engine.retry_backoff_s = retry_backoff_s
     return engine

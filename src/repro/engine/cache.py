@@ -1,374 +1,86 @@
-"""Multi-tier memo cache for analytical-model records.
+"""In-memory LRU memo cache for analytical-model records.
 
-Tier 1 is an in-memory LRU (an :class:`~collections.OrderedDict` bounded by
-``capacity``); tier 2 is an optional **SQLite** store (``sqlite_path``) —
-a single WAL-mode database safe to share between concurrent processes,
-which is how ``repro-serve`` replicas and campaign workers on one host
-share a warm cache; tier 3 is an optional on-disk JSON store, one file per
-key sharded by the first two hex digits (``results/cache/ab/ab03...json``).
-Lower-tier hits are promoted into the memory tier; memory evictions do
-**not** drop persistent entries, so a long campaign's working set survives
-process exits.
-
-Writes are atomic (temp file + ``os.replace``) so a crashed or parallel
-writer can never leave a truncated JSON behind; corrupt files (external
-truncation, bit rot, injected via :mod:`repro.faults`) are treated as
-misses, **deleted** so they are not re-parsed on every lookup, and counted
-in :attr:`CacheStats.corrupt_entries` / the ``engine.cache.corrupt_entries``
-observability counter.  Failed writes degrade the cache to memory-only but
-are counted (``engine.cache.write_errors``) instead of vanishing silently.
+One tier: an :class:`~collections.OrderedDict` bounded by ``capacity``,
+keyed by the content-addressed keys of :mod:`repro.engine.keys`.  A cold
+full Paper II grid recomputes in well under a second, so nothing is
+persisted across processes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sqlite3
-import tempfile
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro import faults, obs
-from repro.engine.keys import SCHEMA_VERSION, record_from_dict, record_to_dict
 from repro.errors import EngineError
 from repro.simulator.analytical.model import LayerCycles
-
-#: Default location of the disk tier (gitignored, next to the CSV artifacts).
-DEFAULT_CACHE_DIR = Path("results") / "cache"
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one :class:`MemoCache`.
+    """Hit/miss accounting for one :class:`MemoCache`."""
 
-    SQLite-tier hits are counted in ``disk_hits`` (both are persistent
-    tiers, and downstream accounting — the engine's obs counters — keys
-    on memory/persistent/miss) and additionally broken out in
-    ``sqlite_hits``.
-    """
-
-    hits: int = 0  # memory-tier hits
-    disk_hits: int = 0  # persistent-tier hits (promoted to memory)
-    sqlite_hits: int = 0  # subset of disk_hits served by the SQLite tier
+    hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    corrupt_entries: int = 0  # unparseable disk files (deleted, recomputed)
-    write_errors: int = 0  # disk writes that failed (memory-only degrade)
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.disk_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         if not self.lookups:
             return 0.0
-        return (self.hits + self.disk_hits) / self.lookups
+        return self.hits / self.lookups
 
     def as_dict(self) -> dict:
         return {
             "hits": self.hits,
-            "disk_hits": self.disk_hits,
-            "sqlite_hits": self.sqlite_hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
-            "corrupt_entries": self.corrupt_entries,
-            "write_errors": self.write_errors,
             "hit_rate": self.hit_rate,
         }
 
 
-class SQLiteTier:
-    """Cross-process memo tier: one WAL-mode SQLite database.
-
-    Connections are opened lazily **per process** (a connection must not
-    cross a fork) and shared across threads behind a lock; WAL mode plus
-    a busy timeout lets many serving replicas / campaign workers read and
-    write the same database concurrently.  ``get`` returns the parsed
-    record or None; a corrupt payload is deleted and reported via the
-    return sentinel :data:`SQLiteTier.CORRUPT` so the owning cache can
-    account for it exactly like a corrupt JSON file.
-    """
-
-    #: sentinel distinguishing "corrupt row (deleted)" from a plain miss.
-    CORRUPT = object()
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._conn: sqlite3.Connection | None = None
-        self._owner_pid: int | None = None
-        self._lock = threading.Lock()
-
-    def _connection(self) -> sqlite3.Connection:
-        if self._conn is None or self._owner_pid != os.getpid():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                str(self.path), timeout=5.0, check_same_thread=False
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS memo ("
-                " key TEXT PRIMARY KEY,"
-                " schema INTEGER NOT NULL,"
-                " payload TEXT NOT NULL)"
-            )
-            conn.commit()
-            self._conn = conn
-            self._owner_pid = os.getpid()
-        return self._conn
-
-    # ------------------------------------------------------------------ #
-    def get(self, key: str):
-        """A :class:`LayerCycles`, None (miss), or :data:`CORRUPT`."""
-        with self._lock:
-            row = self._connection().execute(
-                "SELECT schema, payload FROM memo WHERE key = ?", (key,)
-            ).fetchone()
-        if row is None:
-            return None
-        schema, payload = row
-        if schema != SCHEMA_VERSION:
-            return None  # stale schema: miss; put() overwrites it
-        try:
-            return record_from_dict(json.loads(payload))
-        except (ValueError, KeyError, TypeError):
-            self.delete(key)
-            return self.CORRUPT
-
-    def put(self, key: str, payload: str) -> None:
-        """Upsert one serialized record (caller handles faults/errors)."""
-        with self._lock:
-            conn = self._connection()
-            conn.execute(
-                "INSERT OR REPLACE INTO memo (key, schema, payload) "
-                "VALUES (?, ?, ?)",
-                (key, SCHEMA_VERSION, payload),
-            )
-            conn.commit()
-
-    def delete(self, key: str) -> None:
-        try:
-            with self._lock:
-                conn = self._connection()
-                conn.execute("DELETE FROM memo WHERE key = ?", (key,))
-                conn.commit()
-        except sqlite3.Error:
-            pass
-
-    def __len__(self) -> int:
-        with self._lock:
-            row = self._connection().execute("SELECT COUNT(*) FROM memo").fetchone()
-            (n,) = row
-        return int(n)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            row = self._connection().execute(
-                "SELECT 1 FROM memo WHERE key = ?", (key,)
-            ).fetchone()
-        return row is not None
-
-    def clear(self) -> None:
-        with self._lock:
-            conn = self._connection()
-            conn.execute("DELETE FROM memo")
-            conn.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None and self._owner_pid == os.getpid():
-                self._conn.close()
-            self._conn = None
-            self._owner_pid = None
-
-
 @dataclass
 class MemoCache:
-    """LRU memory tier + optional SQLite and JSON disk tiers."""
+    """Bounded LRU of :class:`LayerCycles` records."""
 
     capacity: int = 8192
-    disk_dir: Path | None = None
-    sqlite_path: Path | None = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise EngineError(f"cache capacity must be >= 1, got {self.capacity}")
-        if self.disk_dir is not None:
-            self.disk_dir = Path(self.disk_dir)
         self._memory: OrderedDict[str, LayerCycles] = OrderedDict()
-        self._sqlite = (
-            SQLiteTier(self.sqlite_path) if self.sqlite_path is not None
-            else None
-        )
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        if self._sqlite is not None and key in self._sqlite:
-            return True
-        return self._disk_path_if_exists(key) is not None
+        return key in self._memory
 
-    # ------------------------------------------------------------------ #
-    # lookup / store
-    # ------------------------------------------------------------------ #
     def get(self, key: str) -> LayerCycles | None:
         """Cached record for ``key``, or None (accounted as a miss)."""
         record = self._memory.get(key)
-        if record is not None:
-            self._memory.move_to_end(key)
-            self.stats.hits += 1
-            return record
-        record = self._sqlite_get(key)
-        if record is not None:
-            self.stats.disk_hits += 1
-            self.stats.sqlite_hits += 1
-            self._memory_put(key, record)  # promote
-            return record
-        record = self._disk_get(key)
-        if record is not None:
-            self.stats.disk_hits += 1
-            self._memory_put(key, record)  # promote
-            return record
-        self.stats.misses += 1
-        return None
+        if record is None:
+            self.stats.misses += 1
+            return None
+        self._memory.move_to_end(key)
+        self.stats.hits += 1
+        return record
 
     def put(self, key: str, record: LayerCycles) -> None:
-        """Store a record in every configured tier."""
+        """Store a record, evicting the least recently used past capacity."""
         self.stats.stores += 1
-        self._memory_put(key, record)
-        self._sqlite_put(key, record)
-        self._disk_put(key, record)
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and, with ``disk=True``, persistent tiers)."""
-        self._memory.clear()
-        if disk and self._sqlite is not None:
-            try:
-                self._sqlite.clear()
-            except sqlite3.Error:
-                pass
-        if disk and self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("*/*.json"):
-                path.unlink(missing_ok=True)
-
-    # ------------------------------------------------------------------ #
-    # memory tier
-    # ------------------------------------------------------------------ #
-    def _memory_put(self, key: str, record: LayerCycles) -> None:
         self._memory[key] = record
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
-    # ------------------------------------------------------------------ #
-    # SQLite tier
-    # ------------------------------------------------------------------ #
-    def _sqlite_get(self, key: str) -> LayerCycles | None:
-        if self._sqlite is None:
-            return None
-        try:
-            record = self._sqlite.get(key)
-        except sqlite3.Error:
-            return None  # transient database trouble: plain miss
-        if record is SQLiteTier.CORRUPT:
-            self.stats.corrupt_entries += 1
-            obs.count("engine.cache.corrupt_entries")
-            return None
-        return record
-
-    def _sqlite_put(self, key: str, record: LayerCycles) -> None:
-        if self._sqlite is None:
-            return
-        plan = faults.active_plan()
-        try:
-            if plan is not None and plan.write_fails(key):
-                faults.mark_injected("cache.write_error")
-                raise OSError(f"injected cache write error for {key[:12]}")
-            text = json.dumps(record_to_dict(record))
-            if plan is not None and plan.corrupts_write(key):
-                faults.mark_injected("cache.corrupt")
-                text = text[: max(1, len(text) // 2)]
-            self._sqlite.put(key, text)
-        except (OSError, sqlite3.Error):
-            # locked/read-only database etc.: degrade, visibly.
-            self.stats.write_errors += 1
-            obs.count("engine.cache.write_errors")
-
-    # ------------------------------------------------------------------ #
-    # disk tier
-    # ------------------------------------------------------------------ #
-    def _disk_path(self, key: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / key[:2] / f"{key}.json"
-
-    def _disk_path_if_exists(self, key: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        path = self._disk_path(key)
-        return path if path.exists() else None
-
-    def _disk_get(self, key: str) -> LayerCycles | None:
-        path = self._disk_path_if_exists(key)
-        if path is None:
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != SCHEMA_VERSION:
-                return None  # stale schema: miss; put() overwrites it
-            return record_from_dict(payload["record"])
-        except OSError:
-            return None  # transient read failure: plain miss
-        except (ValueError, KeyError, TypeError):
-            # Corrupt entry: delete it (so it is not re-parsed on every
-            # lookup), count the forced recompute, and report a miss.
-            self.stats.corrupt_entries += 1
-            obs.count("engine.cache.corrupt_entries")
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-
-    def _disk_put(self, key: str, record: LayerCycles) -> None:
-        if self.disk_dir is None:
-            return
-        path = self._disk_path(key)
-        plan = faults.active_plan()
-        try:
-            if plan is not None and plan.write_fails(key):
-                faults.mark_injected("cache.write_error")
-                raise OSError(f"injected cache write error for {key[:12]}")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "key": key,
-                "record": record_to_dict(record),
-            }
-            text = json.dumps(payload)
-            if plan is not None and plan.corrupts_write(key):
-                # Injected corruption: persist a truncated payload, which a
-                # later _disk_get must detect, delete and recompute around.
-                faults.mark_injected("cache.corrupt")
-                text = text[: max(1, len(text) // 2)]
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(text)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            # Read-only filesystem etc.: degrade to memory-only, visibly.
-            self.stats.write_errors += 1
-            obs.count("engine.cache.write_errors")
+    def clear(self) -> None:
+        """Drop every entry (the statistics are kept)."""
+        self._memory.clear()

@@ -35,10 +35,9 @@ from json.encoder import encode_basestring_ascii
 
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.simulator.analytical.model import LayerCycles, PhaseCycles
 from repro.simulator.hwconfig import HardwareConfig
 
-#: Bump when the record serialization schema changes (old entries ignored).
+#: Part of every key payload: bumping it gives every cell a new key.
 SCHEMA_VERSION = 1
 
 #: Canonical JSON fragments kept (distinct ``ConvSpec``/``HardwareConfig``
@@ -135,40 +134,3 @@ def cache_key(
         f'"schema":{SCHEMA_VERSION:d},"spec":{_fragment(spec)}}}'
     )
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------- #
-# record (de)serialization — bit-identical float round-trips
-# ---------------------------------------------------------------------- #
-
-def record_to_dict(record: LayerCycles) -> dict:
-    """Serialize a :class:`LayerCycles` to a JSON-compatible dict.
-
-    Python's ``json`` emits shortest-round-trip ``repr`` floats, so every
-    float survives a dump/load cycle bit-identically.
-    """
-    return {
-        "algorithm": record.algorithm,
-        "phases": [
-            {
-                "name": p.name,
-                "vector_cycles": p.vector_cycles,
-                "scalar_cycles": p.scalar_cycles,
-                "l2_cycles": p.l2_cycles,
-                "dram_cycles": p.dram_cycles,
-                "latency_cycles": p.latency_cycles,
-                "startup_cycles": p.startup_cycles,
-                "dram_bytes": p.dram_bytes,
-                "l2_bytes": p.l2_bytes,
-            }
-            for p in record.phases
-        ],
-    }
-
-
-def record_from_dict(payload: dict) -> LayerCycles:
-    """Inverse of :func:`record_to_dict`."""
-    return LayerCycles(
-        algorithm=payload["algorithm"],
-        phases=[PhaseCycles(**phase) for phase in payload["phases"]],
-    )

@@ -1,17 +1,14 @@
-"""Shared process-pool plumbing for parallel evaluation and replay.
+"""Process-pool plumbing for sharded cache replay.
 
-Both the grid-evaluation engine (:mod:`repro.engine.executor`) and the
-sharded cache-replay path (:mod:`repro.simulator.replay_parallel`) fan
-work over a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
-platform quirks are identical on both sides — prefer ``fork`` so workers
-inherit already-imported modules (and already-JIT-compiled Numba
-kernels), fall back to the default start method where ``fork`` is
-unavailable, and tear pools down even when a worker is wedged — so the
-logic lives here once.
+The sharded cache-replay path (:mod:`repro.simulator.replay_parallel`)
+fans work over a :class:`~concurrent.futures.ProcessPoolExecutor`.  This
+module holds its platform quirks: prefer ``fork`` so workers inherit
+already-imported modules (and already-JIT-compiled Numba kernels), fall
+back to the default start method where ``fork`` is unavailable, and tear
+pools down even when a worker is wedged.
 
-Callers handle *degradation* themselves (the executor warns and
-evaluates serially, the replay path falls back to in-process sharding):
-this module only acquires, builds and stops pools.
+The caller handles *degradation* itself (the replay path falls back to
+in-process sharding): this module only acquires, builds and stops pools.
 """
 
 from __future__ import annotations

@@ -89,10 +89,6 @@ class InjectedFaultError(ReproError):
     """
 
 
-class CampaignAbortedError(ReproError):
-    """A checkpointed campaign was aborted mid-run (resume with ``--resume``)."""
-
-
 class ServeError(ReproError):
     """The prediction service was misconfigured or driven into a bad state."""
 

@@ -6,14 +6,8 @@ grid, evaluated once and saved, so new questions can be answered from the
 records without re-simulation (what gem5 users do with stats files).
 
 Records are plain dicts; persistence is JSON (self-describing) with a CSV
-exporter for spreadsheet/plotting tools.
-
-Long campaigns are crash-safe: pass ``journal=`` to stream every completed
-record into an atomic JSONL :class:`~repro.engine.CheckpointJournal` under
-``results/``, and ``resume=True`` to skip the cells a previous (killed)
-run already journaled — only unfinished cells are recomputed
-(``repro-experiments campaign --resume`` is the CLI form; see
-``docs/ROBUSTNESS.md``).
+exporter for spreadsheet/plotting tools.  The full Paper II grid evaluates
+in well under a second, so a killed campaign is simply rerun.
 """
 
 from __future__ import annotations
@@ -23,17 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro import faults
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
-from repro.engine import (
-    CellError,
-    CheckpointJournal,
-    EvalTask,
-    EvaluationEngine,
-    default_engine,
-    grid_fingerprint,
-)
-from repro.errors import CampaignAbortedError, ExperimentError
+from repro.engine import CellError, EvalTask, EvaluationEngine, default_engine
+from repro.errors import ExperimentError
 from repro.nn.layer import ConvSpec
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -156,14 +142,6 @@ def _record_dict(
     }
 
 
-def _identity_of(record: dict) -> tuple:
-    """The grid-cell identity of a record (journal resume key)."""
-    return (
-        record["workload"], record["layer"], record["algorithm"],
-        record["vlen_bits"], record["l2_mib"],
-    )
-
-
 def run_campaign(
     workloads: dict[str, list[ConvSpec]],
     configs: Iterable[HardwareConfig],
@@ -171,29 +149,15 @@ def run_campaign(
     name: str = "campaign",
     progress: Callable[[str], None] | None = None,
     engine: EvaluationEngine | None = None,
-    max_workers: int | None = None,
-    journal: str | Path | None = None,
-    resume: bool = False,
-    checkpoint_every: int = 64,
 ) -> Campaign:
     """Evaluate the full grid through the shared memoized engine.
 
-    Applicable cells are fanned out over the engine's executor
-    (``max_workers`` overrides the engine's default); record order is the
-    deterministic nested loop order regardless of worker completion order.
-
-    With ``journal`` set, completed records stream into an atomic JSONL
-    checkpoint in batches of ``checkpoint_every`` cells; ``resume=True``
-    loads the journal first and recomputes only the missing cells.  A
-    failing cell becomes an explicit ``bound="error"`` record (per-cell
-    isolation) rather than aborting the campaign.
+    Every applicable cell goes to the engine in one batch; record order is
+    the deterministic nested loop order.  A failing cell becomes an
+    explicit ``bound="error"`` record (per-cell isolation) rather than
+    aborting the campaign.
     """
-    if checkpoint_every < 1:
-        raise ExperimentError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
     engine = engine if engine is not None else default_engine()
-    campaign = Campaign(name=name)
     configs = list(configs)
     algos = {n: get_algorithm(n) for n in algorithms}
     cells: list[tuple[str, ConvSpec, HardwareConfig, str]] = []
@@ -206,78 +170,25 @@ def run_campaign(
             for hw in configs
             for algo_name in algorithms
         )
-    identities = [
-        (wname, spec.index, algo_name, hw.vlen_bits, hw.l2_mib)
-        for wname, spec, hw, algo_name in cells
-    ]
-
-    done: dict[tuple, dict] = {}
-    journal_obj: CheckpointJournal | None = None
-    if journal is not None:
-        journal_obj = CheckpointJournal(
-            journal, grid_fingerprint(identities), name
-        )
-        if resume:
-            for record in journal_obj.load():
-                done[_identity_of(record)] = record
-            if progress and done:
-                progress(
-                    f"resumed {len(done)}/{len(cells)} records "
-                    f"from {journal_obj.path}"
-                )
-        elif journal_obj.path.exists():
-            journal_obj.path.unlink()  # fresh run: discard the old journal
-
-    plan = faults.active_plan()
-    pending = [i for i in range(len(cells)) if identities[i] not in done]
-    # without a journal there is nothing to checkpoint: one big batch
-    # keeps the parallel fan-out as wide as possible
-    batch_size = checkpoint_every if journal_obj is not None else max(
-        1, len(pending)
+    tasks = {
+        i: EvalTask(algo_name, spec, hw, fallback=False)
+        for i, (_, spec, hw, algo_name) in enumerate(cells)
+        if algos[algo_name].applicable(spec)
+    }
+    records = engine.evaluate_many(list(tasks.values()), on_error="record")
+    by_cell = dict(zip(tasks.keys(), records))
+    return Campaign(
+        name=name,
+        records=[
+            _record_dict(wname, spec, hw, algo_name, by_cell.get(i))
+            for i, (wname, spec, hw, algo_name) in enumerate(cells)
+        ],
     )
-    try:
-        for lo in range(0, len(pending), batch_size):
-            batch = pending[lo:lo + batch_size]
-            tasks = {
-                i: EvalTask(cells[i][3], cells[i][1], cells[i][2],
-                            fallback=False)
-                for i in batch
-                if algos[cells[i][3]].applicable(cells[i][1])
-            }
-            records = engine.evaluate_many(
-                list(tasks.values()), max_workers=max_workers,
-                on_error="record",
-            )
-            by_cell = dict(zip(tasks.keys(), records))
-            for i in batch:
-                wname, spec, hw, algo_name = cells[i]
-                rec = _record_dict(wname, spec, hw, algo_name, by_cell.get(i))
-                done[identities[i]] = rec
-                if journal_obj is not None:
-                    journal_obj.append(rec)
-                    if plan is not None and plan.aborts_campaign(
-                        journal_obj.appended
-                    ):
-                        faults.mark_injected("campaign.abort")
-                        raise CampaignAbortedError(
-                            f"campaign killed after {journal_obj.appended} "
-                            f"records (injected fault); re-run with --resume "
-                            f"to continue from {journal_obj.path}"
-                        )
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
-    campaign.records = [done[identity] for identity in identities]
-    return campaign
 
 
 def paper2_campaign(
     progress: Callable[[str], None] | None = None,
     engine: EvaluationEngine | None = None,
-    max_workers: int | None = None,
-    journal: str | Path | None = None,
-    resume: bool = False,
-    checkpoint_every: int = 64,
 ) -> Campaign:
     """The full Paper II grid: 28 layers x 16 configs x 4 algorithms."""
     from repro.experiments.configs import grid, workload
@@ -288,8 +199,4 @@ def paper2_campaign(
         name="paper2",
         progress=progress,
         engine=engine,
-        max_workers=max_workers,
-        journal=journal,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
     )

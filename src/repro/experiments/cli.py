@@ -4,10 +4,9 @@ Runs the requested experiment harnesses (default: all Paper II artifacts)
 and prints their tables — the textual equivalent of regenerating every
 figure/table in the paper's evaluation.
 
-``repro-experiments campaign`` runs the full raw-record grid with a
-crash-safe checkpoint journal; ``--resume`` continues a killed run.
-Failures surface as one-line messages with distinct exit codes (see
-``docs/ROBUSTNESS.md``).
+``repro-experiments campaign`` runs the full raw-record grid and saves it
+as JSON and CSV.  Failures surface as one-line messages with distinct exit
+codes (see ``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import time
 from pathlib import Path
 
 from repro.errors import (
-    CampaignAbortedError,
     ConfigError,
     EngineError,
     ExperimentError,
@@ -32,7 +30,6 @@ from repro.simulator.replay_backend import BACKEND_CHOICES
 #: ReproError subclass -> process exit code (first match wins; order from
 #: most to least specific so subclasses beat their bases).
 ERROR_EXIT_CODES: tuple[tuple[type[ReproError], int], ...] = (
-    (CampaignAbortedError, 20),
     (FaultSpecError, 6),
     (EngineError, 5),
     (ExperimentError, 4),
@@ -96,23 +93,18 @@ def run_experiment(name: str):
     return module.run()
 
 
-def _run_campaign_command(args, out_dir: Path | None) -> None:
-    """``repro-experiments campaign``: the full grid, checkpoint-journaled."""
+def _run_campaign_command(out_dir: Path | None) -> None:
+    """``repro-experiments campaign``: the full grid, saved as JSON + CSV."""
     from repro.experiments.campaign import paper2_campaign
 
-    journal = Path(args.journal) if args.journal else Path("results/campaign.jsonl")
     start = time.time()
     campaign = paper2_campaign(
         progress=lambda msg: print(f"  {msg}", file=sys.stderr),
-        journal=journal,
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
     )
     errors = sum(1 for r in campaign.records if r["bound"] == "error")
     applicable = sum(1 for r in campaign.records if r["applicable"])
     print(f"campaign {campaign.name}: {len(campaign)} records "
-          f"({applicable} applicable, {errors} errored), "
-          f"journal {journal}")
+          f"({applicable} applicable, {errors} errored)")
     target = out_dir if out_dir is not None else Path("results")
     json_path = campaign.save(target / f"{campaign.name}_campaign.json")
     csv_path = campaign.write_csv(target / f"{campaign.name}_campaign.csv")
@@ -155,40 +147,8 @@ def _main(argv: list[str] | None = None) -> int:
         help="also write each experiment's table as DIR/<name>.csv",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for grid evaluation (1 = serial, default)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the shared memo cache (recompute every grid cell)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="attach the on-disk cache tier at DIR (persists across runs)",
-    )
-    parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="checkpoint journal for the campaign command "
-             "(default results/campaign.jsonl)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume the campaign from its checkpoint journal, recomputing "
-             "only unfinished cells",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=64, metavar="N",
-        help="journal flush batch size for the campaign command (default 64)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="S",
-        help="seconds before a parallel work chunk is declared hung and "
-             "retried (default: no timeout)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="retry rounds for failed/hung parallel chunks before serial "
-             "rescue (default 2)",
     )
     parser.add_argument(
         "--trace-timing", metavar="MODEL:LAYER", default=None,
@@ -230,9 +190,6 @@ def _main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     if args.replay_workers is not None and args.replay_workers < 1:
         print("--replay-workers must be >= 1", file=sys.stderr)
         return 2
@@ -252,13 +209,7 @@ def _main(argv: list[str] | None = None) -> int:
         analytical_grid_mod.configure_grid(backend=args.grid_backend)
 
     faults.active_plan()  # fail fast (exit 6) on a malformed REPRO_FAULTS
-    configure_default(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        disk_dir=args.cache_dir,
-        chunk_timeout_s=args.chunk_timeout,
-        max_retries=args.max_retries,
-    )
+    configure_default(use_cache=not args.no_cache)
     if args.profile is not None:
         obs.enable()
 
@@ -279,7 +230,7 @@ def _main(argv: list[str] | None = None) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     if run_campaign_cmd:
-        _run_campaign_command(args, out_dir)
+        _run_campaign_command(out_dir)
     for name in names:
         start = time.time()
         with obs.span(f"experiment.{name}", cat="experiment"):

@@ -2,7 +2,7 @@
 
 For every grid cell the search enumerates the kernel templates' schedule
 candidates (Direct's output-row unroll, the 3-loop GEMM's i-block unroll,
-the 6-loop GEMM's BLIS blocks — the old ``blocktuner`` grid — and the
+the 6-loop GEMM's BLIS blocks — the ``ablation-blocks`` grid — and the
 fixed Winograd point) and scores them with the analytical model through
 the memoized engine.  The table reports the searched best against the
 fixed four-algorithm menu; by construction the searched schedule never

@@ -1,25 +1,26 @@
 """Deterministic, seeded fault injection for chaos-testing the stack.
 
 This package is the *fault plane*: a single place that decides — purely,
-from ``(seed, site, token)`` hashes — which worker chunks crash or hang,
-which disk-cache writes land corrupted or raise, which serving requests
-see a predictor failure or an arrival burst, and when a checkpointed
-campaign gets killed.  The engine, cache, serving simulator and campaign
-runner each ask the active plan at their fault sites; the resilience
-machinery they wrap must then erase the injected faults, which the chaos
-suite (``tests/test_chaos_engine.py``, ``tests/test_serving_degradation.py``)
-asserts by demanding bit-identical results and bounded latency.
+from ``(seed, site, token)`` hashes — which grid cells raise, which
+serving requests see a predictor failure or an arrival burst, and which
+replica dispatches crash, hang or slow down.  The engine, serving
+simulator and replica router each ask the active plan at their fault
+sites; the isolation and failover machinery they wrap must then contain
+the injected faults, which the chaos suites (``tests/test_engine.py``'s
+cell-isolation test, ``tests/test_serving_degradation.py``,
+``tests/test_serve_router.py``) assert by demanding bit-identical results
+and bounded latency.
 
 Activate a plan for a scope::
 
     from repro import faults
 
-    with faults.inject("seed=42,worker.crash=1,cache.corrupt=0.1"):
-        engine.evaluate_many(tasks)   # recovers; results bit-identical
+    with faults.inject("seed=42,cell.error=0.1"):
+        engine.evaluate_many(tasks, on_error="record")  # failures isolated
 
 or for a whole process tree via the environment::
 
-    REPRO_FAULTS="seed=7,worker.hang=1" repro-experiments campaign
+    REPRO_FAULTS="seed=7,replica.crash=0.01" repro-serve --replicas 4
 
 Every fault that fires is counted under ``faults.injected.<site>`` in
 :mod:`repro.obs`.  See ``docs/ROBUSTNESS.md`` for the spec grammar and

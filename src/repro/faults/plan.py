@@ -11,11 +11,10 @@ Plans are written as compact comma-separated ``key=value`` specs — the
 grammar of the ``REPRO_FAULTS`` environment variable (see
 ``docs/ROBUSTNESS.md``)::
 
-    seed=42,worker.crash=1,worker.hang=1,cache.corrupt=0.1
+    seed=42,cell.error=0.1,replica.crash=0.01
 
-Count-valued sites fire on the first N tokens (e.g. ``worker.crash=2``
-crashes chunks 0 and 1 on their first attempt); rate-valued sites fire on
-the deterministic fraction of tokens selected by the seeded hash.
+Rate-valued sites fire on the deterministic fraction of tokens selected
+by the seeded hash.
 """
 
 from __future__ import annotations
@@ -29,15 +28,10 @@ from repro.errors import FaultSpecError
 #: subsystem the fault lands in; the grammar is the union of these keys.
 _SPEC_KEYS: dict[str, tuple[str, type]] = {
     "seed": ("seed", int),
-    "worker.crash": ("worker_crash", int),
-    "worker.hang": ("worker_hang", int),
     "hang.seconds": ("hang_seconds", float),
-    "cache.corrupt": ("cache_corrupt", float),
-    "cache.write_error": ("cache_write_error", float),
     "cell.error": ("cell_error", float),
     "serving.burst": ("serving_burst", float),
     "serving.predictor_error": ("predictor_error", float),
-    "campaign.abort": ("campaign_abort", int),
     "replica.crash": ("replica_crash", float),
     "replica.hang": ("replica_hang", float),
     "replica.slow": ("replica_slow", float),
@@ -46,8 +40,6 @@ _SPEC_KEYS: dict[str, tuple[str, type]] = {
 
 _RATE_FIELDS = frozenset(
     (
-        "cache_corrupt",
-        "cache_write_error",
         "cell_error",
         "predictor_error",
         "replica_crash",
@@ -70,27 +62,18 @@ class FaultPlan:
 
     All fields default to "off"; :func:`parse_fault_spec` builds one from
     the ``REPRO_FAULTS`` grammar and :meth:`to_spec` is the exact inverse
-    (used to propagate the active plan to spawned worker processes).
+    (used to propagate the active plan to spawned processes).
     """
 
     seed: int = 0
-    #: chunks ``0..worker_crash-1`` hard-crash (``os._exit``) on attempt 0.
-    worker_crash: int = 0
-    #: the next ``worker_hang`` chunks sleep :attr:`hang_seconds` on attempt 0.
-    worker_hang: int = 0
+    #: how long a hung replica stalls (capped by the dispatch timeout).
     hang_seconds: float = 30.0
-    #: probability a disk-cache write lands corrupted (truncated JSON).
-    cache_corrupt: float = 0.0
-    #: probability a disk-cache write raises :class:`OSError`.
-    cache_write_error: float = 0.0
     #: probability one grid cell's evaluation raises ``InjectedFaultError``.
     cell_error: float = 0.0
     #: arrival-rate multiplier over the middle third of a serving run.
     serving_burst: float = 1.0
     #: probability the serving selector raises for one request.
     predictor_error: float = 0.0
-    #: abort a checkpointed campaign after N journal appends (0 = never).
-    campaign_abort: int = 0
     #: probability one (replica, dispatch) hard-crashes the replica — it
     #: takes no traffic until the router's half-open recovery readmits it.
     replica_crash: float = 0.0
@@ -106,9 +89,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultSpecError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("worker_crash", "worker_hang", "campaign_abort"):
-            if getattr(self, name) < 0:
-                raise FaultSpecError(f"{name} must be >= 0")
         if self.serving_burst < 1.0:
             raise FaultSpecError(
                 f"serving_burst must be >= 1, got {self.serving_burst}"
@@ -122,28 +102,6 @@ class FaultPlan:
     def chance(self, site: str, token: str, rate: float) -> bool:
         """True iff the seeded hash selects ``token`` at ``rate``."""
         return rate > 0.0 and _hash_unit(self.seed, site, token) < rate
-
-    def worker_fault(self, chunk_index: int, attempt: int) -> str | None:
-        """``"crash"``, ``"hang"`` or None for one chunk execution.
-
-        Faults fire only on a chunk's first attempt, so bounded retry is
-        guaranteed to converge to the fault-free result.
-        """
-        if attempt != 0:
-            return None
-        if chunk_index < self.worker_crash:
-            return "crash"
-        if chunk_index < self.worker_crash + self.worker_hang:
-            return "hang"
-        return None
-
-    def corrupts_write(self, key: str) -> bool:
-        """Should the disk-cache write of ``key`` land corrupted?"""
-        return self.chance("cache.corrupt", key, self.cache_corrupt)
-
-    def write_fails(self, key: str) -> bool:
-        """Should the disk-cache write of ``key`` raise :class:`OSError`?"""
-        return self.chance("cache.write_error", key, self.cache_write_error)
 
     def cell_fails(self, cell_id: str) -> bool:
         """Should evaluating this grid cell raise ``InjectedFaultError``?"""
@@ -164,10 +122,6 @@ class FaultPlan:
         if self.serving_burst <= 1.0 or n_requests < 3:
             return 0, 0, 1.0
         return n_requests // 3, 2 * n_requests // 3, self.serving_burst
-
-    def aborts_campaign(self, appended: int) -> bool:
-        """True once ``appended`` journal records have been written."""
-        return self.campaign_abort > 0 and appended >= self.campaign_abort
 
     def replica_fault(self, replica: str, dispatch: int) -> str | None:
         """``"crash"``, ``"hang"``, ``"slow"`` or None for one dispatch.
@@ -212,7 +166,7 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse a ``REPRO_FAULTS`` spec string into a :class:`FaultPlan`.
 
     Grammar: comma-separated ``key=value`` clauses; keys are the dotted
-    site names above, values are ints (counts, seed) or floats (rates,
+    site names above, values are an int (the seed) or floats (rates,
     factors, seconds).  Whitespace around clauses is ignored.
     """
     values: dict[str, int | float] = {}

@@ -8,13 +8,11 @@ Two implementations share one duck-typed interface:
 * :class:`Recorder` — the real collector.  Spans nest through a
   per-thread stack (``threading.local``), finished spans and metric
   updates are appended under a lock, and :meth:`Recorder.snapshot` /
-  :meth:`Recorder.merge` move data across process boundaries (the
-  evaluation engine profiles its pool workers this way: each worker
-  records into a private recorder and ships the snapshot back with its
-  results).
+  :meth:`Recorder.merge` move data across process boundaries (a child
+  process records into a private recorder and ships the snapshot back).
 
 Timestamps come from :func:`time.perf_counter_ns` — monotonic, and on
-Linux shared between forked processes, so merged worker spans line up
+Linux shared between forked processes, so merged child spans line up
 with the parent timeline in the Chrome trace.
 """
 

@@ -5,7 +5,7 @@ template's candidate schedules (exhaustive within the knob grids, with a
 seeded subsample only when a cell exceeds the candidate cap), scores
 them through the memoized :class:`~repro.engine.EvaluationEngine`
 (analytical/PhaseTable oracle — one batch across all cells, so the
-engine's cache, grid fast path and worker pool all apply), and reports
+engine's cache and schedule memo apply), and reports
 the best schedule per cell against the fixed four-algorithm menu.
 
 Guarantees, relied on by the CI smoke gate:
@@ -169,14 +169,13 @@ def search_schedules(
     configs: list[HardwareConfig],
     engine: EvaluationEngine | None = None,
     bounds: SearchBounds | None = None,
-    max_workers: int | None = None,
 ) -> SearchReport:
     """Search every (spec, config) cell and report best-vs-menu schedules.
 
     All candidate scores are requested as one ``evaluate_many`` batch with
     ``fallback=False`` (inapplicable algorithms are filtered during
-    enumeration), so memoization and parallelism are the engine's
-    concern; a repeated run with a warm cache re-reads the same records.
+    enumeration), so memoization is the engine's concern; a repeated run
+    with a warm cache re-reads the same records.
     """
     bounds = bounds if bounds is not None else SearchBounds()
     engine = engine if engine is not None else default_engine()
@@ -196,7 +195,7 @@ def search_schedules(
         obs.count("schedule.search.cells", len(points))
         obs.count("schedule.search.candidates", len(tasks))
 
-        records = engine.evaluate_many(tasks, max_workers=max_workers)
+        records = engine.evaluate_many(tasks)
 
         cells: list[CellSearchResult] = []
         improved = 0

@@ -13,9 +13,9 @@ schedule through :mod:`repro.schedule.ir`:
   three faces are bit-identical to the registry's menu entries (the
   kernels read the same parameters the templates emit).
 
-The knob grids absorb :mod:`repro.algorithms.blocktuner`'s block-size
-candidates (the 6-loop template) and extend them with the 3-loop unroll
-and Direct's output-row unroll.  Candidate enumeration is deterministic:
+The knob grids are the 6-loop template's block sizes (powers of two
+around Paper I Table II's 16x512x128), the 3-loop unroll and Direct's
+output-row unroll.  Candidate enumeration is deterministic:
 grids are sorted tuples and the default always enumerates first.
 """
 
@@ -51,7 +51,7 @@ DIRECT_UW_GRID: tuple[int, ...] = (4, 8, 12, 16, 20, 24)
 #: 3-loop i-block unroll candidates (paper: 16; 28 is the register cap).
 GEMM3_UNROLL_GRID: tuple[int, ...] = (4, 8, 12, 16, 20, 24, 28)
 
-#: 6-loop block-size candidates — exactly the old ``blocktuner`` grid.
+#: 6-loop block-size candidates (powers of two around 16x512x128).
 GEMM6_BM_GRID: tuple[int, ...] = (16, 32)
 GEMM6_BN_GRID: tuple[int, ...] = (256, 512, 1024, 2048)
 GEMM6_BK_GRID: tuple[int, ...] = (64, 128, 256, 512)
@@ -66,9 +66,8 @@ def gemm6_block_candidates(
     """6-loop (bm, bn, bk) candidates for one config, default first.
 
     The grid and the L2-residency filter (``bk * bn * 4 <= l2_bytes``:
-    an over-L2 packed-B block always thrashes) are exactly the old
-    ``blocktuner`` search space; its shim iterates this same list, so
-    tuning results are unchanged.
+    an over-L2 packed-B block always thrashes) are the search space the
+    ``ablation-blocks`` experiment tunes over, in this order.
     """
     default = (gk.BLOCK_M, gk.BLOCK_N, gk.BLOCK_K)
     out = [default]
@@ -248,8 +247,8 @@ class Gemm3Template(KernelTemplate):
 class Gemm6Template(KernelTemplate):
     """im2col + BLIS-like GEMM: (bn, bk, bm) blocking over (j, k, i).
 
-    Knobs ``bm``/``bn``/``bk``: the block sizes, over the old
-    ``blocktuner`` grid, filtered by the L2-residency constraint on the
+    Knobs ``bm``/``bn``/``bk``: the block sizes, over the
+    ``GEMM6_B*_GRID`` grids, filtered by the L2-residency constraint on the
     packed-B block (``bk * bn * 4 <= l2_bytes``).  Blocks larger than the
     register file strip-mine the micro-kernel (``i.i`` is register-tiled
     before unrolling), so ``bm = 32`` stays legal in the IR.

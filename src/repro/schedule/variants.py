@@ -6,7 +6,7 @@ canonical order — e.g. ``im2col_gemm3@u=24`` or
 
 * parseable (:func:`parse_variant`) and canonical
   (:func:`variant_name` always emits keys in template order);
-* cross-process: engine workers receive only name strings, so
+* self-contained: the engine passes only name strings around, so
   :func:`repro.algorithms.registry.get_algorithm` calls
   :func:`materialize` for any name containing ``@`` — a variant name
   works anywhere a base name does, including memo-cache keys.

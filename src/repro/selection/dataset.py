@@ -82,16 +82,15 @@ def build_dataset(
     specs: list[ConvSpec] | None = None,
     configs: list[HardwareConfig] | None = None,
     engine: EvaluationEngine | None = None,
-    max_workers: int | None = None,
     algorithms: tuple[str, ...] | None = None,
 ) -> SelectionDataset:
     """Evaluate the full grid through the memoized engine and label each point.
 
     With the defaults this is the paper's 28 x 16 = 448-point dataset.  All
-    applicable cells are submitted as one batch, so the engine can serve
-    them from cache (bit-identical to direct ``layer_cycles`` calls) or fan
-    them out over worker processes; labels use the same first-wins ``min``
-    tie-break as :func:`repro.algorithms.registry.best_algorithm`.
+    applicable cells are submitted as one batch, so the engine serves them
+    from cache or one grid call (bit-identical to direct ``layer_cycles``
+    calls); labels use the same first-wins ``min`` tie-break as
+    :func:`repro.algorithms.registry.best_algorithm`.
 
     ``algorithms`` widens (or narrows) the candidate columns — schedule
     variant names (``base@knob=value``) are materialized through the
@@ -112,8 +111,7 @@ def build_dataset(
     ]
     records = engine.evaluate_many(
         [EvalTask(name, points[i][0], points[i][1], fallback=False)
-         for i, name in cells],
-        max_workers=max_workers,
+         for i, name in cells]
     )
     cycles_by_point: list[dict[str, float]] = [{} for _ in points]
     for (i, name), record in zip(cells, records):
@@ -148,7 +146,6 @@ def build_searched_dataset(
     specs: list[ConvSpec] | None = None,
     configs: list[HardwareConfig] | None = None,
     engine: EvaluationEngine | None = None,
-    max_workers: int | None = None,
     bounds: "SearchBounds | None" = None,
 ) -> SelectionDataset:
     """The selection dataset over the menu *plus* searched schedule variants.
@@ -166,9 +163,7 @@ def build_searched_dataset(
     specs = paper_layers() if specs is None else specs
     configs = paper_grid() if configs is None else configs
     engine = engine if engine is not None else default_engine()
-    report = search_schedules(
-        specs, configs, engine=engine, bounds=bounds, max_workers=max_workers
-    )
+    report = search_schedules(specs, configs, engine=engine, bounds=bounds)
     variants = tuple(
         name for name in report.winner_names() if name not in ALGORITHM_NAMES
     )
@@ -176,6 +171,5 @@ def build_searched_dataset(
         specs,
         configs,
         engine=engine,
-        max_workers=max_workers,
         algorithms=ALGORITHM_NAMES + variants,
     )

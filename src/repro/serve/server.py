@@ -27,7 +27,6 @@ from collections import deque
 from pathlib import Path
 
 from repro import faults
-from repro.engine.cache import MemoCache
 from repro.engine.executor import EvaluationEngine
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve.batcher import MicroBatcher
@@ -393,12 +392,8 @@ def _build_one_service(
 def _build_backing(
     args: argparse.Namespace,
 ) -> tuple[EvaluationEngine, object]:
-    """The engine (shared cache tiers) and trained selector, built once."""
-    cache = MemoCache(
-        disk_dir=Path(args.cache_dir) if args.cache_dir else None,
-        sqlite_path=Path(args.sqlite_cache) if args.sqlite_cache else None,
-    )
-    engine = EvaluationEngine(cache=cache)
+    """The engine (one shared memo cache) and trained selector, built once."""
+    engine = EvaluationEngine()
     selector = None
     if not args.no_predictor:
         from repro.selection.predictor import AlgorithmSelector
@@ -410,7 +405,7 @@ def _build_backing(
 
 
 def build_service(args: argparse.Namespace) -> PredictionService:
-    """Assemble cache, engine, selector and service from CLI arguments."""
+    """Assemble engine, selector and service from CLI arguments."""
     engine, selector = _build_backing(args)
     return _build_one_service(args, engine, selector)
 
@@ -418,7 +413,7 @@ def build_service(args: argparse.Namespace) -> PredictionService:
 def build_router(args: argparse.Namespace) -> ReplicaRouter:
     """Assemble an N-replica pool behind one router from CLI arguments.
 
-    Replicas share the engine (and its cache tiers) and the trained
+    Replicas share the engine (and its memo cache) and the trained
     selector — each keeps its own selection memo, breaker and counters,
     which is the failure-isolation boundary the router manages.
     """
@@ -459,14 +454,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--socket", default=None, metavar="PATH",
         help="serve on a unix socket instead of TCP",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="JSON disk tier for the memo cache",
-    )
-    parser.add_argument(
-        "--sqlite-cache", default=None, metavar="DB",
-        help="SQLite cross-process tier for the memo cache",
     )
     parser.add_argument("--queue-limit", type=int, default=256)
     parser.add_argument(

@@ -26,8 +26,7 @@ returns one response per request:
    priced through the shared :class:`~repro.engine.executor.
    EvaluationEngine` in one ``evaluate_many`` call, so responses are
    bit-identical to direct engine evaluation and the content-addressed
-   :class:`~repro.engine.cache.MemoCache` (memory / SQLite / JSON tiers)
-   absorbs repeat traffic.
+   :class:`~repro.engine.cache.MemoCache` absorbs repeat traffic.
 """
 
 from __future__ import annotations

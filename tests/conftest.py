@@ -16,8 +16,8 @@ settings.load_profile("deterministic")
 from repro.nn.layer import ConvSpec
 from repro.simulator.hwconfig import HardwareConfig
 
-#: Per-test hang cap in seconds.  The chaos suite injects worker hangs on
-#: purpose; a regression that defeats the engine's timeout/retry machinery
+#: Per-test hang cap in seconds.  The chaos suite injects replica hangs on
+#: purpose; a regression that defeats the router's timeout/retry machinery
 #: must fail the test, not wedge the whole suite (or a CI job) forever.
 SUITE_TIMEOUT_S = 300
 

@@ -5,8 +5,8 @@ The contract under test (ISSUE 8 / docs/PERF.md): evaluating a columnar
 evaluate_phase_table` — with either registered backend — produces
 ``LayerCycles``/``PhaseCycles`` records **bit-identical** to the per-cell
 :class:`AnalyticalTimingModel`, over the paper's full 448-point grid; and
-the :class:`EvaluationEngine` routes cold serial/small batches through
-that path without changing a single output float.
+the :class:`EvaluationEngine` routes every cold batch through that path
+without changing a single output float.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro import faults, obs
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
-from repro.engine import EvalTask, EvaluationEngine, MemoCache
+from repro.engine import EvalTask, EvaluationEngine
 from repro.errors import SimulationError
 from repro.nn.layer import ConvSpec
 from repro.simulator._compiled import HAVE_NUMBA
@@ -23,6 +23,7 @@ from repro.simulator.analytical import grid
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.analytical.model import AnalyticalTimingModel
 from repro.simulator.hwconfig import HardwareConfig
+from tests.oracle import percell_records
 
 needs_numba = pytest.mark.skipif(
     not HAVE_NUMBA,
@@ -218,41 +219,8 @@ class TestEngineGridFastPath:
             assert "engine.grid" in names and "engine.point" in names
         finally:
             obs.disable()
-        expected = EvaluationEngine(grid_backend="percell").evaluate_many(tasks)
-        for got, want in zip(records, expected):
+        for got, want in zip(records, percell_records(tasks)):
             assert records_equal(got, want)
-
-    def test_small_parallel_batch_skips_pool_and_counts(self, tasks):
-        small = tasks[:6]
-        rec = obs.enable()
-        try:
-            records = EvaluationEngine(max_workers=4).evaluate_many(small)
-            assert rec.counters.get("engine.small_batch_serial") == 1
-            assert (rec.counters.get("engine.grid_cells") or 0) > 0
-            # and no pool machinery ran
-            assert "engine.parallel" not in {s.name for s in rec.spans}
-        finally:
-            obs.disable()
-        expected = EvaluationEngine().evaluate_many(small)
-        for got, want in zip(records, expected):
-            assert records_equal(got, want)
-
-    def test_mid_size_parallel_batch_stays_serial_below_threshold(self, tasks):
-        rec = obs.enable()
-        try:
-            EvaluationEngine(max_workers=2).evaluate_many(tasks)  # 16 cells
-            assert "engine.parallel" not in {s.name for s in rec.spans}
-            assert not rec.counters.get("engine.small_batch_serial")
-        finally:
-            obs.disable()
-
-    def test_percell_backend_disables_grid(self, tasks):
-        rec = obs.enable()
-        try:
-            EvaluationEngine(grid_backend="percell").evaluate_many(tasks)
-            assert not rec.counters.get("engine.grid_cells")
-        finally:
-            obs.disable()
 
     def test_cell_errors_isolated_in_grid_path(self, tasks):
         from repro.engine import CellError
@@ -266,6 +234,7 @@ class TestEngineGridFastPath:
         assert isinstance(records[0], CellError)
         assert records[0].error_type == "NotApplicableError"
         assert all(not isinstance(r, CellError) for r in records[1:])
+        assert records == percell_records([bad] + tasks[:3])
 
     def test_injected_cell_faults_surface_in_grid_path(self, tasks):
         from repro.engine import CellError
@@ -277,49 +246,55 @@ class TestEngineGridFastPath:
         assert all(isinstance(r, CellError) for r in records)
         assert all(r.error_type == "InjectedFaultError" for r in records)
 
-    def test_grid_machinery_failure_falls_back_per_cell(
-        self, tasks, monkeypatch
-    ):
+    def test_grid_machinery_failure_surfaces(self, tasks, monkeypatch):
+        """A grid-stage exception is a bug: it propagates, even when
+        failing cells are recorded, and nothing is cached."""
         import repro.engine.executor as executor
 
-        def explode(items, calibration, backend=None):
+        def explode(items, calibration, schedules):
             raise RuntimeError("grid machinery broke")
 
         monkeypatch.setattr(executor, "_compute_grid", explode)
-        rec = obs.enable()
-        try:
-            records = EvaluationEngine().evaluate_many(tasks)
-            assert rec.counters.get("engine.grid_fallbacks") == 1
-        finally:
-            obs.disable()
-        expected = EvaluationEngine(grid_backend="percell").evaluate_many(tasks)
-        for got, want in zip(records, expected):
-            assert records_equal(got, want)
+        engine = EvaluationEngine()
+        with pytest.raises(RuntimeError, match="grid machinery broke"):
+            engine.evaluate_many(tasks, on_error="record")
+        assert len(engine.cache) == 0
 
-    def test_engine_grid_backend_pins_evaluation_backend(self, tasks):
+    def test_engine_grid_backend_pins_evaluation_backend(
+        self, tasks, _restore_grid_default
+    ):
+        """The process-wide grid backend (``configure_grid``, the CLI's
+        ``--grid-backend``) is the one the engine's grid call runs on."""
+        grid.configure_grid(backend="numpy")
         rec = obs.enable()
         try:
-            EvaluationEngine(grid_backend="numpy").evaluate_many(tasks)
+            EvaluationEngine().evaluate_many(tasks)
             assert (rec.counters.get("analytical.grid_backend.numpy") or 0) >= 1
         finally:
             obs.disable()
 
-    def test_cold_campaign_grid_matches_percell_with_cache(self, tmp_path):
+    def test_cold_campaign_grid_matches_percell_with_cache(self):
         """Cold cache-disabled sweep: tensorized records == per-cell ones."""
         hw = [HardwareConfig.paper2_rvv(v, 1.0) for v in (512, 2048)]
         specs = [
             ConvSpec(ic=8, oc=16, ih=20, iw=20, kh=3, kw=3, index=i)
             for i in range(3)
         ]
-        fast = EvaluationEngine(use_cache=False)
-        slow = EvaluationEngine(use_cache=False, grid_backend="percell")
-        a = fast.sweep(specs, hw, ALGORITHM_NAMES)
-        b = slow.sweep(specs, hw, ALGORITHM_NAMES)
-        assert a.keys() == b.keys()
-        for key in a:
-            assert records_equal(a[key], b[key])
+        a = EvaluationEngine(use_cache=False).sweep(specs, hw, ALGORITHM_NAMES)
+        order = [
+            (si, ci, name)
+            for si in range(len(specs))
+            for ci in range(len(hw))
+            for name in ALGORITHM_NAMES
+        ]
+        b = percell_records(
+            [EvalTask(name, specs[si], hw[ci]) for si, ci, name in order]
+        )
+        assert list(a) == order
+        for key, want in zip(order, b):
+            assert records_equal(a[key], want)
         # and records cached by the grid path replay identically
-        cached = EvaluationEngine(cache=MemoCache(disk_dir=tmp_path))
+        cached = EvaluationEngine()
         first = cached.sweep(specs, hw, ALGORITHM_NAMES)
         again = cached.sweep(specs, hw, ALGORITHM_NAMES)
         for key in first:

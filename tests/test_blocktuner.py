@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.algorithms.blocktuner import (
-    PAPER_BLOCKS,
-    gemm6_cycles,
-    tune_blocks,
-    tuned_speedup,
-)
 from repro.errors import ConfigError
+from repro.experiments.ablation_blocks import PAPER_BLOCKS, gemm6_cycles, tune_blocks
 from repro.experiments.cli import run_experiment
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -17,24 +12,24 @@ class TestTuner:
     def test_tuned_never_worse(self):
         hw = HardwareConfig.paper2_rvv(512, 1.0)
         for (m, k, n) in ((512, 4608, 784), (64, 576, 50176), (128, 256, 5776)):
-            blocks, gain = tuned_speedup(m, k, n, hw)
+            blocks, gain = tune_blocks(m, k, n, hw)
             assert gain >= 1.0 - 1e-9
 
     def test_paper_blocks_within_15pct_at_1mb(self):
         """Paper I Table II's spread was ~10%: the fixed blocks must stay
         close to our tuned optimum at the 1 MB cache they were tuned for."""
         hw = HardwareConfig.paper2_rvv(512, 1.0)
-        _, gain = tuned_speedup(512, 4608, 196, hw)
+        _, gain = tune_blocks(512, 4608, 196, hw)
         assert gain < 1.15
 
     def test_tuner_respects_l2_capacity(self):
-        blocks = tune_blocks(512, 4608, 784, 512, 1.0)
+        blocks, _ = tune_blocks(512, 4608, 784, HardwareConfig.paper2_rvv(512, 1.0))
         bm, bn, bk = blocks
         assert bk * bn * 4 <= 1024 * 1024
 
     def test_bigger_cache_admits_bigger_panels(self):
-        small = tune_blocks(512, 4608, 784, 512, 1.0)
-        big = tune_blocks(512, 4608, 784, 512, 64.0)
+        small, _ = tune_blocks(512, 4608, 784, HardwareConfig.paper2_rvv(512, 1.0))
+        big, _ = tune_blocks(512, 4608, 784, HardwareConfig.paper2_rvv(512, 64.0))
         assert big[1] * big[2] >= small[1] * small[2]
 
     def test_cycles_validation(self):
@@ -43,9 +38,10 @@ class TestTuner:
             gemm6_cycles(8, 8, 8, hw, (0, 512, 128))
 
     def test_cache_of_tuning_results(self):
-        a = tune_blocks(64, 576, 50176, 512, 1.0)
-        b = tune_blocks(64, 576, 50176, 512, 1.0)
-        assert a == b  # lru-cached, deterministic
+        hw = HardwareConfig.paper2_rvv(512, 1.0)
+        a = tune_blocks(64, 576, 50176, hw)
+        b = tune_blocks(64, 576, 50176, hw)
+        assert a == b  # deterministic: same blocks, same gain
 
 
 class TestBlockAblation:

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import (
-    CampaignAbortedError,
     ConfigError,
     EngineError,
     ExperimentError,
@@ -33,7 +32,6 @@ class TestExperimentsCliExitCodes:
         (EngineError("pool died"), 5),
         (FaultSpecError("bad spec"), 6),
         (ReproError("generic"), 10),
-        (CampaignAbortedError("injected abort"), 20),
     ])
     def test_each_error_type_maps_to_its_code(self, monkeypatch, capsys,
                                               exc, code):

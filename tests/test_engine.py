@@ -1,4 +1,4 @@
-"""Tests for the memoized + parallel evaluation engine (repro.engine)."""
+"""Tests for the memoized evaluation engine (repro.engine)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults, obs
 from repro.algorithms.registry import ALGORITHM_NAMES, layer_cycles
 from repro.engine import (
     CALIBRATION_VERSION,
@@ -18,13 +19,12 @@ from repro.engine import (
     MemoCache,
     cache_key,
     calibration_fingerprint,
-    record_from_dict,
-    record_to_dict,
 )
 from repro.engine.keys import dataclass_payload
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.hwconfig import HardwareConfig
+from tests.oracle import percell_records
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,15 +123,6 @@ class TestCacheKeys:
         assert out.stdout.strip() == float_key
 
 
-
-class TestRecordSerialization:
-    def test_round_trip_bit_identical(self, spec, hw):
-        record = layer_cycles("im2col_gemm6", spec, hw)
-        # through an actual JSON text round-trip, as the disk tier does
-        payload = json.loads(json.dumps(record_to_dict(record)))
-        assert phases_equal(record_from_dict(payload), record)
-
-
 class TestMemoCacheTiers:
     def test_hit_miss_accounting(self, spec, hw):
         cache = MemoCache()
@@ -166,37 +157,6 @@ class TestMemoCacheTiers:
         assert cache.get(keys[0]) is not None
         assert cache.get(keys[1]) is None
 
-    def test_disk_round_trip(self, tmp_path, spec, hw):
-        key = cache_key("winograd", spec, hw)
-        record = layer_cycles("winograd", spec, hw)
-        writer = MemoCache(disk_dir=tmp_path)
-        writer.put(key, record)
-        # a fresh cache (fresh process stand-in) reads it back bit-identically
-        reader = MemoCache(disk_dir=tmp_path)
-        got = reader.get(key)
-        assert got is not None and phases_equal(got, record)
-        assert reader.stats.disk_hits == 1
-        # promoted to memory: second get is a memory hit
-        reader.get(key)
-        assert reader.stats.hits == 1
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, spec, hw):
-        key = cache_key("direct", spec, hw)
-        cache = MemoCache(disk_dir=tmp_path)
-        cache.put(key, layer_cycles("direct", spec, hw))
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{ truncated")
-        assert MemoCache(disk_dir=tmp_path).get(key) is None
-
-    def test_memory_eviction_keeps_disk_entry(self, tmp_path, hw):
-        cache = MemoCache(capacity=1, disk_dir=tmp_path)
-        specs = [ConvSpec(ic=4, oc=4, ih=8, iw=8, index=i) for i in range(2)]
-        keys = [cache_key("direct", s, hw) for s in specs]
-        for s, k in zip(specs, keys):
-            cache.put(k, layer_cycles("direct", s, hw))
-        assert cache.get(keys[0]) is not None  # served from disk
-        assert cache.stats.disk_hits == 1
-
 
 class TestEvaluationEngine:
     def test_cold_equals_direct_warm_equals_cold(self, spec, hw):
@@ -209,14 +169,6 @@ class TestEvaluationEngine:
             assert phases_equal(cold, direct)
             assert phases_equal(warm, direct)
         assert engine.cache.stats.hits >= len(ALGORITHM_NAMES)
-
-    def test_disk_tier_round_trip_bit_identical(self, tmp_path, spec, hw):
-        hot = EvaluationEngine(cache=MemoCache(disk_dir=tmp_path))
-        records = [hot.evaluate(n, spec, hw) for n in ALGORITHM_NAMES]
-        cold_process = EvaluationEngine(cache=MemoCache(disk_dir=tmp_path))
-        for name, expected in zip(ALGORITHM_NAMES, records):
-            assert phases_equal(cold_process.evaluate(name, spec, hw), expected)
-        assert cold_process.cache.stats.misses == 0
 
     def test_fallback_aliases_im2col_gemm6(self, hw):
         one_by_one = ConvSpec(ic=8, oc=8, ih=14, iw=14, kh=1, kw=1, index=5)
@@ -256,96 +208,13 @@ class TestEvaluationEngine:
         assert engine.cache.stats.stores == 0 and len(engine.cache) == 0
         assert phases_equal(a, b)
 
-    def test_parallel_records_identical_to_serial(self, hw):
-        specs = [ConvSpec(ic=8, oc=8, ih=16, iw=16, index=i) for i in range(4)]
-        tasks = [
-            EvalTask(name, s, hw) for s in specs for name in ALGORITHM_NAMES
-        ]
-        serial = EvaluationEngine(max_workers=1).evaluate_many(tasks)
-        # pool_min_batch=0 forces the real pool even for this small batch
-        parallel = EvaluationEngine(
-            max_workers=2, pool_min_batch=0
-        ).evaluate_many(tasks)
-        assert len(serial) == len(parallel) == len(tasks)
-        for a, b in zip(serial, parallel):
-            assert phases_equal(a, b)
-
-    def test_rejects_bad_worker_counts(self):
-        from repro.errors import EngineError
-
-        with pytest.raises(EngineError):
-            EvaluationEngine(max_workers=0)
-        with pytest.raises(EngineError):
-            EvaluationEngine().evaluate_many([], max_workers=0)
-
     def test_rejects_bad_resilience_knobs(self):
+        """``on_error`` is the engine's failure-handling knob; a bad value
+        is rejected before any cell is evaluated."""
         from repro.errors import EngineError
 
-        with pytest.raises(EngineError):
-            EvaluationEngine(chunk_timeout_s=0.0)
-        with pytest.raises(EngineError):
-            EvaluationEngine(max_retries=-1)
-        with pytest.raises(EngineError):
-            EvaluationEngine(retry_backoff_s=-0.1)
-        with pytest.raises(EngineError):
-            EvaluationEngine(pool_min_batch=-1)
-        with pytest.raises(EngineError):
-            EvaluationEngine(grid_backend="simd")
         with pytest.raises(EngineError):
             EvaluationEngine().evaluate_many([], on_error="ignore")
-
-
-class TestSerialFallback:
-    """Pool-less environments degrade to in-process execution, audibly."""
-
-    @pytest.fixture
-    def no_pools(self, monkeypatch):
-        import repro.engine.executor as executor
-
-        def refuse(ctx, size):
-            raise OSError("process spawning disabled")
-
-        monkeypatch.setattr(
-            EvaluationEngine, "_new_pool", staticmethod(refuse)
-        )
-        monkeypatch.setattr(executor, "_warned_serial_fallback", False)
-
-    def test_falls_back_serially_with_warning_and_counter(
-        self, hw, no_pools
-    ):
-        from repro import obs
-
-        specs = [ConvSpec(ic=8, oc=8, ih=16, iw=16, index=i) for i in range(4)]
-        tasks = [
-            EvalTask(name, s, hw) for s in specs for name in ALGORITHM_NAMES
-        ]
-        expected = EvaluationEngine(max_workers=1).evaluate_many(tasks)
-        engine = EvaluationEngine(max_workers=2, pool_min_batch=0)
-        recorder = obs.enable()
-        try:
-            with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-                records = engine.evaluate_many(tasks)
-            assert recorder.snapshot()["counters"]["engine.serial_fallbacks"] == 1
-        finally:
-            obs.disable()
-        for got, want in zip(records, expected):
-            assert phases_equal(got, want)
-
-    def test_warns_once_only(self, hw, no_pools):
-        import warnings
-
-        specs = [ConvSpec(ic=8, oc=8, ih=16, iw=16, index=i) for i in range(2)]
-        tasks = [
-            EvalTask(name, s, hw) for s in specs for name in ALGORITHM_NAMES
-        ]
-        engine = EvaluationEngine(
-            max_workers=2, use_cache=False, pool_min_batch=0
-        )
-        with pytest.warns(RuntimeWarning):
-            engine.evaluate_many(tasks)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            engine.evaluate_many(tasks)
 
 
 class TestCellErrorHandling:
@@ -394,6 +263,47 @@ class TestCellErrorHandling:
         assert second[0] is not first[0]  # recomputed, not replayed
         assert engine.cache.stats.stores == 0
 
+    def test_injected_cell_errors_are_isolated(self):
+        """~10% of a 448-cell grid fails; the rest are still bit-identical."""
+        from repro.engine import CellError
+        from repro.experiments.configs import workload
+
+        specs = workload("vgg16") + workload("yolov3")
+        configs = [
+            HardwareConfig.paper2_rvv(v, 1.0) for v in (512, 1024, 2048, 4096)
+        ]
+        tasks = [
+            EvalTask(name, spec, hw)
+            for spec in specs for hw in configs for name in ALGORITHM_NAMES
+        ]
+        assert len(tasks) == 448
+        baseline = percell_records(tasks)
+        engine = EvaluationEngine()
+        recorder = obs.enable()
+        try:
+            with faults.inject("seed=5,cell.error=0.1"):
+                records = engine.evaluate_many(tasks, on_error="record")
+            cell_errors = recorder.snapshot()["counters"]["engine.cell_errors"]
+        finally:
+            obs.disable()
+        errors = [r for r in records if isinstance(r, CellError)]
+        assert 0 < len(errors) < len(records)
+        assert all(e.error_type == "InjectedFaultError" for e in errors)
+        for got, want in zip(records, baseline):
+            if not isinstance(got, CellError):
+                assert phases_equal(got, want)
+        failing_keys = {
+            engine.key(t) for t, r in zip(tasks, records)
+            if isinstance(r, CellError)
+        }
+        assert cell_errors == len(failing_keys)
+        # failed cells were never cached: a fault-free pass on the same
+        # engine recomputes them and converges to the full baseline
+        with faults.inject(None):
+            healed = engine.evaluate_many(tasks)
+        for got, want in zip(healed, baseline):
+            assert phases_equal(got, want)
+
 
 class TestDefaultEngine:
     def test_configure_default(self):
@@ -401,10 +311,12 @@ class TestDefaultEngine:
 
         engine = eng.default_engine()
         try:
-            eng.configure_default(max_workers=3, use_cache=False)
-            assert engine.max_workers == 3 and engine.use_cache is False
+            assert eng.configure_default(use_cache=False) is engine
+            assert engine.use_cache is False
+            eng.configure_default()  # None leaves the setting unchanged
+            assert engine.use_cache is False
         finally:
-            eng.configure_default(max_workers=1, use_cache=True)
+            eng.configure_default(use_cache=True)
         assert eng.default_engine() is engine
 
     def test_cli_flags_reach_default_engine(self, capsys):
@@ -413,12 +325,10 @@ class TestDefaultEngine:
 
         try:
             # unknown experiment exits early (rc 2) but after flag plumbing
-            assert main(["--workers", "2", "--no-cache", "nonexistent"]) == 2
-            engine = eng.default_engine()
-            assert engine.max_workers == 2 and engine.use_cache is False
-            assert main(["--workers", "0", "table1"]) == 2
+            assert main(["--no-cache", "nonexistent"]) == 2
+            assert eng.default_engine().use_cache is False
         finally:
-            eng.configure_default(max_workers=1, use_cache=True)
+            eng.configure_default(use_cache=True)
 
 
 class TestAdapters:

@@ -17,19 +17,15 @@ pytestmark = pytest.mark.chaos  # fault-injection suite: full-suite CI job
 class TestSpecGrammar:
     def test_parse_every_key(self):
         plan = parse_fault_spec(
-            "seed=42,worker.crash=2,worker.hang=1,hang.seconds=5,"
-            "cache.corrupt=0.1,cache.write_error=0.05,cell.error=0.2,"
-            "serving.burst=3,serving.predictor_error=0.15,campaign.abort=10,"
+            "seed=42,hang.seconds=5,cell.error=0.2,"
+            "serving.burst=3,serving.predictor_error=0.15,"
             "replica.crash=0.01,replica.hang=0.02,replica.slow=0.03,"
             "probe.drop=0.04"
         )
         assert plan.seed == 42
-        assert plan.worker_crash == 2 and plan.worker_hang == 1
         assert plan.hang_seconds == 5.0
-        assert plan.cache_corrupt == 0.1 and plan.cache_write_error == 0.05
         assert plan.cell_error == 0.2
         assert plan.serving_burst == 3.0 and plan.predictor_error == 0.15
-        assert plan.campaign_abort == 10
         assert plan.replica_crash == 0.01 and plan.replica_hang == 0.02
         assert plan.replica_slow == 0.03 and plan.probe_drop == 0.04
 
@@ -37,13 +33,13 @@ class TestSpecGrammar:
         assert parse_fault_spec("") == FaultPlan()
 
     def test_whitespace_tolerated(self):
-        assert parse_fault_spec(" seed = 7 , worker.crash = 1 ") == FaultPlan(
-            seed=7, worker_crash=1
+        assert parse_fault_spec(" seed = 7 , cell.error = 0.5 ") == FaultPlan(
+            seed=7, cell_error=0.5
         )
 
     def test_round_trip_exact(self):
-        spec = ("seed=42,worker.crash=2,worker.hang=1,hang.seconds=5,"
-                "cache.corrupt=0.1,campaign.abort=10")
+        spec = ("seed=42,hang.seconds=5,cell.error=0.1,serving.burst=2,"
+                "serving.predictor_error=0.25")
         plan = parse_fault_spec(spec)
         assert parse_fault_spec(plan.to_spec()) == plan
 
@@ -71,9 +67,11 @@ class TestSpecGrammar:
         "seed",                       # no '='
         "seed=abc",                   # non-integer seed
         "worker.explode=1",           # unknown site
-        "cache.corrupt=1.5",          # rate out of range
-        "cache.corrupt=-0.1",
-        "worker.crash=-1",            # negative count
+        "cache.corrupt=1.5",          # no cache.* or worker.* sites:
+        "cache.corrupt=-0.1",         # nothing would read them
+        "worker.crash=-1",
+        "cell.error=1.5",             # rate out of range
+        "cell.error=-0.1",
         "serving.burst=0.5",          # burst below 1
         "hang.seconds=0",             # non-positive hang
         "replica.crash=1.5",          # replica rates validate eagerly
@@ -88,9 +86,9 @@ class TestSpecGrammar:
 
 class TestDeterminism:
     def test_hash_unit_is_pure_and_uniform_ish(self):
-        draws = [_hash_unit(42, "cache.corrupt", str(i)) for i in range(2000)]
+        draws = [_hash_unit(42, "cell.error", str(i)) for i in range(2000)]
         assert draws == [
-            _hash_unit(42, "cache.corrupt", str(i)) for i in range(2000)
+            _hash_unit(42, "cell.error", str(i)) for i in range(2000)
         ]
         assert all(0.0 <= d < 1.0 for d in draws)
         # crude uniformity: a 10% rate selects roughly 10% of tokens
@@ -106,38 +104,24 @@ class TestDeterminism:
 
     def test_seed_changes_decisions(self):
         tokens = [f"t{i}" for i in range(200)]
-        a = FaultPlan(seed=1, cache_corrupt=0.5)
-        b = FaultPlan(seed=2, cache_corrupt=0.5)
-        assert [a.corrupts_write(t) for t in tokens] != [
-            b.corrupts_write(t) for t in tokens
+        a = FaultPlan(seed=1, cell_error=0.5)
+        b = FaultPlan(seed=2, cell_error=0.5)
+        assert [a.cell_fails(t) for t in tokens] != [
+            b.cell_fails(t) for t in tokens
         ]
 
     def test_sites_are_independent(self):
-        plan = FaultPlan(seed=3, cache_corrupt=0.5, cache_write_error=0.5)
+        plan = FaultPlan(seed=3, cell_error=0.5, probe_drop=0.5)
         tokens = [f"t{i}" for i in range(200)]
-        assert [plan.corrupts_write(t) for t in tokens] != [
-            plan.write_fails(t) for t in tokens
+        assert [plan.cell_fails(t) for t in tokens] != [
+            plan.chance("probe.drop", t, plan.probe_drop) for t in tokens
         ]
-
-    def test_worker_faults_fire_on_first_attempt_only(self):
-        plan = FaultPlan(worker_crash=2, worker_hang=1)
-        assert plan.worker_fault(0, 0) == "crash"
-        assert plan.worker_fault(1, 0) == "crash"
-        assert plan.worker_fault(2, 0) == "hang"
-        assert plan.worker_fault(3, 0) is None
-        assert all(plan.worker_fault(i, 1) is None for i in range(4))
 
     def test_burst_window_is_middle_third(self):
         plan = FaultPlan(serving_burst=2.0)
         assert plan.burst_window(300) == (100, 200, 2.0)
         assert FaultPlan().burst_window(300) == (0, 0, 1.0)
         assert plan.burst_window(2) == (0, 0, 1.0)  # too few requests
-
-    def test_aborts_campaign_threshold(self):
-        plan = FaultPlan(campaign_abort=5)
-        assert not plan.aborts_campaign(4)
-        assert plan.aborts_campaign(5) and plan.aborts_campaign(6)
-        assert not FaultPlan().aborts_campaign(1000)
 
     def test_replica_fault_is_deterministic_per_dispatch(self):
         plan = FaultPlan(seed=4, replica_crash=0.3, replica_hang=0.3,
@@ -177,7 +161,7 @@ class TestInjectScoping:
         assert active_plan() is None
 
     def test_inject_sets_global_and_env(self):
-        plan = FaultPlan(seed=9, worker_crash=1)
+        plan = FaultPlan(seed=9, cell_error=0.5)
         with inject(plan):
             assert active_plan() is plan
             assert os.environ[ENV_VAR] == plan.to_spec()
@@ -190,8 +174,8 @@ class TestInjectScoping:
             assert plan.cell_error == 0.1
 
     def test_scopes_nest_and_restore(self):
-        outer = FaultPlan(seed=1, worker_crash=1)
-        inner = FaultPlan(seed=2, worker_hang=1)
+        outer = FaultPlan(seed=1, cell_error=0.5)
+        inner = FaultPlan(seed=2, probe_drop=0.5)
         with inject(outer):
             with inject(inner):
                 assert active_plan() is inner
@@ -199,21 +183,21 @@ class TestInjectScoping:
             assert os.environ[ENV_VAR] == outer.to_spec()
 
     def test_inject_none_masks_ambient_plan(self):
-        with inject(FaultPlan(seed=1, worker_crash=1)):
+        with inject(FaultPlan(seed=1, cell_error=0.5)):
             with inject(None):
                 assert active_plan() is None
                 assert ENV_VAR not in os.environ
             assert active_plan() is not None
 
     def test_env_var_alone_activates_a_plan(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "seed=11,cache.corrupt=0.25")
+        monkeypatch.setenv(ENV_VAR, "seed=11,cell.error=0.25")
         plan = active_plan()
-        assert plan is not None and plan.cache_corrupt == 0.25
+        assert plan is not None and plan.cell_error == 0.25
         # memoized: the same spec returns the identical parsed object
         assert active_plan() is plan
 
     def test_malformed_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "worker.crash=maybe")
+        monkeypatch.setenv(ENV_VAR, "cell.error=maybe")
         with pytest.raises(FaultSpecError):
             active_plan()
 

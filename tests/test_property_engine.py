@@ -5,8 +5,8 @@ Pins the invariants everything else leans on:
 * the content-addressed key is *injective* on distinct inputs, *stable*
   under payload dict/field reordering, and the memoized derivation equals
   the full-payload encoding byte for byte;
-* the batch executor's output order equals the serial per-task order for
-  any shuffled submission order (parallel included);
+* the engine's output order equals the per-task order for any shuffled
+  submission order;
 * the engine's schedule memo serves two configs that agree on the fields
   an algorithm's schedule reads the records ``layer_cycles`` derives for
   each, whichever the engine saw first.
@@ -189,7 +189,7 @@ def test_memoized_key_equals_full_payload_key(algo, spec, hw, cal):
 
 
 # ---------------------------------------------------------------------- #
-# executor ordering
+# batch ordering
 # ---------------------------------------------------------------------- #
 
 _SPECS = [ConvSpec(ic=4 * (i + 1), oc=8, ih=12, iw=12, index=i) for i in range(3)]
@@ -211,20 +211,6 @@ def test_serial_batch_order_matches_submission_order(order):
     records = EvaluationEngine().evaluate_many(shuffled)
     for task, record in zip(shuffled, records):
         assert _records_equal(record, layer_cycles(task.algorithm, task.spec, _HW))
-
-
-@given(order=st.permutations(range(len(_TASKS))))
-@settings(max_examples=3, deadline=None)
-def test_parallel_order_equals_serial_order(order):
-    """Worker completion order never leaks into the record order."""
-    shuffled = [_TASKS[i] for i in order]
-    serial = EvaluationEngine(max_workers=1).evaluate_many(shuffled)
-    parallel = EvaluationEngine(
-        max_workers=3, pool_min_batch=0
-    ).evaluate_many(shuffled)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert _records_equal(a, b)
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,6 @@ import pytest
 
 from repro import faults
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm, layer_cycles
-from repro.engine.cache import MemoCache
 from repro.engine.executor import EvaluationEngine
 from repro.serve import (
     AsyncServeServer,
@@ -62,12 +61,9 @@ def service_times(workload):
     return out
 
 
-def fresh_service(selector, tmp_path=None, **kwargs):
-    cache = MemoCache(
-        sqlite_path=tmp_path / "serve-cache.db" if tmp_path else None
-    )
+def fresh_service(selector, **kwargs):
     return PredictionService(
-        engine=EvaluationEngine(cache=cache), selector=selector, **kwargs
+        engine=EvaluationEngine(), selector=selector, **kwargs
     )
 
 
@@ -114,8 +110,8 @@ class TestBursty10k:
             workload,
         )
 
-    def _replay(self, trace, selector, tmp_path, service_times):
-        service = fresh_service(selector, tmp_path)
+    def _replay(self, trace, selector, service_times):
+        service = fresh_service(selector)
         result = replay(
             service, trace,
             servers=self.SERVERS, queue_limit=self.QUEUE_LIMIT,
@@ -125,12 +121,12 @@ class TestBursty10k:
         return service, result
 
     def test_parity_slo_shedding_and_determinism(
-        self, trained_selector, tmp_path, workload, service_times
+        self, trained_selector, workload, service_times
     ):
         trace = self._trace(workload, service_times)
         by_id = {t.request.id: t.request for t in trace}
         service, result = self._replay(
-            trace, trained_selector, tmp_path, service_times
+            trace, trained_selector, service_times
         )
         stats = result.stats
 
@@ -163,25 +159,23 @@ class TestBursty10k:
         assert all(r.queue_wait >= 0 and r.latency >= 0 for r in stats.records)
 
         # -- deterministic across two consecutive runs ------------------
-        service2, result2 = self._replay(
-            trace, trained_selector, tmp_path, service_times
+        _, result2 = self._replay(
+            trace, trained_selector, service_times
         )
         assert [r.to_json() for r in result.responses] == [
             r.to_json() for r in result2.responses
         ]
         assert result.shed_ids == result2.shed_ids
         assert stats_dict(result.stats) == stats_dict(result2.stats)
-        # warm SQLite tier: second run served from cache, same bits
-        assert service2.engine.cache.stats.sqlite_hits > 0
 
     @pytest.mark.chaos
     def test_predictor_error_plan_opens_breaker_zero_errors(
-        self, trained_selector, tmp_path, workload, service_times
+        self, trained_selector, workload, service_times
     ):
         trace = self._trace(workload, service_times)[:2000]
         with faults.inject("seed=7,serving.predictor_error=0.5"):
             service, result = self._replay(
-                trace, trained_selector, tmp_path, service_times
+                trace, trained_selector, service_times
             )
         # (c) breaker opened, fallback path took over, zero errors
         assert service.breaker.open
@@ -202,7 +196,7 @@ class TestBursty10k:
         # deterministic under the same plan
         with faults.inject("seed=7,serving.predictor_error=0.5"):
             _, result2 = self._replay(
-                trace, trained_selector, tmp_path, service_times
+                trace, trained_selector, service_times
             )
         assert [r.to_json() for r in result.responses] == [
             r.to_json() for r in result2.responses

@@ -1,8 +1,8 @@
 """Unit tests for the ``repro.serve`` building blocks.
 
 Protocol parsing, clocks, middleware (breaker / admission / ledger),
-micro-batching, trace generation and the SQLite cache tier — each piece
-in isolation, so the integration suite can focus on the assembled
+micro-batching, trace generation and the prediction service core — each
+piece in isolation, so the integration suite can focus on the assembled
 service.
 """
 
@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import sqlite3
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-from repro import faults
 from repro.algorithms.registry import layer_cycles
-from repro.engine.cache import MemoCache, SQLiteTier
-from repro.engine.keys import cache_key
 from repro.errors import NotFittedError, ProtocolError, ServeError
 from repro.nn.layer import ConvSpec
 from repro.serve import (
@@ -559,115 +551,3 @@ class TestSelectorBatchAPI:
         X = trained_selector.features_many(pairs)
         assert X.shape == (2, 12)
         assert (X[0] == trained_selector.features(SPEC, HW)[0]).all()
-
-
-# ---------------------------------------------------------------------- #
-# SQLite cache tier
-# ---------------------------------------------------------------------- #
-class TestSQLiteTier:
-    def _record(self):
-        return layer_cycles("im2col_gemm6", SPEC, HW)
-
-    def _key(self):
-        return cache_key("im2col_gemm6", SPEC, HW)
-
-    def test_survives_across_cache_instances(self, tmp_path):
-        db = tmp_path / "memo.db"
-        record = self._record()
-        first = MemoCache(sqlite_path=db)
-        first.put(self._key(), record)
-        # a brand-new cache (fresh memory tier) hits the SQLite tier
-        second = MemoCache(sqlite_path=db)
-        got = second.get(self._key())
-        assert got is not None and got.cycles == record.cycles
-        assert second.stats.sqlite_hits == 1
-        assert second.stats.disk_hits == 1  # sqlite hits count as disk hits
-        # and the hit was promoted into memory
-        second.get(self._key())
-        assert second.stats.hits == 1
-
-    def test_corrupt_payload_is_deleted_and_counted(self, tmp_path):
-        db = tmp_path / "memo.db"
-        cache = MemoCache(sqlite_path=db)
-        cache.put(self._key(), self._record())
-        with sqlite3.connect(db) as conn:  # garble the row out-of-band
-            conn.execute("UPDATE memo SET payload = ?", ('{"trunc',))
-        fresh = MemoCache(sqlite_path=db)
-        assert fresh.get(self._key()) is None
-        assert fresh.stats.corrupt_entries == 1
-        assert fresh.stats.misses == 1
-        with sqlite3.connect(db) as conn:  # the bad row is gone
-            assert conn.execute("SELECT COUNT(*) FROM memo").fetchone()[0] == 0
-
-    def test_stale_schema_rows_read_as_misses(self, tmp_path):
-        db = tmp_path / "memo.db"
-        cache = MemoCache(sqlite_path=db)
-        cache.put(self._key(), self._record())
-        with sqlite3.connect(db) as conn:
-            conn.execute("UPDATE memo SET schema = schema + 1")
-        fresh = MemoCache(sqlite_path=db)
-        assert fresh.get(self._key()) is None
-        assert fresh.stats.corrupt_entries == 0  # stale, not corrupt
-
-    @pytest.mark.chaos
-    def test_injected_write_error_degrades_visibly(self, tmp_path):
-        cache = MemoCache(sqlite_path=tmp_path / "memo.db")
-        with faults.inject("seed=3,cache.write_error=1.0"):
-            cache.put(self._key(), self._record())
-        assert cache.stats.write_errors == 1
-        assert cache.get(self._key()) is not None  # memory tier still has it
-        fresh = MemoCache(sqlite_path=tmp_path / "memo.db")
-        assert fresh.get(self._key()) is None  # but nothing was persisted
-
-    @pytest.mark.chaos
-    def test_injected_corruption_recovers_on_read(self, tmp_path):
-        db = tmp_path / "memo.db"
-        cache = MemoCache(sqlite_path=db)
-        with faults.inject("seed=3,cache.corrupt=1.0"):
-            cache.put(self._key(), self._record())
-        fresh = MemoCache(sqlite_path=db)
-        assert fresh.get(self._key()) is None
-        assert fresh.stats.corrupt_entries == 1
-
-    def test_clear_disk_empties_the_sqlite_tier(self, tmp_path):
-        db = tmp_path / "memo.db"
-        cache = MemoCache(sqlite_path=db)
-        cache.put(self._key(), self._record())
-        cache.clear(disk=True)
-        assert cache.get(self._key()) is None
-
-    def test_tier_len_contains_and_close(self, tmp_path):
-        tier = SQLiteTier(tmp_path / "t.db")
-        assert len(tier) == 0 and "k" not in tier
-        tier.put("k", json.dumps(
-            {"algorithm": "im2col_gemm6", "phases": []}
-        ))
-        assert len(tier) == 1 and "k" in tier
-        tier.delete("k")
-        assert len(tier) == 0
-        tier.close()
-        assert len(tier) == 0  # reconnects lazily after close
-
-    def test_cross_process_sharing(self, tmp_path):
-        """A child process warms the cache; the parent reads the entry."""
-        db = tmp_path / "memo.db"
-        key = self._key()
-        child = textwrap.dedent(f"""
-            from repro.engine.cache import MemoCache
-            from repro.algorithms.registry import layer_cycles
-            from repro.nn.layer import ConvSpec
-            from repro.simulator.hwconfig import HardwareConfig
-
-            spec = ConvSpec(ic=64, oc=64, ih=56, iw=56, kh=3, kw=3, stride=1)
-            hw = HardwareConfig.paper2_rvv(512, 1.0)
-            cache = MemoCache(sqlite_path={str(db)!r})
-            cache.put({key!r}, layer_cycles("im2col_gemm6", spec, hw))
-        """)
-        env = dict(os.environ, PYTHONPATH="src")
-        subprocess.run([sys.executable, "-c", child], check=True, env=env,
-                       cwd="/root/repo", timeout=120)
-        cache = MemoCache(sqlite_path=db)
-        got = cache.get(key)
-        assert got is not None
-        assert got.cycles == self._record().cycles
-        assert cache.stats.sqlite_hits == 1
