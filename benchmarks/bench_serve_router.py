@@ -68,7 +68,7 @@ def _run_chaos_replay():
     engine = EvaluationEngine()
     replicas = [
         InProcessReplica(
-            f"replica-{i}", PredictionService(engine=engine, selector=None)
+            f"replica-{i}", PredictionService(engine=engine)
         )
         for i in range(N_REPLICAS)
     ]

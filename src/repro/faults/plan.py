@@ -72,7 +72,8 @@ class FaultPlan:
     cell_error: float = 0.0
     #: arrival-rate multiplier over the middle third of a serving run.
     serving_burst: float = 1.0
-    #: probability the serving selector raises for one request.
+    #: probability ``ResilientServingSimulator``'s selector raises for one
+    #: request (the live service has no predictor to fail).
     predictor_error: float = 0.0
     #: probability one (replica, dispatch) hard-crashes the replica — it
     #: takes no traffic until the router's half-open recovery readmits it.

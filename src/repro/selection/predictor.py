@@ -97,33 +97,10 @@ class AlgorithmSelector:
         )
         return self.report
 
-    def fit(self, dataset: SelectionDataset | None = None) -> "AlgorithmSelector":
-        """Fit on the full dataset without cross-validation.
-
-        The deployment path (``repro-serve`` startup) wants the final
-        model only; :meth:`train` additionally runs the paper's 5-fold
-        protocol to produce a :class:`SelectorReport`.
-        """
-        dataset = dataset or build_dataset()
-        self.model.fit(dataset.X, dataset.y)
-        self._fitted = True
-        return self
-
     # ------------------------------------------------------------------ #
     def features(self, spec: ConvSpec, hw: HardwareConfig) -> np.ndarray:
         return np.asarray(
             [[float(hw.vlen_bits), float(hw.l2_mib)] + spec.features()]
-        )
-
-    def features_many(
-        self, pairs: list[tuple[ConvSpec, HardwareConfig]]
-    ) -> np.ndarray:
-        """Stacked feature matrix for a batch of (layer, config) queries."""
-        return np.asarray(
-            [
-                [float(hw.vlen_bits), float(hw.l2_mib)] + spec.features()
-                for spec, hw in pairs
-            ]
         )
 
     def select(self, spec: ConvSpec, hw: HardwareConfig) -> str:
@@ -131,21 +108,6 @@ class AlgorithmSelector:
         if not self._fitted:
             raise NotFittedError("AlgorithmSelector.train() has not been called")
         return str(self.model.predict(self.features(spec, hw))[0])
-
-    def select_many(
-        self, pairs: list[tuple[ConvSpec, HardwareConfig]]
-    ) -> list[str]:
-        """Batched :meth:`select`: one model pass over many queries.
-
-        The serving micro-batcher (:mod:`repro.serve`) routes whole
-        batches through here so the per-request selection cost is one
-        forest traversal, not one model call per request.
-        """
-        if not self._fitted:
-            raise NotFittedError("AlgorithmSelector.train() has not been called")
-        if not pairs:
-            return []
-        return [str(p) for p in self.model.predict(self.features_many(pairs))]
 
     def select_network(
         self, specs: list[ConvSpec], hw: HardwareConfig

@@ -4,11 +4,11 @@ Where :mod:`repro.serving` *simulates* request-level dynamics,
 :mod:`repro.serve` actually serves: ``repro-serve`` is an asyncio
 service that answers algorithm-selection queries (which convolution
 algorithm should this layer use on this hardware, and what will it
-cost?) from the trained predictor, with an engine-backed fallback
-through the shared content-addressed memo cache, micro-batching, and
-PR 5's overload policies — admission control, shedding, SLO accounting,
-a circuit breaker — promoted from simulator internals to real
-middleware.
+cost?).  Each micro-batch prices every applicable candidate of every
+request in one engine call, through the shared memo cache, and answers
+with the cycle-optimal one; the overload policies the serving
+simulators proved out — admission control, shedding, SLO accounting —
+run as real middleware.
 
 Since PR 10 the endpoint also survives replica failure:
 :mod:`repro.serve.router` runs N service replicas behind one
@@ -40,11 +40,7 @@ from repro.serve.loadgen import (
     replay,
     routed_replay,
 )
-from repro.serve.middleware import (
-    AdmissionController,
-    CircuitBreaker,
-    ServingLedger,
-)
+from repro.serve.middleware import AdmissionController, ServingLedger
 from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
@@ -59,14 +55,12 @@ from repro.serve.router import (
     RouterStats,
 )
 from repro.serve.server import AsyncServeServer, ServeApp, main, stats_dict
-from repro.serve.service import FALLBACK_POLICIES, PredictionService
+from repro.serve.service import PredictionService
 
 __all__ = [
     "AdmissionController",
     "AsyncServeServer",
-    "CircuitBreaker",
     "Clock",
-    "FALLBACK_POLICIES",
     "InProcessReplica",
     "MicroBatcher",
     "MonotonicClock",

@@ -2,8 +2,9 @@
 
 Requests submitted within ``max_wait_s`` of the batch opening (or until
 ``max_batch`` fills, whichever is first) are handed to the service as
-**one** ``handle_batch`` call — one forest pass, one ``evaluate_many``
-— and each submitter gets its own response back through a future.  The
+**one** ``handle_batch`` call — one ``evaluate_many`` over every
+request's candidates — and each submitter gets its own response back
+through a future.  The
 same flush policy is mirrored synchronously by the load-test harness
 (:func:`repro.serve.loadgen.replay`), so assertions made on the virtual
 clock transfer to the live server.

@@ -207,8 +207,6 @@ def replay(
             else:
                 finish = start  # an errored request occupies no replica
                 ledger.record(timed.arrival, start, finish)
-            if response.served_by == "fallback":
-                ledger.record_fallback()
             heapq.heappush(free_at, finish)
             responses.append(response)
         pending.clear()
@@ -320,8 +318,6 @@ def routed_replay(
         )
         for timed, outcome in zip(batch, routed):
             ledger.record(timed.arrival, outcome.start, outcome.finish)
-            if outcome.response.served_by == "fallback":
-                ledger.record_fallback()
             responses.append(outcome.response)
             outcomes.append(outcome)
 

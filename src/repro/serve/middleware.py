@@ -1,13 +1,13 @@
 """PR 5's overload machinery, lifted out of the simulator into middleware.
 
 :class:`ResilientServingSimulator` proved the policies — queue-bounded
-admission control, a consecutive-failure circuit breaker, SLO-breach
-accounting — inside a discrete-event loop.  The real service needs the
-same policies as free-standing objects it can consult per request; this
-module provides them, and :class:`ServingLedger` folds the outcome of a
-run back into the *same* :class:`~repro.serving.simulator.ServingStats`
-aggregate the simulators report, so dashboards and invariant checks
-(``offered == admitted + shed``) carry over unchanged.
+admission control and SLO-breach accounting — inside a discrete-event
+loop.  The real service needs the same policies as free-standing
+objects it can consult per request; this module provides them, and
+:class:`ServingLedger` folds the outcome of a run back into the *same*
+:class:`~repro.serving.simulator.ServingStats` aggregate the simulators
+report, so dashboards and invariant checks (``offered == admitted +
+shed``) carry over unchanged.
 """
 
 from __future__ import annotations
@@ -17,45 +17,6 @@ from bisect import bisect_right, insort
 from repro import obs
 from repro.errors import ServeError
 from repro.serving.simulator import RequestRecord, ServingStats
-
-
-class CircuitBreaker:
-    """Open after ``max_failures`` *consecutive* failures; manual reset.
-
-    The policy is exactly the simulator's: every success resets the
-    streak, and the open transition is counted once under
-    ``serve.circuit_opened``.
-    """
-
-    def __init__(self, max_failures: int = 3) -> None:
-        if max_failures < 1:
-            raise ServeError(
-                f"max_failures must be >= 1, got {max_failures}"
-            )
-        self.max_failures = max_failures
-        self._consecutive = 0
-        self._open = False
-
-    @property
-    def open(self) -> bool:
-        return self._open
-
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive
-
-    def record_success(self) -> None:
-        self._consecutive = 0
-
-    def record_failure(self) -> None:
-        self._consecutive += 1
-        if self._consecutive >= self.max_failures and not self._open:
-            self._open = True
-            obs.count("serve.circuit_opened")
-
-    def reset(self) -> None:
-        self._consecutive = 0
-        self._open = False
 
 
 class AdmissionController:
@@ -112,7 +73,7 @@ class ServingLedger:
     Collects :class:`RequestRecord` timelines for admitted requests and
     arrival instants for shed ones, then renders the run as a
     :class:`ServingStats` — the exact aggregate PR 5's simulators emit,
-    including SLO-breach and fallback accounting.
+    including SLO-breach accounting.
     """
 
     def __init__(self, slo_s: float | None = None) -> None:
@@ -121,7 +82,6 @@ class ServingLedger:
         self.slo_s = slo_s
         self.records: list[RequestRecord] = []
         self.shed_arrivals: list[float] = []
-        self.fallbacks = 0
         self._starts: list[float] = []  # sorted start instants
 
     # ------------------------------------------------------------------ #
@@ -139,10 +99,6 @@ class ServingLedger:
     def record_shed(self, arrival: float) -> None:
         self.shed_arrivals.append(arrival)
 
-    def record_fallback(self, n: int = 1) -> None:
-        self.fallbacks += n
-        obs.count("serve.fallbacks", n)
-
     # ------------------------------------------------------------------ #
     def waiting_at(self, t: float) -> int:
         """Admitted-but-unstarted requests at instant ``t`` (recorded only)."""
@@ -158,6 +114,5 @@ class ServingLedger:
             self.records,
             servers=servers,
             shed_arrivals=self.shed_arrivals,
-            fallbacks=self.fallbacks,
             slo_s=self.slo_s,
         )

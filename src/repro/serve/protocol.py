@@ -1,8 +1,9 @@
 """Wire schema of the prediction service.
 
 A **request** names one convolution layer and the hardware configuration
-of the replica that will run it; the service answers with the selected
-algorithm and the engine-evaluated cost of running the layer with it.
+of the replica that will run it; the service answers with the
+cycle-optimal algorithm and the engine-evaluated cost of running the
+layer with it.
 JSON on the wire (one object per newline-delimited line, or the body of
 an HTTP ``POST /v1/select``)::
 
@@ -14,13 +15,13 @@ an HTTP ``POST /v1/select``)::
 Response::
 
     {"id": "r-1", "status": "ok", "algorithm": "winograd",
-     "served_by": "predictor", "cycles": 123456.0,
-     "seconds": 6.17e-05, "dram_bytes": 98304.0}
+     "cycles": 123456.0, "seconds": 6.17e-05, "dram_bytes": 98304.0}
 
 ``status`` is ``"ok"``, ``"shed"`` (admission control rejected the
 request; no algorithm was selected), ``"deadline"`` (the request's
 deadline budget expired before a replica could finish it) or ``"error"``
-(the request was malformed or unroutable; ``error`` carries the reason).
+(the request was malformed or unroutable, or one of its candidate cells
+failed to evaluate; ``error`` carries the reason).
 When the response was routed through a
 :class:`~repro.serve.router.ReplicaRouter`, ``replica`` names the
 replica that served it and ``attempts`` counts dispatch attempts
@@ -134,7 +135,6 @@ class ServeResponse:
     id: str = ""
     status: str = "ok"  # "ok" | "shed" | "deadline" | "error"
     algorithm: str = ""
-    served_by: str = ""  # "predictor" | "fallback"
     cycles: float = 0.0
     seconds: float = 0.0
     dram_bytes: float = 0.0

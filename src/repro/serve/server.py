@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import sys
 from collections import deque
 from pathlib import Path
+from typing import Any
 
 from repro import faults
 from repro.engine.executor import EvaluationEngine
@@ -39,7 +41,7 @@ from repro.serve.protocol import (
     shed_response,
 )
 from repro.serve.router import InProcessReplica, ReplicaRouter
-from repro.serve.service import FALLBACK_POLICIES, PredictionService
+from repro.serve.service import PredictionService
 from repro.serving.simulator import ServingStats
 
 _HTTP_VERBS = (b"GET ", b"POST ", b"PUT ", b"DELETE ", b"HEAD ")
@@ -105,11 +107,9 @@ class ServeApp:
         else:
             responses = self.service.handle_batch(requests)
         finish = self.clock.now()
-        for arrival, response in zip(arrivals, responses):
+        for arrival in arrivals:
             self.ledger.record(arrival, max(arrival, start),
                                max(arrival, finish))
-            if response.served_by == "fallback":
-                self.ledger.record_fallback()
         return responses
 
     async def submit(self, request: ServeRequest) -> ServeResponse:
@@ -151,6 +151,8 @@ class AsyncServeServer:
         self.port = port
         self.unix_path = Path(unix_path) if unix_path is not None else None
         self._server: asyncio.AbstractServer | None = None
+        self._handlers: set[asyncio.Task] = set()  # open connections
+        self._stopping = False
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
@@ -164,9 +166,19 @@ class AsyncServeServer:
             )
 
     async def stop(self) -> None:
+        """Drain the batcher, stop listening, then close open connections.
+
+        ``wait_closed`` waits for open connections on Python 3.12+, so
+        the connection handlers are cancelled and awaited first.
+        """
         await self.app.batcher.drain()
         if self._server is not None:
             self._server.close()
+            self._stopping = True
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -176,17 +188,13 @@ class AsyncServeServer:
             return f"unix:{self.unix_path}"
         return f"{self.host}:{self.port}"
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------------ #
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
             first = await reader.readline()
             if not first:
@@ -197,7 +205,13 @@ class AsyncServeServer:
                 await self._serve_ndjson(first, reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # stop() closes the connections still open; a handler task
+            # that ends cancelled is logged as an error by asyncio
+            if not self._stopping:
+                raise
         finally:
+            self._handlers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -214,7 +228,8 @@ class AsyncServeServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         lock = asyncio.Lock()
-        tasks: list[asyncio.Task] = []
+        inflight: set[asyncio.Task] = set()  # a task leaves once answered
+        failures: list[BaseException] = []
 
         async def answer(line: bytes) -> None:
             response = await self._answer_line(line)
@@ -222,13 +237,26 @@ class AsyncServeServer:
                 writer.write(response.to_json().encode() + b"\n")
                 await writer.drain()
 
-        line = first
-        while line:
-            if line.strip():
-                tasks.append(asyncio.ensure_future(answer(line)))
-            line = await reader.readline()
-        if tasks:
-            await asyncio.gather(*tasks)
+        def finished(task: asyncio.Task) -> None:
+            inflight.discard(task)
+            exc = None if task.cancelled() else task.exception()
+            if exc is not None and not failures:
+                failures.append(exc)
+
+        try:
+            line = first
+            while line:
+                if line.strip():
+                    task = asyncio.ensure_future(answer(line))
+                    task.add_done_callback(finished)
+                    inflight.add(task)
+                    del task  # only ``inflight`` holds an unanswered task
+                line = await reader.readline()
+        finally:
+            if inflight:
+                await asyncio.wait(inflight)
+        if failures:
+            raise failures[0]
 
     async def _answer_line(self, line: bytes) -> ServeResponse:
         try:
@@ -299,7 +327,7 @@ class AsyncServeServer:
         service = self.app.service
         if isinstance(service, ReplicaRouter):
             return service.health_summary()
-        return {"status": "ok", "circuit_open": service.breaker.open}
+        return {"status": "ok"}
 
     async def _http_admin(
         self, writer: asyncio.StreamWriter, path: str
@@ -339,16 +367,18 @@ class AsyncServeServer:
         except (ValueError, UnicodeDecodeError) as exc:
             await self._http_reply(writer, 400, {"error": f"bad JSON: {exc}"})
             return
-        batch = payload if isinstance(payload, list) else [payload]
-        out = []
-        for item in batch:
+
+        async def answer(item: Any) -> dict:
             try:
                 request = ServeRequest.from_dict(item)
             except ProtocolError as exc:
-                out.append(error_response("", str(exc)).to_dict())
-                continue
-            response = await self.app.submit(request)
-            out.append(response.to_dict())
+                return error_response("", str(exc)).to_dict()
+            return (await self.app.submit(request)).to_dict()
+
+        # submitted together: a list body is admitted item by item and
+        # shares micro-batches, as pipelined NDJSON lines do
+        batch = payload if isinstance(payload, list) else [payload]
+        out = await asyncio.gather(*(answer(item) for item in batch))
         await self._http_reply(
             writer, 200, out if isinstance(payload, list) else out[0]
         )
@@ -377,51 +407,15 @@ class AsyncServeServer:
 # ---------------------------------------------------------------------- #
 # CLI
 # ---------------------------------------------------------------------- #
-def _build_one_service(
-    args: argparse.Namespace, engine: EvaluationEngine, selector: object
-) -> PredictionService:
-    return PredictionService(
-        engine=engine,
-        selector=selector,  # type: ignore[arg-type]
-        safe_algorithm=args.safe_algorithm,
-        fallback_policy=args.fallback,
-        max_selector_failures=args.max_selector_failures,
-    )
-
-
-def _build_backing(
-    args: argparse.Namespace,
-) -> tuple[EvaluationEngine, object]:
-    """The engine (one shared memo cache) and trained selector, built once."""
-    engine = EvaluationEngine()
-    selector = None
-    if not args.no_predictor:
-        from repro.selection.predictor import AlgorithmSelector
-
-        selector = AlgorithmSelector(
-            n_estimators=args.trees, random_state=args.seed
-        ).fit()
-    return engine, selector
-
-
-def build_service(args: argparse.Namespace) -> PredictionService:
-    """Assemble engine, selector and service from CLI arguments."""
-    engine, selector = _build_backing(args)
-    return _build_one_service(args, engine, selector)
-
-
 def build_router(args: argparse.Namespace) -> ReplicaRouter:
     """Assemble an N-replica pool behind one router from CLI arguments.
 
-    Replicas share the engine (and its memo cache) and the trained
-    selector — each keeps its own selection memo, breaker and counters,
-    which is the failure-isolation boundary the router manages.
+    Replicas share the engine (and its memo cache); each keeps its own
+    counters, which is the failure-isolation boundary the router manages.
     """
-    engine, selector = _build_backing(args)
+    engine = EvaluationEngine()
     replicas = [
-        InProcessReplica(
-            f"replica-{i}", _build_one_service(args, engine, selector)
-        )
+        InProcessReplica(f"replica-{i}", PredictionService(engine))
         for i in range(args.replicas)
     ]
     return ReplicaRouter(
@@ -463,17 +457,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--batch-wait-ms", type=float, default=2.0)
     parser.add_argument(
-        "--fallback", choices=FALLBACK_POLICIES, default="safe"
-    )
-    parser.add_argument("--safe-algorithm", default="im2col_gemm6")
-    parser.add_argument("--max-selector-failures", type=int, default=3)
-    parser.add_argument(
-        "--no-predictor", action="store_true",
-        help="skip training; serve every request from the fallback path",
-    )
-    parser.add_argument("--trees", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
         "--replicas", type=int, default=1, metavar="N",
         help="run N service replicas behind the health-aware router "
         "(1 = single service, no router)",
@@ -508,7 +491,7 @@ async def _amain(args: argparse.Namespace) -> int:
     if args.replicas > 1:
         service = build_router(args)
     else:
-        service = build_service(args)
+        service = PredictionService()
     app = ServeApp(
         service,
         queue_limit=args.queue_limit,
@@ -519,12 +502,19 @@ async def _amain(args: argparse.Namespace) -> int:
     server = AsyncServeServer(
         app, host=args.host, port=args.port, unix_path=args.socket
     )
+    # SIGINT is the clean shutdown; a second SIGINT interrupts a stuck one
+    loop = asyncio.get_running_loop()
+    interrupted = asyncio.Event()
+
+    def on_sigint() -> None:
+        loop.remove_signal_handler(signal.SIGINT)
+        interrupted.set()
+
+    loop.add_signal_handler(signal.SIGINT, on_sigint)
     await server.start()
     print(f"repro-serve listening on {server.endpoint}", file=sys.stderr)
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        pass
+        await interrupted.wait()
     finally:
         await server.stop()
     return 0

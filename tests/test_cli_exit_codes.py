@@ -118,13 +118,13 @@ class TestServeCliExitCodes:
         from repro.serve import server
 
         monkeypatch.setenv("REPRO_FAULTS", "not=a,valid.spec")
-        assert server.main(["--no-predictor"]) == 6
+        assert server.main([]) == 6
         assert "error [FaultSpecError]" in capsys.readouterr().err
 
     def test_serve_error_is_repro_error_catch_all_10(self, capsys):
         from repro.serve import server
 
-        assert server.main(["--no-predictor", "--queue-limit", "-1"]) == 10
+        assert server.main(["--queue-limit", "-1"]) == 10
         assert "error [ServeError]" in capsys.readouterr().err
 
 

@@ -153,7 +153,7 @@ class _FlakyReplica(ReplicaHandle):
         return [
             ServeResponse(
                 id=r.id, status="ok", algorithm="stub",
-                served_by="fallback", seconds=0.001,
+                seconds=0.001,
             )
             for r in requests
         ]

@@ -4,13 +4,12 @@ The acceptance contract of the serving PR:
 
 * the service boots **in-process** and replays a seeded 10k-request
   bursty trace on the virtual clock;
-* (a) every admitted response is **bit-identical** to direct engine
-  evaluation of the same (algorithm, layer, hardware) cell;
+* (a) every admitted response names the cycle-optimal algorithm and is
+  **bit-identical** to direct engine evaluation of that (algorithm,
+  layer, hardware) cell;
 * (b) admitted p99 latency stays within the configured SLO at 2x
   capacity, with every shed request accounted for
   (``offered == admitted + shed``);
-* (c) under a ``REPRO_FAULTS`` predictor-error plan the circuit breaker
-  opens and the safe-fallback path keeps the error rate at zero;
 * all of it bit-deterministic across two consecutive runs.
 
 The transport (NDJSON + HTTP over asyncio) is exercised against a real
@@ -24,8 +23,7 @@ import json
 
 import pytest
 
-from repro import faults
-from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm, layer_cycles
+from repro.algorithms.registry import ALGORITHM_NAMES, best_algorithm, layer_cycles
 from repro.engine.executor import EvaluationEngine
 from repro.serve import (
     AsyncServeServer,
@@ -61,10 +59,8 @@ def service_times(workload):
     return out
 
 
-def fresh_service(selector, **kwargs):
-    return PredictionService(
-        engine=EvaluationEngine(), selector=selector, **kwargs
-    )
+def fresh_service():
+    return PredictionService(engine=EvaluationEngine())
 
 
 def direct_cycles(response, request):
@@ -95,8 +91,8 @@ class TestBursty10k:
         return self.MAX_WAIT_S + (self.QUEUE_LIMIT + 1) * worst
 
     def _trace(self, workload, service_times):
-        # offered load = 2x the fleet's saturation throughput on the
-        # safe algorithm's mean service time
+        # offered load = 2x the fleet's saturation throughput on
+        # im2col_gemm6's mean service time
         mean_safe = sum(
             service_times[("im2col_gemm6", spec, hw)]
             for spec, hw in workload
@@ -110,8 +106,8 @@ class TestBursty10k:
             workload,
         )
 
-    def _replay(self, trace, selector, service_times):
-        service = fresh_service(selector)
+    def _replay(self, trace, service_times):
+        service = fresh_service()
         result = replay(
             service, trace,
             servers=self.SERVERS, queue_limit=self.QUEUE_LIMIT,
@@ -121,13 +117,11 @@ class TestBursty10k:
         return service, result
 
     def test_parity_slo_shedding_and_determinism(
-        self, trained_selector, workload, service_times
+        self, workload, service_times
     ):
         trace = self._trace(workload, service_times)
         by_id = {t.request.id: t.request for t in trace}
-        service, result = self._replay(
-            trace, trained_selector, service_times
-        )
+        service, result = self._replay(trace, service_times)
         stats = result.stats
 
         # -- conservation: every offered request is admitted or shed ----
@@ -137,12 +131,17 @@ class TestBursty10k:
         assert stats.shed == len(result.shed_ids)
         assert stats.shed > 0, "2x-capacity overload must shed"
 
-        # -- (a) bit-identical to direct engine evaluation --------------
+        # -- (a) the optimum, bit-identical to direct evaluation --------
         assert result.responses, "overload must still admit requests"
         memo = {}
+        optimum = {}
         for response in result.responses:
             assert response.status == "ok"
             request = by_id[response.id]
+            pair = (request.spec, request.hw)
+            if pair not in optimum:
+                optimum[pair] = best_algorithm(*pair)[0]
+            assert response.algorithm == optimum[pair]
             key = (response.algorithm, request.spec, request.hw)
             if key not in memo:
                 memo[key] = direct_cycles(response, request)
@@ -159,76 +158,25 @@ class TestBursty10k:
         assert all(r.queue_wait >= 0 and r.latency >= 0 for r in stats.records)
 
         # -- deterministic across two consecutive runs ------------------
-        _, result2 = self._replay(
-            trace, trained_selector, service_times
-        )
+        _, result2 = self._replay(trace, service_times)
         assert [r.to_json() for r in result.responses] == [
             r.to_json() for r in result2.responses
         ]
         assert result.shed_ids == result2.shed_ids
         assert stats_dict(result.stats) == stats_dict(result2.stats)
 
-    @pytest.mark.chaos
-    def test_predictor_error_plan_opens_breaker_zero_errors(
-        self, trained_selector, workload, service_times
-    ):
-        trace = self._trace(workload, service_times)[:2000]
-        with faults.inject("seed=7,serving.predictor_error=0.5"):
-            service, result = self._replay(
-                trace, trained_selector, service_times
-            )
-        # (c) breaker opened, fallback path took over, zero errors
-        assert service.breaker.open
-        assert result.service_snapshot["circuit_open"]
-        assert all(r.status == "ok" for r in result.responses)
-        assert result.stats.fallbacks > 0
-        assert result.stats.fallbacks == result.service_snapshot[
-            "fallback_served"
-        ]
-        # every fallback response used the safe algorithm and still
-        # prices bit-identically to the direct evaluation
-        by_id = {t.request.id: t.request for t in trace}
-        for response in result.responses:
-            if response.served_by == "fallback":
-                assert response.algorithm == "im2col_gemm6"
-                cycles, _, _ = direct_cycles(response, by_id[response.id])
-                assert response.cycles == cycles
-        # deterministic under the same plan
-        with faults.inject("seed=7,serving.predictor_error=0.5"):
-            _, result2 = self._replay(
-                trace, trained_selector, service_times
-            )
-        assert [r.to_json() for r in result.responses] == [
-            r.to_json() for r in result2.responses
-        ]
-
-    def test_oracle_fallback_beats_or_matches_safe(
-        self, trained_selector, workload, service_times
-    ):
-        """Engine-backed oracle fallback picks the cycle-optimal algorithm."""
-        service = fresh_service(None, fallback_policy="oracle")
-        spec, hw = workload[0]
-        response = service.handle(ServeRequest(spec=spec, hw=hw, id="o"))
-        assert response.served_by == "fallback"
-        best = min(
-            service_times[(n, spec, hw)]
-            for n in ALGORITHM_NAMES
-            if get_algorithm(n).applicable(spec)
-        )
-        assert response.seconds == best
-
 
 # ---------------------------------------------------------------------- #
 # diurnal pattern: deterministic and conserving too
 # ---------------------------------------------------------------------- #
-def test_diurnal_trace_replay_is_deterministic(trained_selector, workload):
+def test_diurnal_trace_replay_is_deterministic(workload):
     trace = generate_trace(
         TraceSpec(pattern="diurnal", n_requests=1000, rate_rps=400.0, seed=3),
         workload,
     )
-    a = replay(fresh_service(trained_selector), trace, servers=4,
+    a = replay(fresh_service(), trace, servers=4,
                queue_limit=16, slo_s=1.0, max_batch=32, max_wait_s=0.001)
-    b = replay(fresh_service(trained_selector), trace, servers=4,
+    b = replay(fresh_service(), trace, servers=4,
                queue_limit=16, slo_s=1.0, max_batch=32, max_wait_s=0.001)
     assert a.stats.offered == 1000
     assert [r.to_json() for r in a.responses] == [

@@ -98,7 +98,7 @@ class StubReplica(ReplicaHandle):
         return [
             ServeResponse(
                 id=r.id, status="ok", algorithm="stub",
-                served_by="fallback", seconds=self.seconds,
+                seconds=self.seconds,
             )
             for r in requests
         ]
@@ -404,7 +404,7 @@ class TestRouterTransport:
         replicas = [
             InProcessReplica(
                 f"replica-{i}",
-                PredictionService(engine=engine, selector=None),
+                PredictionService(engine=engine),
             )
             for i in range(2)
         ]
@@ -526,7 +526,7 @@ trace = generate_trace(
 )
 engine = EvaluationEngine()
 replicas = [
-    InProcessReplica(f"replica-{i}", PredictionService(engine=engine, selector=None))
+    InProcessReplica(f"replica-{i}", PredictionService(engine=engine))
     for i in range(4)
 ]
 router = ReplicaRouter(
@@ -587,7 +587,7 @@ class TestChaosKillOneOfFour:
         replicas = [
             InProcessReplica(
                 f"replica-{i}",
-                PredictionService(engine=engine, selector=None),
+                PredictionService(engine=engine),
             )
             for i in range(4)
         ]
@@ -670,7 +670,7 @@ def test_routed_responses_match_direct_evaluation():
     engine = EvaluationEngine()
     replicas = [
         InProcessReplica(
-            f"replica-{i}", PredictionService(engine=engine, selector=None)
+            f"replica-{i}", PredictionService(engine=engine)
         )
         for i in range(3)
     ]

@@ -1,27 +1,41 @@
 """Unit tests for the ``repro.serve`` building blocks.
 
-Protocol parsing, clocks, middleware (breaker / admission / ledger),
-micro-batching, trace generation and the prediction service core — each
-piece in isolation, so the integration suite can focus on the assembled
-service.
+Protocol parsing, clocks, middleware (admission / ledger),
+micro-batching, trace generation, the prediction service core and the
+transport's connection lifecycle — each piece in isolation, so the
+integration suite can focus on the assembled service.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.registry import layer_cycles
+from repro import faults
+from repro.algorithms.registry import best_algorithm, layer_cycles
+from repro.engine.executor import EvaluationEngine
 from repro.errors import NotFittedError, ProtocolError, ServeError
 from repro.nn.layer import ConvSpec
 from repro.serve import (
     AdmissionController,
-    CircuitBreaker,
+    AsyncServeServer,
     MicroBatcher,
     MonotonicClock,
     PredictionService,
+    ServeApp,
     ServeRequest,
     ServeResponse,
     ServingLedger,
@@ -93,7 +107,7 @@ class TestProtocol:
     def test_response_round_trip_preserves_float_bits(self):
         response = ServeResponse(
             id="x", status="ok", algorithm="winograd",
-            served_by="predictor", cycles=1.1e8 / 3.0,
+            cycles=1.1e8 / 3.0,
             seconds=6.17e-05, dram_bytes=98304.0,
         )
         again = ServeResponse.from_json(response.to_json())
@@ -130,26 +144,6 @@ class TestClocks:
 # ---------------------------------------------------------------------- #
 # middleware
 # ---------------------------------------------------------------------- #
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(max_failures=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()  # streak broken
-        assert not breaker.open
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.open
-        breaker.record_success()  # success does not close an open breaker
-        assert breaker.open
-        breaker.reset()
-        assert not breaker.open and breaker.consecutive_failures == 0
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ServeError):
-            CircuitBreaker(max_failures=0)
-
-
 class TestAdmissionController:
     def test_sheds_at_queue_limit(self):
         ctl = AdmissionController(queue_limit=2)
@@ -192,12 +186,11 @@ class TestServingLedger:
         ledger.record(0.0, 0.1, 0.3)   # latency 0.3: within SLO
         ledger.record(0.2, 0.4, 1.0)   # latency 0.8: breach
         ledger.record_shed(0.25)
-        ledger.record_fallback()
         stats = ledger.stats(servers=2)
         assert stats.offered == 3
         assert stats.n_requests == 2 and stats.shed == 1
         assert stats.slo_breaches == 1
-        assert stats.fallbacks == 1
+        assert stats.fallbacks == 0  # only the simulators fall back
         assert stats.servers == 2
 
     def test_non_causal_timeline_is_an_error(self):
@@ -467,38 +460,92 @@ class TestHttpErrorPaths:
 # ---------------------------------------------------------------------- #
 # prediction service core
 # ---------------------------------------------------------------------- #
+#: Layers the service must price, Winograd-inapplicable shapes included:
+#: non-3x3 kernels and stride 2.
+layers = st.builds(
+    ConvSpec,
+    ic=st.integers(1, 48),
+    oc=st.integers(1, 48),
+    ih=st.integers(6, 40),
+    iw=st.integers(6, 40),
+    kh=st.sampled_from([1, 3, 5]),
+    kw=st.sampled_from([1, 3, 5]),
+    stride=st.sampled_from([1, 2]),
+    index=st.integers(0, 30),
+)
+
+
+@st.composite
+def hardware(draw) -> HardwareConfig:
+    """The Paper II preset with every field a request may override."""
+    hw = HardwareConfig.paper2_rvv(
+        draw(st.sampled_from([128, 256, 512, 1024, 2048, 4096])),
+        draw(st.sampled_from([0.5, 1.0, 2.0, 8.0, 64.0])),
+    )
+    return replace(
+        hw,
+        freq_ghz=draw(st.floats(0.5, 4.0)),
+        l1_kib=draw(st.sampled_from([16, 32, 64])),
+        l2_assoc=draw(st.sampled_from([4, 8, 16])),
+        lmul=draw(st.sampled_from([1, 2, 4, 8])),
+    )
+
+
+@st.composite
+def batches(draw) -> list[tuple[ConvSpec, HardwareConfig]]:
+    """A micro-batch drawn from a few distinct pairs, so pairs repeat."""
+    pool = draw(st.lists(st.tuples(layers, hardware()), min_size=1,
+                         max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=batches())
+def test_handle_batch_answers_the_optimum_bit_identically(pairs):
+    """Every answer is ``best_algorithm``'s pick, priced as layer_cycles."""
+    service = PredictionService(EvaluationEngine())
+    requests = [ServeRequest(spec=s, hw=hw, id=f"p{i}")
+                for i, (s, hw) in enumerate(pairs)]
+    responses = service.handle_batch(requests)
+    assert [r.id for r in responses] == [r.id for r in requests]
+    for (spec, hw), response in zip(pairs, responses):
+        best, _ = best_algorithm(spec, hw)
+        direct = layer_cycles(best, spec, hw, fallback=False)
+        assert response.status == "ok"
+        assert response.algorithm == best
+        assert response.cycles == direct.cycles  # bit-identical
+        assert response.seconds == direct.seconds(hw.freq_ghz)
+        assert response.dram_bytes == direct.dram_bytes
+
+
 class TestPredictionService:
-    def test_no_selector_serves_from_safe_fallback(self):
+    def test_answers_the_cycle_optimal_algorithm(self):
         service = PredictionService()
         response = service.handle(ServeRequest(spec=SPEC, hw=HW, id="f"))
+        best, cycles = best_algorithm(SPEC, HW)
         assert response.status == "ok"
-        assert response.served_by == "fallback"
-        assert response.algorithm == "im2col_gemm6"
-        direct = layer_cycles("im2col_gemm6", SPEC, HW, fallback=True)
+        assert response.algorithm == best
+        assert response.cycles == min(cycles.values())
+        direct = layer_cycles(best, SPEC, HW, fallback=False)
         assert response.cycles == direct.cycles
 
-    def test_selection_is_memoized_per_pair(self, trained_selector):
-        service = PredictionService(selector=trained_selector)
-        r1 = service.handle(ServeRequest(spec=SPEC, hw=HW, id="m1"))
-        assert service.snapshot()["selection_cache_entries"] == 1
-        r2 = service.handle(ServeRequest(spec=SPEC, hw=HW, id="m2"))
-        assert r1.algorithm == r2.algorithm
-        assert r2.served_by == "predictor"
-
-    def test_broken_selector_trips_breaker_then_bypasses_it(self):
-        class Exploding:
-            def select_many(self, pairs):
-                raise RuntimeError("forest on fire")
-
-        service = PredictionService(
-            selector=Exploding(), max_selector_failures=2
-        )
-        requests = [ServeRequest(spec=SPEC, hw=HW, id=f"x{i}")
-                    for i in range(3)]
-        responses = service.handle_batch(requests)
-        assert service.breaker.open
-        assert all(r.status == "ok" for r in responses)
-        assert all(r.served_by == "fallback" for r in responses)
+    def test_failed_candidates_answer_errors_and_are_not_cached(self):
+        service = PredictionService(EvaluationEngine())
+        requests = [ServeRequest(spec=SPEC, hw=HW, id="e0"),
+                    ServeRequest(spec=SPEC, hw=HW, id="e1"),
+                    ServeRequest(spec=SPEC, hw=HardwareConfig.paper2_rvv(
+                        1024, 2.0), id="e2")]
+        with faults.inject("seed=3,cell.error=1.0"):
+            failed = service.handle_batch(requests)
+        assert [r.status for r in failed] == ["error"] * 3
+        for r in failed:
+            assert r.algorithm == "" and r.cycles == 0.0
+            assert "failed: InjectedFaultError" in r.error
+            assert "on layer" in r.error  # names the cell
+        assert len(service.engine.cache) == 0  # nothing cached
+        healed = service.handle_batch(requests)  # fault-free retry
+        assert [r.status for r in healed] == ["ok"] * 3
+        assert healed[0].algorithm == best_algorithm(SPEC, HW)[0]
 
     def test_probe_is_a_cached_canary(self):
         service = PredictionService()
@@ -517,37 +564,166 @@ class TestPredictionService:
         service.engine = Broken()
         assert service.probe() is False
 
-    def test_validates_configuration(self):
-        with pytest.raises(ServeError):
-            PredictionService(fallback_policy="panic")
-        with pytest.raises(Exception):
-            PredictionService(safe_algorithm="quantum")
-        with pytest.raises(ServeError):
-            PredictionService(selection_cache_size=-1)
-
 
 # ---------------------------------------------------------------------- #
-# selector batch API
+# selector API (the forest the selection figures measure)
 # ---------------------------------------------------------------------- #
 class TestSelectorBatchAPI:
-    def test_select_many_matches_select(self, trained_selector):
-        pairs = [(SPEC, HW),
-                 (ConvSpec(ic=3, oc=64, ih=224, iw=224, kh=3, kw=3, stride=1),
-                  HardwareConfig.paper2_rvv(1024, 2.0))]
-        batched = trained_selector.select_many(pairs)
-        assert batched == [trained_selector.select(s, hw) for s, hw in pairs]
-
-    def test_select_many_empty(self, trained_selector):
-        assert trained_selector.select_many([]) == []
-
     def test_unfitted_selector_raises(self):
         from repro.selection.predictor import AlgorithmSelector
 
         with pytest.raises(NotFittedError):
-            AlgorithmSelector().select_many([(SPEC, HW)])
+            AlgorithmSelector().select(SPEC, HW)
 
-    def test_features_many_stacks_feature_rows(self, trained_selector):
-        pairs = [(SPEC, HW), (SPEC, HardwareConfig.paper2_rvv(256, 0.5))]
-        X = trained_selector.features_many(pairs)
-        assert X.shape == (2, 12)
-        assert (X[0] == trained_selector.features(SPEC, HW)[0]).all()
+
+# ---------------------------------------------------------------------- #
+# transport: connection lifecycle and HTTP list bodies
+# ---------------------------------------------------------------------- #
+REPO = Path(__file__).resolve().parents[1]
+PAYLOAD = {"layer": {"ic": 64, "oc": 64, "ih": 56, "iw": 56,
+                     "kh": 3, "kw": 3, "stride": 1},
+           "hw": {"vlen_bits": 512, "l2_mib": 1.0}}
+
+
+def _line(req_id: str) -> bytes:
+    return (json.dumps(dict(PAYLOAD, id=req_id)) + "\n").encode()
+
+
+def _connect(path: Path) -> socket.socket:
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        conn.connect(str(path))
+    except OSError:
+        conn.close()
+        raise
+    return conn
+
+
+class TestTransport:
+    def _boot(self, tmp_path, **app_kwargs):
+        app = ServeApp(PredictionService(EvaluationEngine()),
+                       queue_limit=64, max_wait_s=0.002, **app_kwargs)
+        return AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
+
+    def test_ndjson_connection_keeps_no_answered_tasks(self, tmp_path):
+        n = 20
+
+        def answered_tasks() -> int:
+            gc.collect()
+            return sum(
+                1 for o in gc.get_objects()
+                if isinstance(o, asyncio.Task) and o.done()
+                and "_serve_ndjson" in o.get_coro().__qualname__
+            )
+
+        async def scenario():
+            server = self._boot(tmp_path, max_batch=8)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                for i in range(n):  # one answered request at a time
+                    writer.write(_line(f"g-{i}"))
+                    await writer.drain()
+                    assert json.loads(await reader.readline())["id"] == f"g-{i}"
+                await asyncio.sleep(0.01)  # the last answer's task finishes
+                retained = answered_tasks()  # connection still open
+                writer.close()
+                return retained
+            finally:
+                await server.stop()
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_http_list_body_is_one_micro_batch(self, tmp_path):
+        async def scenario():
+            server = self._boot(tmp_path, max_batch=8)
+            await server.start()
+            try:
+                body = json.dumps(
+                    [dict(PAYLOAD, id=f"l-{i}") for i in range(8)]
+                ).encode()
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                before = server.app.batcher.batches_flushed
+                writer.write(
+                    b"POST /v1/select HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                await writer.drain()
+                data = await reader.read()
+                writer.close()
+                return server.app.batcher.batches_flushed - before, data
+            finally:
+                await server.stop()
+
+        flushed, data = asyncio.run(scenario())
+        answers = json.loads(data.decode().split("\r\n\r\n", 1)[1])
+        assert flushed == 1
+        assert [a["id"] for a in answers] == [f"l-{i}" for i in range(8)]
+        assert {a["status"] for a in answers} == {"ok"}
+
+    def test_http_list_body_sheds_excess_items_in_place(self, tmp_path):
+        async def scenario():
+            app = ServeApp(PredictionService(EvaluationEngine()),
+                           queue_limit=2, max_batch=8, max_wait_s=0.002)
+            server = AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
+            await server.start()
+            try:
+                items = [dict(PAYLOAD, id="a"), {"bogus": 1},
+                         dict(PAYLOAD, id="b"), dict(PAYLOAD, id="c")]
+                body = json.dumps(items).encode()
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                writer.write(
+                    b"POST /v1/select HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                await writer.drain()
+                data = await reader.read()
+                writer.close()
+                return data
+            finally:
+                await server.stop()
+
+        data = asyncio.run(scenario())
+        answers = json.loads(data.decode().split("\r\n\r\n", 1)[1])
+        assert [(a["id"], a["status"]) for a in answers] == [
+            ("a", "ok"), ("", "error"), ("b", "ok"), ("c", "shed"),
+        ]
+
+    def test_sigint_with_an_open_connection_exits_cleanly(self, tmp_path):
+        sock = tmp_path / "serve.sock"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve.server", "--socket",
+             str(sock)],
+            cwd=REPO, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            conn = None
+            deadline = time.monotonic() + 60.0
+            while conn is None:
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline, "server never listened"
+                try:
+                    conn = _connect(sock)
+                except (FileNotFoundError, ConnectionRefusedError):
+                    time.sleep(0.02)
+            conn.sendall(_line("s-1"))
+            answer = json.loads(conn.makefile("r").readline())
+            assert answer["status"] == "ok"
+            proc.send_signal(signal.SIGINT)  # the connection stays open
+            _, stderr = proc.communicate(timeout=30)
+            conn.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+
