@@ -194,7 +194,20 @@ class AsyncServeServer:
     ) -> None:
         task = asyncio.current_task()
         assert task is not None
-        self._handlers.add(task)
+        self._handlers.add(task)  # left only once the writer is closed
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # stop() closes the connections still open; a handler task
+            # that ends cancelled is logged as an error by asyncio
+            if not self._stopping:
+                raise
+        finally:
+            self._handlers.discard(task)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         try:
             first = await reader.readline()
             if not first:
@@ -205,13 +218,7 @@ class AsyncServeServer:
                 await self._serve_ndjson(first, reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
-        except asyncio.CancelledError:
-            # stop() closes the connections still open; a handler task
-            # that ends cancelled is logged as an error by asyncio
-            if not self._stopping:
-                raise
         finally:
-            self._handlers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -23,7 +23,12 @@ import json
 
 import pytest
 
-from repro.algorithms.registry import ALGORITHM_NAMES, best_algorithm, layer_cycles
+from repro.algorithms.registry import (
+    ALGORITHM_NAMES,
+    best_algorithm,
+    get_algorithm,
+    layer_cycles,
+)
 from repro.engine.executor import EvaluationEngine
 from repro.serve import (
     AsyncServeServer,
@@ -164,6 +169,24 @@ class TestBursty10k:
         ]
         assert result.shed_ids == result2.shed_ids
         assert stats_dict(result.stats) == stats_dict(result2.stats)
+
+    def test_oracle_fallback_beats_or_matches_safe(
+        self, workload, service_times
+    ):
+        """The engine-backed answer is the cycle-optimal algorithm, so it
+        beats or matches ``im2col_gemm6``, the former safe fallback."""
+        service = fresh_service()
+        spec, hw = workload[0]
+        response = service.handle(ServeRequest(spec=spec, hw=hw, id="o"))
+        assert response.status == "ok"
+        assert response.algorithm == best_algorithm(spec, hw)[0]
+        best = min(
+            service_times[(n, spec, hw)]
+            for n in ALGORITHM_NAMES
+            if get_algorithm(n).applicable(spec)
+        )
+        assert response.seconds == best
+        assert response.seconds <= service_times[("im2col_gemm6", spec, hw)]
 
 
 # ---------------------------------------------------------------------- #

@@ -636,6 +636,32 @@ class TestTransport:
 
         assert asyncio.run(scenario()) == 0
 
+    def test_stop_awaits_handlers_still_closing_their_writer(self, tmp_path):
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context["message"])
+            )
+            server = self._boot(tmp_path, max_batch=8)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                writer.write(_line("c-1"))
+                await writer.drain()
+                writer.write_eof()
+                assert json.loads(await reader.readline())["id"] == "c-1"
+                writer.close()
+            finally:
+                await server.stop()  # right after the client hangs up
+            current = asyncio.current_task()
+            return [t for t in asyncio.all_tasks() if t is not current]
+
+        assert asyncio.run(scenario()) == []
+        assert errors == []  # no handler task ended cancelled
+
     def test_http_list_body_is_one_micro_batch(self, tmp_path):
         async def scenario():
             server = self._boot(tmp_path, max_batch=8)
