@@ -87,9 +87,11 @@ def _best_of(func, repeats: int = 3) -> float:
 
 def test_intrinsics_batched_vs_perop(benchmark):
     """The batched/counts-mode ISA path must be >= 5x faster than the
-    per-op instruction baseline on the same kernel, with bit-identical
-    outputs and identical instruction statistics (see docs/PERF.md)."""
+    per-op instruction baseline (``tests/trace_oracle.py``; run from the
+    repository root) on the same kernel, with bit-identical outputs and
+    identical instruction statistics (see docs/PERF.md)."""
     from repro.algorithms.direct import DirectConv
+    from tests.trace_oracle import direct_perop
 
     alg = DirectConv()
     rng = np.random.default_rng(1)
@@ -102,7 +104,7 @@ def test_intrinsics_batched_vs_perop(benchmark):
 
     def perop():
         m = VectorMachine(512)
-        y = alg.run_vectorized_perop(BATCH_SPEC, x, w, m)
+        y = direct_perop(alg, BATCH_SPEC, x, w, m)
         return m.trace.stats, y
 
     def batched_counts():

@@ -1,12 +1,13 @@
-"""Benchmarks of the batched (columnar) trace-timing replay path.
+"""Benchmarks of the columnar trace-timing replay path.
 
-Guards the PRs' headline numbers: the set-partitioned batched replay of a
-kernel trace must be >= 5x faster than the per-event sequential engine
-with bit-identical results; the Numba-compiled and process-sharded
-replays must each be >= 3x faster again than that NumPy batched path;
-and a full real VGG-16 conv layer trace must replay in single-digit
-seconds.  ``REPLAY_BENCH_QUICK=1`` (set by the CI bench-smoke job) skips
-the large-layer run and shrinks the compiled/parallel trace.
+Guards the headline numbers: the set-partitioned replay of a kernel trace
+must be >= 5x faster than the per-event reference replay
+(``tests/trace_oracle.py``) with bit-identical results; the Numba-compiled
+backend must be >= 3x faster again than the NumPy one; and a full real
+VGG-16 conv layer trace must replay in single-digit seconds.
+``REPLAY_BENCH_QUICK=1`` (set by the CI bench-smoke job) skips the
+large-layer run and shrinks the compiled trace.  Run from the repository
+root (``python -m pytest benchmarks/...``) so ``tests`` is importable.
 """
 
 import os
@@ -23,14 +24,15 @@ from repro.nn.models import vgg16_conv_specs
 from repro.simulator._compiled import HAVE_NUMBA
 from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.timing import TraceTimingModel
+from tests.trace_oracle import sequential_replay
 
 QUICK = os.environ.get("REPLAY_BENCH_QUICK") == "1"
 
 REPLAY_SPEC = ConvSpec(ic=8, oc=16, ih=20, iw=20, kh=3, kw=3, index=1)
 
-#: Trace for the compiled/parallel speedup ratios: big enough that the
-#: hot loop dominates pool/JIT overheads even in quick mode, VGG-16
-#: conv1_1 (the paper's layer) otherwise.
+#: Trace for the compiled speedup ratio: big enough that the hot loop
+#: dominates JIT overheads even in quick mode, VGG-16 conv1_1 (the
+#: paper's layer) otherwise.
 MID_SPEC = ConvSpec(ic=16, oc=32, ih=56, iw=56, kh=3, kw=3, index=1)
 
 needs_numba = pytest.mark.skipif(
@@ -62,19 +64,19 @@ def _trace_for(spec: ConvSpec, vlen_bits: int = 512):
 
 
 def test_timing_replay_batched_vs_sequential(benchmark):
-    """Batched replay must be >= 5x faster than the per-event engine on the
-    same trace, with identical TimingResult (see docs/PERF.md)."""
+    """Columnar replay must be >= 5x faster than the per-event reference on
+    the same trace, with identical TimingResult (see docs/PERF.md)."""
     cfg = HardwareConfig.paper2_rvv(512, 1.0)
     trace = _trace_for(REPLAY_SPEC)
     model = TraceTimingModel(cfg)
 
     def sequential():
-        return model.run(trace, flush=True, engine="sequential")
+        return sequential_replay(model, trace, flush=True)
 
     def batched():
-        # pinned to the numpy backend: this ratio tracks the PR 3
+        # pinned to the numpy backend: this ratio tracks the
         # set-partitioned engine regardless of what `auto` resolves to
-        return model.run(trace, flush=True, engine="batched", backend="numpy")
+        return model.run(trace, flush=True, backend="numpy")
 
     assert sequential() == batched()
 
@@ -100,12 +102,10 @@ def test_timing_replay_compiled_vs_batched(benchmark):
     model = TraceTimingModel(cfg)
 
     def numpy_batched():
-        return model.run(trace, flush=True, engine="batched", backend="numpy")
+        return model.run(trace, flush=True, backend="numpy")
 
     def compiled():
-        return model.run(
-            trace, flush=True, engine="batched", backend="compiled"
-        )
+        return model.run(trace, flush=True, backend="compiled")
 
     assert numpy_batched() == compiled()  # also warms the JIT caches
 
@@ -122,40 +122,6 @@ def test_timing_replay_compiled_vs_batched(benchmark):
     assert speedup >= 3.0, f"compiled replay only {speedup:.1f}x faster"
 
 
-@needs_numba
-def test_timing_replay_parallel_vs_batched(benchmark):
-    """Sharded replay (auto backend in every worker) must beat the NumPy
-    batched engine >= 3x with identical results."""
-    from repro.simulator import replay_parallel
-
-    cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    trace = _trace_for(MID_SPEC if QUICK else vgg16_conv_specs()[0])
-    model = TraceTimingModel(cfg)
-    workers = max(2, min(4, os.cpu_count() or 1))
-
-    def numpy_batched():
-        return model.run(trace, flush=True, engine="batched", backend="numpy")
-
-    def parallel():
-        return model.run(trace, flush=True, engine="batched", workers=workers)
-
-    # warm the pool and every worker's JIT cache before timing
-    assert numpy_batched() == parallel()
-
-    np_s = _best_of(numpy_batched)
-    par_s = _best_of(parallel)
-    benchmark(parallel)
-    replay_parallel.shutdown_pool()
-
-    speedup = np_s / par_s
-    rate = len(trace) / par_s / 1e6
-    print(f"\nparallel replay: numpy {np_s * 1e3:.1f} ms, {workers}-worker "
-          f"sharded {par_s * 1e3:.2f} ms, speedup {speedup:.1f}x "
-          f"({len(trace)} events, {rate:.1f}M events/s)")
-    record_metric("timing.replay_parallel_vs_batched_speedup", speedup)
-    assert speedup >= 3.0, f"parallel replay only {speedup:.1f}x faster"
-
-
 @pytest.mark.skipif(QUICK, reason="REPLAY_BENCH_QUICK=1: skip large layer")
 def test_vgg_conv1_1_full_trace_replay(benchmark):
     """Full-trace timing of VGG-16 conv1_1 (3->64 ch, 224x224): the
@@ -167,7 +133,7 @@ def test_vgg_conv1_1_full_trace_replay(benchmark):
 
     def run():
         start = time.perf_counter()
-        res = model.run(trace, flush=True, engine="batched")
+        res = model.run(trace, flush=True)
         return res, time.perf_counter() - start
 
     res, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)

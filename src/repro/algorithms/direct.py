@@ -98,12 +98,13 @@ class DirectConv(ConvAlgorithm):
     ) -> np.ndarray:
         """Intrinsics-level NHWC direct kernel (batched fast path).
 
-        Produces the exact observable behaviour of
-        :meth:`run_vectorized_perop` — bit-identical outputs, identical
-        per-category instruction counts, and the same ordered memory-op
-        address stream — but computes the accumulators with whole-plane
-        NumPy FMAs (one per kernel tap, preserving the per-op accumulation
-        order elementwise) and emits the trace in batched columnar writes.
+        Produces the exact observable behaviour of a one-call-per-
+        instruction kernel (the reference in ``tests/trace_oracle.py``) —
+        bit-identical outputs, identical per-category instruction counts,
+        and the same ordered memory-op address stream — but computes the
+        accumulators with whole-plane NumPy FMAs (one per kernel tap,
+        preserving the per-op accumulation order elementwise) and emits
+        the trace in batched columnar writes.
         Vector-register *contents* after the call are unspecified; nothing
         the cache/timing simulators consume differs.  With
         ``trace="counts"`` this path handles real VGG-16 layer shapes.
@@ -164,62 +165,6 @@ class DirectConv(ConvAlgorithm):
         with obs.span("direct.unpack", cat="kernel"):
             result = out.array.reshape(oh, ow, oc)
             return np.ascontiguousarray(result.transpose(2, 0, 1))
-
-    # ------------------------------------------------------------------ #
-    def run_vectorized_perop(
-        self, spec: ConvSpec, x: np.ndarray, w: np.ndarray, machine: VectorMachine
-    ) -> np.ndarray:
-        """Per-op reference kernel: one Python call per RVV instruction.
-
-        This is the instruction-level specification that
-        :meth:`run_vectorized` must reproduce; the trace-equivalence tests
-        diff the two.  Small shapes only.
-        """
-        spec.validate_input(x.shape)
-        xp = pad_input(np.asarray(x, dtype=np.float32), spec.pad)
-        ph, pw = xp.shape[1], xp.shape[2]
-        x_nhwc = machine.alloc_from(
-            "direct_x", np.ascontiguousarray(xp.transpose(1, 2, 0)), unique=True
-        )
-        w_hwio = machine.alloc_from(
-            "direct_w", np.ascontiguousarray(w.transpose(2, 3, 1, 0)), unique=True
-        )
-        out = machine.alloc(
-            "direct_y", spec.oh * spec.ow * spec.oc, np.float32, unique=True
-        )
-        ic, oc, s = spec.ic, spec.oc, spec.stride
-        oh, ow = spec.oh, spec.ow
-        xarr = x_nhwc.array
-        for oc0 in range(0, oc, machine.vlmax()):
-            gvl = machine.vsetvl(oc - oc0)
-            uw = _unroll_ow(ow, self.unroll_ow)
-            for oy in range(oh):
-                for ox0 in range(0, ow, uw):
-                    u = min(uw, ow - ox0)
-                    machine.scalar(3, "loop_owb")
-                    for it in range(u):
-                        machine.vbroadcast(1 + it, 0.0)
-                    for c in range(ic):
-                        for dh in range(spec.kh):
-                            for dw in range(spec.kw):
-                                machine.scalar(2, "loop_k")
-                                woff = ((dh * spec.kw + dw) * ic + c) * oc + oc0
-                                machine.vload(0, w_hwio, woff, vl=gvl)
-                                for it in range(u):
-                                    iy = oy * s + dh
-                                    ix = (ox0 + it) * s + dw
-                                    machine.scalar(1, "x_load")
-                                    machine.vfmacc_vf(
-                                        1 + it,
-                                        float(xarr[(iy * pw + ix) * ic + c]),
-                                        0,
-                                    )
-                    for it in range(u):
-                        machine.vstore(
-                            1 + it, out, (oy * ow + ox0 + it) * oc + oc0, vl=gvl
-                        )
-        result = out.array.reshape(oh, ow, oc)
-        return np.ascontiguousarray(result.transpose(2, 0, 1))
 
     # ------------------------------------------------------------------ #
     def schedule(self, spec: ConvSpec, hw: HardwareConfig) -> list[Phase]:

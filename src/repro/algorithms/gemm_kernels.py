@@ -108,7 +108,8 @@ def gemm3_vectorized(
 
     Batched fast path: the unrolled i-block issues one ``*_seq`` intrinsic
     per block instead of one call per register — bit-identical results and
-    trace to :func:`gemm3_vectorized_perop`.
+    trace to the one-call-per-instruction reference in
+    ``tests/trace_oracle.py``.
     """
     _check_unroll(unroll)
     a = a_buf.array
@@ -127,39 +128,6 @@ def gemm3_vectorized(
                 machine.scalar(u, "a_load")
                 machine.vfmacc_vf_seq(1, a_scaled[:, kk], 0)
             machine.vstore_seq(1, c_buf, rows)
-        j += gvl
-
-
-def gemm3_vectorized_perop(
-    machine: VectorMachine,
-    a_buf: Buffer,
-    b_buf: Buffer,
-    c_buf: Buffer,
-    m: int,
-    k: int,
-    n: int,
-    alpha: float = 1.0,
-    unroll: int = UNROLL,
-) -> None:
-    """Per-op reference for :func:`gemm3_vectorized` (one call per instr)."""
-    _check_unroll(unroll)
-    a = a_buf.array
-    j = 0
-    while j < n:
-        gvl = machine.vsetvl(n - j)
-        for i0 in range(0, m, unroll):
-            u = min(unroll, m - i0)
-            machine.scalar(2, "loop_i")
-            for it in range(u):
-                machine.vload(1 + it, c_buf, (i0 + it) * n + j)
-            for kk in range(k):
-                machine.scalar(2, "loop_k")
-                machine.vload(0, b_buf, kk * n + j)
-                for it in range(u):
-                    machine.scalar(1, "a_load")
-                    machine.vfmacc_vf(1 + it, alpha * float(a[(i0 + it) * k + kk]), 0)
-            for it in range(u):
-                machine.vstore(1 + it, c_buf, (i0 + it) * n + j)
         j += gvl
 
 
@@ -195,52 +163,6 @@ def _pack_a_block(
         machine.vcopy_strips(a_buf, (i0 + it) * k + k0, packed, it * kb, kb)
 
 
-def _pack_b_block_perop(
-    machine: VectorMachine,
-    b_buf: Buffer,
-    packed: Buffer,
-    k0: int,
-    kb: int,
-    j0: int,
-    jb: int,
-    n: int,
-) -> None:
-    """Per-op reference for :func:`_pack_b_block`."""
-    for kk in range(kb):
-        machine.scalar(2, "pack_b_loop")
-        src = (k0 + kk) * n + j0
-        dst = kk * jb
-        jj = 0
-        while jj < jb:
-            gvl = machine.vsetvl(jb - jj)
-            machine.vload(0, b_buf, src + jj)
-            machine.vstore(0, packed, dst + jj)
-            jj += gvl
-
-
-def _pack_a_block_perop(
-    machine: VectorMachine,
-    a_buf: Buffer,
-    packed: Buffer,
-    i0: int,
-    ib: int,
-    k0: int,
-    kb: int,
-    k: int,
-) -> None:
-    """Per-op reference for :func:`_pack_a_block`."""
-    for it in range(ib):
-        machine.scalar(2, "pack_a_loop")
-        src = (i0 + it) * k + k0
-        dst = it * kb
-        kk = 0
-        while kk < kb:
-            gvl = machine.vsetvl(kb - kk)
-            machine.vload(0, a_buf, src + kk)
-            machine.vstore(0, packed, dst + kk)
-            kk += gvl
-
-
 def gemm6_vectorized(
     machine: VectorMachine,
     a_buf: Buffer,
@@ -263,7 +185,7 @@ def gemm6_vectorized(
     Batched fast path: packing rows go through
     :meth:`~repro.isa.machine.VectorMachine.vcopy_strips` and the micro-kernel
     through the ``*_seq`` intrinsics — bit-identical results and trace to
-    :func:`gemm6_vectorized_perop`.
+    the one-call-per-instruction reference in ``tests/trace_oracle.py``.
     """
     packed_b = machine.alloc("packB", block_k * block_n, np.float32, unique=True)
     packed_a = machine.alloc("packA", block_m * block_k, np.float32, unique=True)
@@ -290,50 +212,6 @@ def gemm6_vectorized(
                         machine.scalar(ib, "a_load")
                         machine.vfmacc_vf_seq(1, pa_scaled[:, kk], 0)
                     machine.vstore_seq(1, c_buf, rows)
-                    j += gvl
-
-
-def gemm6_vectorized_perop(
-    machine: VectorMachine,
-    a_buf: Buffer,
-    b_buf: Buffer,
-    c_buf: Buffer,
-    m: int,
-    k: int,
-    n: int,
-    alpha: float = 1.0,
-    block_m: int = BLOCK_M,
-    block_n: int = BLOCK_N,
-    block_k: int = BLOCK_K,
-) -> None:
-    """Per-op reference for :func:`gemm6_vectorized` (one call per instr)."""
-    packed_b = machine.alloc("packB", block_k * block_n, np.float32, unique=True)
-    packed_a = machine.alloc("packA", block_m * block_k, np.float32, unique=True)
-    for j1 in range(0, n, block_n):
-        jb = min(block_n, n - j1)
-        for k1 in range(0, k, block_k):
-            kb = min(block_k, k - k1)
-            _pack_b_block_perop(machine, b_buf, packed_b, k1, kb, j1, jb, n)
-            for i1 in range(0, m, block_m):
-                ib = min(block_m, m - i1)
-                _pack_a_block_perop(machine, a_buf, packed_a, i1, ib, k1, kb, k)
-                pa = packed_a.array
-                j = 0
-                while j < jb:
-                    gvl = machine.vsetvl(jb - j)
-                    machine.scalar(3, "prefetch_c")
-                    for it in range(ib):
-                        machine.vload(1 + it, c_buf, (i1 + it) * n + j1 + j)
-                    for kk in range(kb):
-                        machine.scalar(2, "prefetch_ab")
-                        machine.vload(0, packed_b, kk * jb + j)
-                        for it in range(ib):
-                            machine.scalar(1, "a_load")
-                            machine.vfmacc_vf(
-                                1 + it, alpha * float(pa[it * kb + kk]), 0
-                            )
-                    for it in range(ib):
-                        machine.vstore(1 + it, c_buf, (i1 + it) * n + j1 + j)
                     j += gvl
 
 

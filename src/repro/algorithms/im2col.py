@@ -52,7 +52,8 @@ def im2col_vectorized(
 
     Batched fast path: each output-row copy is one
     :meth:`~repro.isa.machine.VectorMachine.vcopy_strips` call — bit-identical
-    results and trace to :func:`im2col_vectorized_perop`.
+    results and trace to the one-call-per-instruction reference in
+    ``tests/trace_oracle.py``.
     """
     spec.validate_input(x.shape)
     with obs.span("im2col.pack", cat="kernel"):
@@ -76,37 +77,6 @@ def im2col_vectorized(
                         )
                     row += 1
         return col
-
-
-def im2col_vectorized_perop(
-    spec: ConvSpec, x: np.ndarray, machine: VectorMachine
-) -> Buffer:
-    """Per-op reference for :func:`im2col_vectorized` (one call per instr)."""
-    spec.validate_input(x.shape)
-    xp = pad_input(np.asarray(x, dtype=np.float32), spec.pad)
-    src = machine.alloc_from("im2col_src", xp, unique=True)
-    col = machine.alloc("im2col_col", spec.gemm_k * spec.gemm_n, np.float32, unique=True)
-    ph, pw = xp.shape[1], xp.shape[2]
-    ow, oh, s = spec.ow, spec.oh, spec.stride
-    row = 0
-    for c in range(spec.ic):
-        for dh in range(spec.kh):
-            for dw in range(spec.kw):
-                for out_y in range(oh):
-                    machine.scalar(3, "im2col_loop")
-                    src_base = c * ph * pw + (out_y * s + dh) * pw + dw
-                    dst_base = row * (oh * ow) + out_y * ow
-                    j = 0
-                    while j < ow:
-                        gvl = machine.vsetvl(ow - j)
-                        if s == 1:
-                            machine.vload(0, src, src_base + j)
-                        else:
-                            machine.vload_strided(0, src, src_base + j * s, s)
-                        machine.vstore(0, col, dst_base + j)
-                        j += gvl
-                row += 1
-    return col
 
 
 def im2col_phase(spec: ConvSpec, hw: HardwareConfig) -> Phase:

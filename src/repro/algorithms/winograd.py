@@ -34,7 +34,7 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import ConvAlgorithm
 from repro.algorithms.winograd_transforms import f63
-from repro.isa.machine import Buffer, VectorMachine
+from repro.isa.machine import VectorMachine
 from repro.nn.layer import DTYPE_BYTES, ConvSpec
 from repro.nn.reference import pad_input
 from repro.simulator.analytical.phases import DataStream, Phase
@@ -185,8 +185,17 @@ class WinogradConv(ConvAlgorithm):
     ) -> np.ndarray:
         """Inter-tile-parallel Winograd on the vector machine (batched).
 
-        Reproduces the observable behaviour of
-        :meth:`run_vectorized_perop` — bit-identical outputs and buffer
+        The paper's kernel packs half-rows (4 elements) of one 8x8 tile per
+        channel into long vectors (Paper I Figs. 4-5), applies the B^T/A^T
+        linear row combinations with vector-scalar FMAs, transposes,
+        repeats, and strip-mines the 64-position tuple multiplication.
+        Packing uses indexed gathers, and a scratch buffer stands in for
+        the register-permute intrinsics RVV lacks (the paper notes the same
+        limitation and uses buffers + gathers).
+
+        This method reproduces the observable behaviour of that kernel run
+        one call per instruction (the reference in
+        ``tests/trace_oracle.py``) — bit-identical outputs and buffer
         contents, identical per-category instruction counts, and the same
         ordered memory-op address stream — while computing the transforms
         with whole-grid einsums (stride-tricks tile extraction, batched over
@@ -355,154 +364,6 @@ class WinogradConv(ConvAlgorithm):
                     _emit_transform_group(
                         m_buf, bases, at32, nch, TILE_ALPHA, TILE_ALPHA
                     )
-        return out[:, : spec.oh, : spec.ow]
-
-    # ------------------------------------------------------------------ #
-    def run_vectorized_perop(
-        self, spec: ConvSpec, x: np.ndarray, w: np.ndarray, machine: VectorMachine
-    ) -> np.ndarray:
-        """Per-op reference: inter-tile Winograd, one call per instruction.
-
-        The paper's kernel packs half-rows (4 elements) of one 8x8 tile per
-        channel into long vectors (Paper I Figs. 4-5), applies the B^T/A^T
-        linear row combinations with vector-scalar FMAs, transposes, repeats,
-        and strip-mines the 64-position tuple multiplication.  This method
-        executes that kernel: packing uses indexed gathers, both transform
-        stages run as traced vector arithmetic, and a host-side transpose
-        stands in for the register-permute intrinsics (RVV lacks them — the
-        paper notes the same limitation and uses buffers + gathers).  This is
-        the instruction-level specification :meth:`run_vectorized`
-        reproduces; the trace-equivalence tests diff the two.
-        """
-        self.check_applicable(spec)
-        if spec.stride == 2:
-            full = self.run_vectorized_perop(
-                self._unit_stride_twin(spec), x, w, machine
-            )
-            return np.ascontiguousarray(
-                full[:, ::2, ::2][:, : spec.oh, : spec.ow]
-            )
-        spec.validate_input(x.shape)
-        wm = f63()
-        ty, tx = tile_counts(spec)
-        ntiles = ty * tx
-        ic, oc = spec.ic, spec.oc
-        vlmax = machine.vlmax()
-
-        xp = pad_input(np.asarray(x, dtype=np.float32), spec.pad)
-        need_h = (ty - 1) * TILE_M + TILE_ALPHA
-        need_w = (tx - 1) * TILE_M + TILE_ALPHA
-        xp = np.pad(
-            xp, ((0, 0), (0, max(0, need_h - xp.shape[1])),
-                 (0, max(0, need_w - xp.shape[2])))
-        )
-        src = machine.alloc_from("wg_x", xp, unique=True)
-        ph, pw = xp.shape[1], xp.shape[2]
-
-        # U and M are stored tile-major: [tile][channel][64 positions]
-        u_buf = machine.alloc("wg_u", ntiles * ic * TUPLE_ELEMS, unique=True)
-        m_buf = machine.alloc("wg_m", ntiles * oc * TUPLE_ELEMS, unique=True)
-        v_host = self.transform_weights(spec, w)  # offline, as in the paper
-        v_buf = machine.alloc_from("wg_v", v_host, unique=True)
-        scratch = machine.alloc("wg_s", vlmax * TILE_ALPHA, unique=True)
-
-        intertile = ic >= MIN_CHANNELS
-        cb = max(1, min(ic, vlmax // PACK_ELEMS)) if intertile else 1
-
-        def _stage(mat: np.ndarray, rows_in: int, rows_out: int, vl: int) -> None:
-            """Linear row combinations: out[i] = sum_j mat[i,j] * row[j].
-
-            Rows live in scratch (packed across channels); v16.. hold the
-            input rows, v8 accumulates, results return to scratch.
-            """
-            for j in range(rows_in):
-                machine.vload(16 + j, scratch, j * vlmax, vl=vl)
-            for i in range(rows_out):
-                machine.vfmul_vf(8, float(mat[i, 0]), 16)
-                for j in range(1, rows_in):
-                    if mat[i, j] != 0.0:
-                        machine.vfmacc_vf(8, float(mat[i, j]), 16 + j)
-                machine.vstore(8, scratch, i * vlmax, vl=vl)
-
-        def _transform_tile_group(
-            buf, gather_base, mat: np.ndarray, nch: int,
-            row_stride: int, rows: int,
-        ) -> np.ndarray:
-            """Pack + two transform stages for one (tile, channel-group).
-
-            Returns the exact transformed tiles, (nch, rows_out, rows_out),
-            computed from the same packed data the instructions consumed.
-            """
-            vl = machine.vsetvl(nch * PACK_ELEMS * 2)
-            data = np.empty((nch, rows, TILE_ALPHA), dtype=np.float32)
-            for row in range(rows):
-                offs = np.concatenate(
-                    [gather_base(ch) + row * row_stride + np.arange(TILE_ALPHA)
-                     for ch in range(nch)]
-                )
-                machine.vgather(0, buf, offs, vl=min(vl, offs.size))
-                machine.vstore(0, scratch, row * vlmax, vl=min(vl, offs.size))
-                machine.scalar(int(PACK_SCALARS * nch), "wg_pack")
-                for ch in range(nch):
-                    data[ch, row] = buf.array[
-                        gather_base(ch) + row * row_stride + np.arange(TILE_ALPHA)
-                    ]
-            rows_out = mat.shape[0]
-            _stage(mat, rows, rows_out, vl)
-            machine.scalar(2 * rows_out, "wg_transpose")
-            _stage(mat, rows, rows_out, vl)
-            # exact result of (mat @ d @ mat^T) per channel
-            return np.einsum(
-                "ij,cjk,lk->cil", mat.astype(np.float64),
-                data.astype(np.float64), mat.astype(np.float64),
-            ).astype(np.float32)
-
-        # ---- input transform ------------------------------------------- #
-        for t in range(ntiles):
-            tyi, txi = divmod(t, tx)
-            for c0 in range(0, ic, cb):
-                nch = min(cb, ic - c0)
-                base_row = (tyi * TILE_M) * pw + txi * TILE_M
-                u_tiles = _transform_tile_group(
-                    src,
-                    lambda ch, c0=c0, base_row=base_row: (c0 + ch) * ph * pw + base_row,
-                    wm.BT.astype(np.float32), nch, pw, TILE_ALPHA,
-                )
-                for ch in range(nch):
-                    off = (t * ic + c0 + ch) * TUPLE_ELEMS
-                    u_buf.array[off : off + TUPLE_ELEMS] = u_tiles[ch].reshape(-1)
-
-        # ---- tuple multiplication (64 positions, strip-mined) ------------ #
-        for t in range(ntiles):
-            for o in range(oc):
-                pos = 0
-                while pos < TUPLE_ELEMS:
-                    vl = machine.vsetvl(TUPLE_ELEMS - pos)
-                    machine.vbroadcast(3, 0.0)
-                    for c in range(ic):
-                        machine.scalar(2, "wg_tuple_loop")
-                        machine.vload(1, u_buf, (t * ic + c) * TUPLE_ELEMS + pos)
-                        machine.vload(2, v_buf, (o * ic + c) * TUPLE_ELEMS + pos)
-                        machine.vfmacc(3, 1, 2)
-                    machine.vstore(3, m_buf, (t * oc + o) * TUPLE_ELEMS + pos)
-                    pos += vl
-
-        # ---- output transform -------------------------------------------- #
-        cbo = max(1, min(oc, vlmax // PACK_ELEMS)) if intertile else 1
-        out = np.zeros((oc, ty * TILE_M, tx * TILE_M), dtype=np.float32)
-        at32 = wm.AT.astype(np.float32)
-        for t in range(ntiles):
-            tyi, txi = divmod(t, tx)
-            for o0 in range(0, oc, cbo):
-                nch = min(cbo, oc - o0)
-                y_tiles = _transform_tile_group(
-                    m_buf,
-                    lambda ch, t=t, o0=o0: (t * oc + o0 + ch) * TUPLE_ELEMS,
-                    at32, nch, TILE_ALPHA, TILE_ALPHA,
-                )
-                y0, x0 = tyi * TILE_M, txi * TILE_M
-                for ch in range(nch):
-                    out[o0 + ch, y0 : y0 + TILE_M, x0 : x0 + TILE_M] = y_tiles[ch]
         return out[:, : spec.oh, : spec.ow]
 
     # ------------------------------------------------------------------ #

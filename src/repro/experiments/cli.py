@@ -25,7 +25,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.simulator.analytical.grid import GRID_BACKEND_CHOICES
-from repro.simulator.replay_backend import BACKEND_CHOICES
 
 #: ReproError subclass -> process exit code (first match wins; order from
 #: most to least specific so subclasses beat their bases).
@@ -152,20 +151,8 @@ def _main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace-timing", metavar="MODEL:LAYER", default=None,
-        help="also run the trace-driven timing report (full-trace batched "
+        help="also run the trace-driven timing report (full-trace "
              "replay) for the given layer, e.g. vgg16:1",
-    )
-    parser.add_argument(
-        "--replay-backend", choices=list(BACKEND_CHOICES), default=None,
-        metavar="NAME",
-        help="hot-loop backend for trace replay (auto/compiled/numpy; "
-             "'compiled' needs the [compiled] extra, results are "
-             "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--replay-workers", type=int, default=None, metavar="N",
-        help="shard trace replay across N processes by cache set index "
-             "(1 = in-process, default)",
     )
     parser.add_argument(
         "--grid-backend", choices=list(GRID_BACKEND_CHOICES), default=None,
@@ -190,22 +177,13 @@ def _main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    if args.replay_workers is not None and args.replay_workers < 1:
-        print("--replay-workers must be >= 1", file=sys.stderr)
-        return 2
     from repro import faults, obs
     from repro.engine import configure_default
-    from repro.simulator import timing as trace_timing_mod
     from repro.simulator.analytical import grid as analytical_grid_mod
 
-    if args.replay_backend is not None or args.replay_workers is not None:
-        # validates eagerly: --replay-backend compiled without Numba is a
-        # ConfigError-style exit, not a mid-experiment surprise
-        trace_timing_mod.configure_replay(
-            backend=args.replay_backend, workers=args.replay_workers
-        )
     if args.grid_backend is not None:
-        # same eager contract for the analytical-grid fast path
+        # validates eagerly: --grid-backend compiled without Numba is a
+        # ConfigError-style exit, not a mid-experiment surprise
         analytical_grid_mod.configure_grid(backend=args.grid_backend)
 
     faults.active_plan()  # fail fast (exit 6) on a malformed REPRO_FAULTS

@@ -1,10 +1,10 @@
-"""Trace-driven timing report: batched replay vs the analytical model.
+"""Trace-driven timing report: trace replay vs the analytical model.
 
 For one (layer, configuration) point, run each applicable algorithm's
 vectorized kernel on the functional machine with a full instruction trace
-and time it through :class:`~repro.simulator.timing.TraceTimingModel`'s
-batched replay engine — the per-layer view the paper's figures take, but
-produced by instruction-level simulation instead of the closed-form model.
+and time it through :class:`~repro.simulator.timing.TraceTimingModel` —
+the per-layer view the paper's figures take, but produced by
+instruction-level simulation instead of the closed-form model.
 The analytical estimate is shown alongside so the two engines can be
 cross-checked layer by layer (``tests/test_model_validation.py`` asserts
 their orderings agree on small kernels).
@@ -61,7 +61,7 @@ def report(
         algo.run_vectorized(spec, x, w, machine)
         model = TraceTimingModel(hw)
         start = time.perf_counter()
-        res = model.run(machine.trace, flush=True, engine="batched")
+        res = model.run(machine.trace, flush=True)
         replay_s = time.perf_counter() - start
         analytical = layer_cycles(name, spec, hw).cycles
         trace_cycles[name] = res.cycles

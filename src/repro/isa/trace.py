@@ -15,53 +15,30 @@ A trace is an ordered sequence of lightweight event records:
 Storage is *columnar* (structure-of-arrays): instead of one Python object
 per event, the trace keeps preallocated, geometrically grown NumPy columns
 for the event kind, interned opcode id, vector length, element width, base
-address, stride and store flag.  The dataclasses above remain the public
-per-event view — iteration decodes rows back into them on demand — so the
-cache and timing simulators consume traces unchanged, while the emit path
-(including the batched ``emit_*`` entry points used by the fast kernels)
-never allocates per-event Python objects.
+address, stride and store flag.  Trace replay
+(:mod:`repro.simulator.timing`) reads those columns directly.  The
+dataclasses above remain the public per-event view — iteration decodes
+rows back into them on demand — while the emit path (including the batched
+``emit_*`` entry points used by the fast kernels) never allocates
+per-event Python objects.
 
 Traces from full convolutional layers would hold 10^8+ events; for those,
 run the machine in ``counts`` mode, which skips event storage entirely but
 keeps the statistics exact (see :class:`~repro.isa.machine.VectorMachine`).
-
-Traces also **spill to disk**: :meth:`InstructionTrace.save` writes the
-columns into an uncompressed ``.npz`` container and
-:meth:`InstructionTrace.load` maps them back **zero-copy** — each column
-becomes a read-only ``np.memmap`` over the stored ``.npy`` member's data
-bytes, so multi-worker replay and repeated campaign runs share one page
-cache instead of re-tracing or pickling traces through process pools.
-The loaded trace is fully functional (columns, line streams, iteration,
-even appends — the first mutation copies the columns into private
-writable storage).
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from repro.errors import SimulationError
-
-#: Row tags in the columnar ``kind`` column (public: the batched replay
-#: engines in ``repro.simulator`` select rows by these).
+#: Row tags in the columnar ``kind`` column (public: trace replay in
+#: ``repro.simulator`` selects rows by these).
 KIND_VECTOR = 0
 KIND_MEMORY = 1
 KIND_SCALAR = 2
-#: A row whose payload is an arbitrary Python object (events.append of
-#: something emit() never produced — kept for API compatibility).
-KIND_FOREIGN = 3
-
-#: Legacy private aliases.
-_KIND_VECTOR = KIND_VECTOR
-_KIND_MEMORY = KIND_MEMORY
-_KIND_SCALAR = KIND_SCALAR
-_KIND_FOREIGN = KIND_FOREIGN
 
 #: Initial capacity (rows) of the columnar storage.
 _INITIAL_CAPACITY = 1024
@@ -70,55 +47,6 @@ _INITIAL_CAPACITY = 1024
 #: :meth:`InstructionTrace.memory_line_stream` — bounds peak memory while
 #: keeping each chunk big enough to amortize the NumPy call overhead.
 _STREAM_CHUNK_ELEMS = 1 << 22
-
-#: Trace spill container format version (bumped on layout changes).
-_SPILL_VERSION = 1
-#: Column members of the spill container, in storage order.
-_SPILL_COLUMNS = ("kind", "op", "vl", "aux", "base", "stride", "store")
-#: Index-tuple members (gather/scatter per-element offsets).
-_SPILL_INDEX = ("idx_rows", "idx_lens", "idx_flat")
-
-
-def _member_memmap(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
-    """Map one stored ``.npy`` zip member read-only, without copying.
-
-    An uncompressed (``ZIP_STORED``) member's bytes sit verbatim in the
-    archive, so the ``.npy`` payload can be memory-mapped directly at
-    ``local header + npy header`` — the standard zero-copy trick for
-    ``.npz`` containers.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(info.header_offset)
-        local = fh.read(30)
-        if len(local) < 30 or local[:4] != b"PK\x03\x04":
-            raise SimulationError(
-                f"{path}: corrupt zip local header for {info.filename!r}"
-            )
-        name_len = int.from_bytes(local[26:28], "little")
-        extra_len = int.from_bytes(local[28:30], "little")
-        fh.seek(info.header_offset + 30 + name_len + extra_len)
-        version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
-        else:  # pragma: no cover - numpy only writes 1.0/2.0 today
-            raise SimulationError(
-                f"{path}: unsupported .npy format version {version} for "
-                f"{info.filename!r}"
-            )
-        if dtype.hasobject:  # pragma: no cover - we never store objects
-            raise SimulationError(
-                f"{path}: refusing to map object-dtype member {info.filename!r}"
-            )
-        offset = fh.tell()
-    if int(np.prod(shape)) == 0:
-        return np.empty(shape, dtype=dtype)
-    return np.memmap(
-        path, mode="r", dtype=dtype, shape=shape, offset=offset,
-        order="F" if fortran else "C",
-    )
-
 
 class TraceColumns(NamedTuple):
     """Read-only views of the trace's columnar storage (trimmed to length).
@@ -244,13 +172,8 @@ class TraceStats:
 
 
 class _EventsView:
-    """List-like view over a trace's events (decodes rows on access).
-
-    Supports the subset of the old ``list[TraceEvent]`` API that consumers
-    used: ``len``, iteration, indexing, and ``append`` (which stores the
-    object verbatim, bypassing statistics — matching the old behaviour of
-    appending directly to the event list).
-    """
+    """List-like view over a trace's events (``len``, iteration, indexing
+    and ``clear``; rows are decoded on access)."""
 
     __slots__ = ("_trace",)
 
@@ -275,13 +198,6 @@ class _EventsView:
         if not 0 <= i < n:
             raise IndexError("trace event index out of range")
         return trace._decode(i)
-
-    def append(self, event) -> None:
-        """Store an arbitrary object as an event row (no stats update)."""
-        trace = self._trace
-        row = trace._rows(1)
-        trace._kind[row] = _KIND_FOREIGN
-        trace._foreign[row] = event
 
     def clear(self) -> None:
         self._trace.clear()
@@ -316,7 +232,6 @@ class InstructionTrace:
         self._alloc(_INITIAL_CAPACITY)
         self._n = 0
         self._indices: dict[int, tuple[int, ...]] = {}
-        self._foreign: dict[int, object] = {}
 
     # ------------------------------------------------------------------ #
     # columnar storage
@@ -345,14 +260,9 @@ class InstructionTrace:
         self._capacity = new_cap
 
     def _rows(self, count: int) -> int:
-        """Reserve ``count`` rows; returns the first row index.
-
-        A trace loaded zero-copy from disk holds read-only memmapped
-        columns; the first append copies them into private writable
-        storage (``_grow`` reallocates even when capacity suffices).
-        """
+        """Reserve ``count`` rows; returns the first row index."""
         row = self._n
-        if row + count > self._capacity or not self._kind.flags.writeable:
+        if row + count > self._capacity:
             self._grow(row + count)
         self._n = row + count
         return row
@@ -367,11 +277,11 @@ class InstructionTrace:
 
     def _decode(self, i: int) -> TraceEvent:
         kind = self._kind[i]
-        if kind == _KIND_VECTOR:
+        if kind == KIND_VECTOR:
             return VectorOp(
                 self._id_to_name[self._op[i]], int(self._vl[i]), int(self._aux[i])
             )
-        if kind == _KIND_MEMORY:
+        if kind == KIND_MEMORY:
             return MemoryOp(
                 self._id_to_name[self._op[i]],
                 int(self._base[i]),
@@ -381,23 +291,12 @@ class InstructionTrace:
                 bool(self._store[i]),
                 self._indices.get(i),
             )
-        if kind == _KIND_SCALAR:
-            return ScalarOp(self._id_to_name[self._op[i]], int(self._vl[i]))
-        return self._foreign[i]  # _KIND_FOREIGN
+        return ScalarOp(self._id_to_name[self._op[i]], int(self._vl[i]))
 
     @property
     def events(self) -> _EventsView:
         """List-like view of the recorded events (decoded on access)."""
         return _EventsView(self)
-
-    @property
-    def has_foreign_events(self) -> bool:
-        """True if ``events.append`` stored objects ``emit`` never produced.
-
-        Such rows carry arbitrary payloads, so the batched replay engines
-        fall back to per-event decoding when any are present.
-        """
-        return bool(self._foreign)
 
     # ------------------------------------------------------------------ #
     # columnar read access (the batched replay path)
@@ -549,7 +448,7 @@ class InstructionTrace:
             return
         row = self._rows(count)
         end = row + count
-        self._kind[row:end] = _KIND_VECTOR
+        self._kind[row:end] = KIND_VECTOR
         self._op[row:end] = self._intern(name)
         self._vl[row:end] = vl
         self._aux[row:end] = sew_bits
@@ -560,7 +459,7 @@ class InstructionTrace:
         if self.mode != "full":
             return
         row = self._rows(1)
-        self._kind[row] = _KIND_SCALAR
+        self._kind[row] = KIND_SCALAR
         self._op[row] = self._intern(name)
         self._vl[row] = count
 
@@ -587,7 +486,7 @@ class InstructionTrace:
         if self.mode != "full":
             return
         row = self._rows(1)
-        self._kind[row] = _KIND_MEMORY
+        self._kind[row] = KIND_MEMORY
         self._op[row] = self._intern(name)
         self._vl[row] = vl
         self._aux[row] = elem_bytes
@@ -640,7 +539,7 @@ class InstructionTrace:
             return
         row = self._rows(count)
         end = row + count
-        self._kind[row:end] = _KIND_MEMORY
+        self._kind[row:end] = KIND_MEMORY
         if isinstance(name, str):
             self._op[row:end] = self._intern(name)
         else:
@@ -650,140 +549,6 @@ class InstructionTrace:
         self._base[row:end] = bases
         self._stride[row:end] = stride
         self._store[row:end] = store_arr
-
-    # ------------------------------------------------------------------ #
-    # zero-copy spill: save to / load from an .npz container
-    # ------------------------------------------------------------------ #
-    def save(self, path: "str | Path") -> Path:
-        """Spill the trace to an uncompressed ``.npz`` container.
-
-        The columns are stored as plain ``.npy`` members (``ZIP_STORED``,
-        so :meth:`load` can map them zero-copy), with opcode names,
-        statistics, mode and gather/scatter index tuples in a
-        ``meta.json`` member.  Foreign events carry arbitrary Python
-        payloads and are refused.  Returns the written path (``.npz``
-        appended when missing).
-        """
-        if self._foreign:
-            raise SimulationError(
-                "traces with foreign events (events.append of non-emit "
-                "payloads) cannot be spilled to disk"
-            )
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = Path(str(path) + ".npz")
-        n = self._n
-        indices = sorted(self._indices.items())
-        meta = {
-            "format_version": _SPILL_VERSION,
-            "mode": self.mode,
-            "events": n,
-            "op_names": list(self._id_to_name),
-            "stats": {
-                "vector_instrs": self.stats.vector_instrs,
-                "vector_elements": self.stats.vector_elements,
-                "memory_instrs": self.stats.memory_instrs,
-                "memory_bytes": self.stats.memory_bytes,
-                "load_bytes": self.stats.load_bytes,
-                "store_bytes": self.stats.store_bytes,
-                "scalar_instrs": self.stats.scalar_instrs,
-            },
-        }
-        arrays: dict[str, np.ndarray] = {
-            name: getattr(self, f"_{name}")[:n] for name in _SPILL_COLUMNS
-        }
-        arrays["idx_rows"] = np.array([r for r, _ in indices], dtype=np.int64)
-        arrays["idx_lens"] = np.array(
-            [len(offs) for _, offs in indices], dtype=np.int64
-        )
-        arrays["idx_flat"] = (
-            np.concatenate(
-                [np.asarray(offs, dtype=np.int64) for _, offs in indices]
-            )
-            if indices
-            else np.empty(0, dtype=np.int64)
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-            zf.writestr("meta.json", json.dumps(meta, sort_keys=True))
-            for name, arr in arrays.items():
-                with zf.open(f"{name}.npy", "w") as member:
-                    np.lib.format.write_array(
-                        member,
-                        np.ascontiguousarray(arr),
-                        allow_pickle=False,
-                    )
-        return path
-
-    @classmethod
-    def load(cls, path: "str | Path", mmap: bool = True) -> "InstructionTrace":
-        """Reopen a spilled trace; ``mmap=True`` maps columns zero-copy.
-
-        Memmapped columns are read-only — every read path (iteration,
-        :meth:`columns`, :meth:`memory_line_stream`, batched replay)
-        works unchanged, and the first append transparently copies the
-        columns into private writable storage.  ``mmap=False`` reads
-        plain in-memory copies instead.
-        """
-        path = Path(path)
-        try:
-            zf = zipfile.ZipFile(path)
-        except (zipfile.BadZipFile, OSError) as exc:
-            raise SimulationError(
-                f"{path}: not a readable trace container ({exc})"
-            ) from exc
-        with zf:
-            infos = {info.filename: info for info in zf.infolist()}
-            missing = sorted(
-                {"meta.json", *(f"{c}.npy" for c in _SPILL_COLUMNS)}
-                - set(infos)
-            )
-            if missing:
-                raise SimulationError(
-                    f"{path}: not a trace spill container (missing members: "
-                    f"{', '.join(missing)})"
-                )
-            meta = json.loads(zf.read("meta.json").decode("utf-8"))
-            version = meta.get("format_version")
-            if version != _SPILL_VERSION:
-                raise SimulationError(
-                    f"{path}: unsupported trace container version {version!r} "
-                    f"(this build reads version {_SPILL_VERSION})"
-                )
-
-            def read(name: str) -> np.ndarray:
-                info = infos[f"{name}.npy"]
-                if mmap and info.compress_type == zipfile.ZIP_STORED:
-                    return _member_memmap(path, info)
-                with zf.open(info) as member:
-                    return np.lib.format.read_array(member, allow_pickle=False)
-
-            columns = {name: read(name) for name in _SPILL_COLUMNS}
-            idx_rows, idx_lens, idx_flat = (
-                np.asarray(read(name)) for name in _SPILL_INDEX
-            )
-
-        trace = cls(mode=meta["mode"])
-        n = int(meta["events"])
-        for name in _SPILL_COLUMNS:
-            col = columns[name]
-            if col.shape != (n,):
-                raise SimulationError(
-                    f"{path}: column {name!r} has {col.shape[0]} rows, "
-                    f"expected {n}"
-                )
-            setattr(trace, f"_{name}", col)
-        trace._capacity = n
-        trace._n = n
-        trace.stats = TraceStats(**meta["stats"])
-        trace._id_to_name = list(meta["op_names"])
-        trace._name_to_id = {
-            name: i for i, name in enumerate(trace._id_to_name)
-        }
-        splits = np.cumsum(idx_lens)[:-1] if idx_lens.size else []
-        for row, offs in zip(idx_rows, np.split(idx_flat, splits)):
-            trace._indices[int(row)] = tuple(int(v) for v in offs)
-        return trace
 
     # ------------------------------------------------------------------ #
     # sequence API
@@ -797,5 +562,4 @@ class InstructionTrace:
     def clear(self) -> None:
         self._n = 0
         self._indices.clear()
-        self._foreign.clear()
         self.stats = TraceStats()

@@ -168,7 +168,7 @@ def chrome_trace(recorder: Recorder) -> dict[str, Any]:
     what Perfetto and ``chrome://tracing`` both accept.
     """
     start = recorder.start_ns
-    events: list[dict[str, Any]] = []
+    entries: list[dict[str, Any]] = []
     max_ts = 0.0
     for s in recorder.iter_spans():
         ts = (s.start_ns - start) / 1e3
@@ -185,10 +185,10 @@ def chrome_trace(recorder: Recorder) -> dict[str, Any]:
         }
         if s.attrs:
             event["args"] = {k: _jsonable(v) for k, v in s.attrs.items()}
-        events.append(event)
-    pid = events[0]["pid"] if events else 0
+        entries.append(event)
+    pid = entries[0]["pid"] if entries else 0
     for name, value in sorted(recorder.counters.as_dict().items()):
-        events.append(
+        entries.append(
             {
                 "name": name,
                 "cat": "counter",
@@ -199,7 +199,7 @@ def chrome_trace(recorder: Recorder) -> dict[str, Any]:
             }
         )
     for name, gauge in sorted(recorder.gauges.as_dict().items()):
-        events.append(
+        entries.append(
             {
                 "name": name,
                 "cat": "gauge",
@@ -210,7 +210,7 @@ def chrome_trace(recorder: Recorder) -> dict[str, Any]:
             }
         )
     return {
-        "traceEvents": events,
+        "traceEvents": entries,
         "displayTimeUnit": "ms",
         "otherData": {
             "histograms": {

@@ -1,8 +1,7 @@
 """Named metric stores: counters, gauges and histograms.
 
 All three are plain dict-backed stores; locking lives in the
-:class:`~repro.obs.recorder.Recorder` that owns them, so the stores stay
-trivially picklable for cross-process snapshots.  Histogram summaries
+:class:`~repro.obs.recorder.Recorder` that owns them.  Histogram summaries
 (p50/p95/p99) are computed on demand from the raw observations — exact
 percentiles, not sketch approximations, which is the right trade-off for
 the ~10^3-10^5 observations a profiling run produces.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 
 class CounterStore:
@@ -29,10 +27,6 @@ class CounterStore:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._values)
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        for name, n in other.items():
-            self.add(name, n)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -86,20 +80,6 @@ class GaugeStore:
 
     def as_dict(self) -> dict[str, dict[str, float]]:
         return {name: g.as_dict() for name, g in self._values.items()}
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        return self.as_dict()
-
-    def merge(self, other: Mapping[str, Mapping[str, float]]) -> None:
-        for name, dump in other.items():
-            gauge = self._values.get(name)
-            if gauge is None:
-                gauge = self._values[name] = GaugeValue()
-            gauge.min = min(gauge.min, dump["min"])
-            gauge.max = max(gauge.max, dump["max"])
-            gauge.total += dump["mean"] * dump["n"]
-            gauge.n += int(dump["n"])
-            gauge.last = dump["last"]  # merge order defines "last"
 
     def __len__(self) -> int:
         return len(self._values)
@@ -186,16 +166,6 @@ class HistogramStore:
 
     def summaries(self) -> dict[str, HistogramSummary]:
         return {name: h.summary() for name, h in self._values.items()}
-
-    def snapshot(self) -> dict[str, list[float]]:
-        return {name: list(h.values) for name, h in self._values.items()}
-
-    def merge(self, other: Mapping[str, Any]) -> None:
-        for name, values in other.items():
-            hist = self._values.get(name)
-            if hist is None:
-                hist = self._values[name] = Histogram()
-            hist.values.extend(values)
 
     def __len__(self) -> int:
         return len(self._values)

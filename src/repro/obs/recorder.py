@@ -6,14 +6,11 @@ Two implementations share one duck-typed interface:
   returns a shared singleton, so instrumented hot paths pay one dynamic
   dispatch and nothing else (no allocation, no clock read, no locking).
 * :class:`Recorder` — the real collector.  Spans nest through a
-  per-thread stack (``threading.local``), finished spans and metric
-  updates are appended under a lock, and :meth:`Recorder.snapshot` /
-  :meth:`Recorder.merge` move data across process boundaries (a child
-  process records into a private recorder and ships the snapshot back).
+  per-thread stack (``threading.local``) and finished spans and metric
+  updates are appended under a lock.  Everything is recorded in one
+  process; nothing in the package ships recorders across processes.
 
-Timestamps come from :func:`time.perf_counter_ns` — monotonic, and on
-Linux shared between forked processes, so merged child spans line up
-with the parent timeline in the Chrome trace.
+Timestamps come from :func:`time.perf_counter_ns` (monotonic).
 """
 
 from __future__ import annotations
@@ -188,61 +185,3 @@ class Recorder:
     def iter_spans(self) -> Iterator[SpanRecord]:
         with self._lock:
             yield from list(self.spans)
-
-    # ------------------------------------------------------------------ #
-    # cross-process aggregation
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict[str, Any]:
-        """A picklable dump of everything recorded so far."""
-        with self._lock:
-            return {
-                "start_ns": self.start_ns,
-                "spans": [
-                    (
-                        s.span_id,
-                        s.parent_id,
-                        s.name,
-                        s.cat,
-                        s.start_ns,
-                        s.dur_ns,
-                        s.pid,
-                        s.tid,
-                        dict(s.attrs) if s.attrs else None,
-                    )
-                    for s in self.spans
-                ],
-                "counters": self.counters.as_dict(),
-                "gauges": self.gauges.snapshot(),
-                "histograms": self.histograms.snapshot(),
-            }
-
-    def merge(self, snapshot: Mapping[str, Any], parent_id: int = -1) -> None:
-        """Fold a :meth:`snapshot` from another recorder into this one.
-
-        Span ids are remapped onto this recorder's id space; roots of the
-        merged snapshot are re-parented under ``parent_id`` (pass a live
-        span's id to nest a worker's timeline under the dispatch span).
-        """
-        with self._lock:
-            remap: dict[int, int] = {}
-            for sid, _pid, *_rest in snapshot["spans"]:
-                remap[sid] = next(self._ids)
-            for sid, par, name, cat, start_ns, dur_ns, pid, tid, attrs in snapshot[
-                "spans"
-            ]:
-                self.spans.append(
-                    SpanRecord(
-                        span_id=remap[sid],
-                        parent_id=remap.get(par, parent_id),
-                        name=name,
-                        cat=cat,
-                        start_ns=start_ns,
-                        dur_ns=dur_ns,
-                        pid=pid,
-                        tid=tid,
-                        attrs=attrs,
-                    )
-                )
-            self.counters.merge(snapshot["counters"])
-            self.gauges.merge(snapshot["gauges"])
-            self.histograms.merge(snapshot["histograms"])

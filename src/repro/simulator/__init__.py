@@ -32,12 +32,7 @@ from repro.simulator.analytical.grid import (
     grid_defaults,
     resolve_grid_backend,
 )
-from repro.simulator.timing import (
-    TraceTimingModel,
-    TimingResult,
-    configure_replay,
-    replay_defaults,
-)
+from repro.simulator.timing import TraceTimingModel, TimingResult
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -58,8 +53,6 @@ __all__ = [
     "TraceTimingModel",
     "TimingResult",
     "available_backends",
-    "configure_replay",
-    "replay_defaults",
     "replay_line_stream",
     "resolve_backend",
     "simulate_cache_stream",

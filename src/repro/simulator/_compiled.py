@@ -1,6 +1,6 @@
 """Optional Numba-compiled hot loops for trace replay (``[compiled]`` extra).
 
-Two Python-level loops survive the columnar rewrites of PR 2–3:
+Two Python-level loops survive the columnar replay rewrite:
 
 * the per-step true-LRU set update inside
   :func:`repro.simulator.cache_fast.simulate_cache_stream` — the NumPy
@@ -19,15 +19,16 @@ kernel *algorithms* (slowly) on any machine.
 
 Bit-identical semantics are a hard contract, not an aspiration:
 
-* :func:`replay_sets_kernel` is the literal per-access algorithm of
-  :meth:`repro.simulator.cache.SetAssociativeCache.access` (first
-  matching way, first invalid way, first-minimum LRU way, tick =
+* :func:`replay_sets_kernel` is the literal per-access algorithm of the
+  reference cache walk in ``tests/trace_oracle.py`` (first matching way,
+  first invalid way, first-minimum LRU way, tick =
   ``tick0 + 1 + position``) — integer state, so equality is exact;
-* the cost folds replicate the batched NumPy expressions of
-  ``timing._run_batched`` operation for operation in the same order, so
-  every IEEE-754 intermediate — and therefore the final accumulated
-  float — is bit-identical.  Locked by ``tests/test_replay_equivalence``
-  and the hypothesis suite in ``tests/test_property_cache_fast.py``.
+* the cost folds replicate the NumPy backend's expressions in
+  :mod:`repro.simulator.replay_backend` operation for operation in the
+  same order, so every IEEE-754 intermediate — and therefore the final
+  accumulated float — is bit-identical.  Locked by
+  ``tests/test_replay_equivalence`` and the hypothesis suite in
+  ``tests/test_property_cache_fast.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _jit(func):
     """``numba.njit`` when available, identity otherwise.
 
     ``cache=True`` persists the compiled machine code next to the module
-    so repeated runs (and spawned pool workers) skip recompilation;
+    so repeated runs skip recompilation;
     ``fastmath`` stays off — reassociation would break the bit-identical
     contract with the NumPy folds.
     """
@@ -285,11 +286,11 @@ def memory_cost_fold_kernel(
 ) -> float:
     """Fused per-memory-op pricing + left-to-right fold, compiled.
 
-    Every arithmetic step mirrors the batched NumPy expression in
-    ``timing._run_batched`` (same operations, same order, scalar
-    subexpressions hoisted exactly as NumPy evaluates them once), so the
-    returned float is bit-identical to
-    ``_exact_sum((startup + chime) + penalty)``.
+    Every arithmetic step mirrors the NumPy expression in
+    ``replay_backend._memory_cost_fold_numpy`` (same operations, same
+    order, scalar subexpressions hoisted exactly as NumPy evaluates them
+    once), so the returned float is bit-identical to
+    ``exact_sum((startup + chime) + penalty)``.
     """
     strided_dp = datapath / nonunit_factor
     dram_den = mlp * prefetch_factor

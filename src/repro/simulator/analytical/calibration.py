@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
+#: The fields the model divides by (or whose product it divides by).
+_POSITIVE_FIELDS = ("nonunit_penalty", "dram_efficiency", "l2_bytes_per_cycle")
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -64,6 +69,16 @@ class Calibration:
     #: first pass fetches from DRAM) — removes the mechanism behind the
     #: large-cache benefits of multi-phase algorithms and big activations.
     enable_resident_source: bool = True
+
+    def __post_init__(self) -> None:
+        # zero, negative or NaN divisors would price layers at inf,
+        # negative or NaN cycles (or raise ZeroDivisionError mid-grid)
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(
+                    f"Calibration.{name} must be > 0, got {value!r}"
+                )
 
 
 #: The default calibration used everywhere.

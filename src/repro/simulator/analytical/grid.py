@@ -32,8 +32,7 @@ sequence of :meth:`AnalyticalTimingModel.phase_cycles`, so the assembled
 and the hypothesis suite in ``tests/test_property_analytical_grid.py``.
 
 :func:`configure_grid` sets the process-wide backend default (the
-``repro-experiments --grid-backend`` flag routes here), mirroring
-:func:`repro.simulator.timing.configure_replay`.
+``repro-experiments --grid-backend`` flag routes here).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from repro.simulator.hwconfig import HardwareConfig, VectorUnitStyle
 from repro.simulator.memory import DramModel
 
 #: Valid grid-backend arguments (``auto`` resolves to the fastest
-#: registered, exactly like the replay-backend registry).
+#: registered, exactly like the replay backend registry).
 GRID_BACKEND_CHOICES = ("auto", "compiled", "numpy")
 
 
@@ -499,8 +498,7 @@ _DEFAULT_GRID_BACKEND = "auto"
 
 
 def configure_grid(backend: str | None = None) -> str:
-    """Set the process-wide default grid backend (mirrors
-    :func:`repro.simulator.timing.configure_replay`).
+    """Set the process-wide default grid backend.
 
     ``backend`` must be one of :data:`GRID_BACKEND_CHOICES`; an explicit
     ``compiled`` is validated eagerly so a missing Numba fails at

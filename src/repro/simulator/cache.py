@@ -1,35 +1,23 @@
-"""Trace-driven set-associative cache models.
+"""Trace-driven set-associative cache state.
 
 The timing simulator replays vector memory operations against this hierarchy
 to obtain per-level hit/miss counts.  The model is a classic write-allocate,
 write-back, true-LRU set-associative cache — the same organization the
 paper's gem5 configurations use for L1/L2.
 
-LRU is implemented with a per-set logical clock rather than list shuffling,
-keeping Python-level work per access O(associativity) with NumPy storage.
+This module holds the state: per-set tag, dirty and last-use arrays (LRU
+is a logical clock, not list shuffling) plus hit/miss counters.
+:mod:`repro.simulator.cache_fast` replays whole access streams against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TypedDict
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
-from repro.isa.trace import MemoryOp
+from repro.errors import ConfigError
 from repro.utils.validation import check_positive, check_power_of_two
-
-
-class LineAccessResult(TypedDict):
-    """Which hierarchy levels a line access hit.
-
-    A value of ``None`` means the level was not probed (``l1_hit`` when the
-    access bypassed L1 on a decoupled unit, ``l2_hit`` on an L1 hit).
-    """
-
-    l1_hit: bool | None
-    l2_hit: bool | None
 
 
 @dataclass
@@ -54,7 +42,7 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """A single level: write-allocate, write-back, true LRU."""
+    """State of one write-allocate, write-back, true-LRU cache level."""
 
     def __init__(
         self, name: str, size_bytes: int, assoc: int, line_bytes: int
@@ -84,61 +72,11 @@ class SetAssociativeCache:
         self._lru = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._tick = 0
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) & (self.num_sets - 1)
-
-    def lookup(self, line_addr: int) -> bool:
-        """Probe without side effects; True if the line is resident."""
-        s = self._set_index(line_addr)
-        return bool((self._tags[s] == line_addr).any())
-
-    def access(self, line_addr: int, is_store: bool) -> tuple[bool, int | None]:
-        """Access one cache line.
-
-        Returns ``(hit, victim_line)`` where ``victim_line`` is the address
-        of a *dirty* line evicted to make room (else None).
-        """
-        if line_addr % self.line_bytes:
-            raise SimulationError(
-                f"{self.name}: access address {line_addr:#x} not line-aligned"
-            )
-        self._tick += 1
-        self.stats.accesses += 1
-        s = self._set_index(line_addr)
-        tags = self._tags[s]
-        ways = np.nonzero(tags == line_addr)[0]
-        if ways.size:
-            way = int(ways[0])
-            self.stats.hits += 1
-            self._lru[s, way] = self._tick
-            if is_store:
-                self._dirty[s, way] = True
-            return True, None
-        # miss: choose victim = invalid way if any, else LRU
-        self.stats.misses += 1
-        invalid = np.nonzero(tags == -1)[0]
-        if invalid.size:
-            way = int(invalid[0])
-        else:
-            way = int(np.argmin(self._lru[s]))
-        victim = None
-        if tags[way] != -1 and self._dirty[s, way]:
-            victim = int(tags[way])
-            self.stats.writebacks += 1
-        self._tags[s, way] = line_addr
-        self._dirty[s, way] = is_store
-        self._lru[s, way] = self._tick
-        return False, victim
-
     def flush(self) -> None:
         """Invalidate all lines and reset dirty bits (stats are kept)."""
         self._tags[:] = -1
         self._dirty[:] = False
         self._lru[:] = 0
-
-    def resident_lines(self) -> int:
-        """Number of valid lines currently held (for tests)."""
-        return int((self._tags != -1).sum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -172,48 +110,6 @@ class CacheHierarchy:
     @property
     def line_bytes(self) -> int:
         return self.l1.line_bytes
-
-    def access_line(
-        self, line_addr: int, is_store: bool, vector: bool = True
-    ) -> LineAccessResult:
-        """Access a line; returns which levels hit (see
-        :class:`LineAccessResult`)."""
-        result: LineAccessResult = {"l1_hit": None, "l2_hit": None}
-        if vector and self.vector_at_l2:
-            hit2, victim2 = self.l2.access(line_addr, is_store)
-            result["l2_hit"] = hit2
-            if not hit2:
-                self.dram_lines += 1
-            if victim2 is not None:
-                self.dram_writeback_lines += 1
-            return result
-        hit1, victim1 = self.l1.access(line_addr, is_store)
-        result["l1_hit"] = hit1
-        if victim1 is not None:
-            # dirty L1 victim written back into L2
-            _, victim2 = self.l2.access(victim1, True)
-            if victim2 is not None:
-                self.dram_writeback_lines += 1
-        if not hit1:
-            hit2, victim2 = self.l2.access(line_addr, is_store)
-            result["l2_hit"] = hit2
-            if not hit2:
-                self.dram_lines += 1
-            if victim2 is not None:
-                self.dram_writeback_lines += 1
-        return result
-
-    def access_memop(self, op: MemoryOp) -> tuple[int, int]:
-        """Replay a whole vector memory op; returns (l1_misses, l2_misses)."""
-        l1_misses = 0
-        l2_misses = 0
-        for line in op.line_addresses(self.line_bytes):
-            res = self.access_line(int(line), op.is_store, vector=True)
-            if res["l1_hit"] is False:
-                l1_misses += 1
-            if res["l2_hit"] is False:
-                l2_misses += 1
-        return l1_misses, l2_misses
 
     def flush(self) -> None:
         self.l1.flush()

@@ -1,11 +1,10 @@
 """Batched replay of the LRU cache hierarchy (set-partitioned/compiled).
 
-The sequential model in :mod:`repro.simulator.cache` walks every cache line
-through Python — fine for unit tests, but a real conv layer touches 10^7+
-lines, which makes per-line Python calls the bottleneck of trace-driven
-timing.  This module replays the *same* model over whole access streams,
-dispatching the hot loop through the backend registry in
-:mod:`repro.simulator.replay_backend`:
+:mod:`repro.simulator.cache` holds the cache state; a real conv layer
+touches 10^7+ lines, so walking them one Python call at a time would make
+per-line calls the bottleneck of trace-driven timing.  This module replays
+whole access streams instead, dispatching the hot loop through the
+backend registry in :mod:`repro.simulator.replay_backend`:
 
 * ``numpy`` (always available) — the classic trace-driven
   set-partitioning (Dinero-like): each set's reference stream is
@@ -16,19 +15,14 @@ dispatching the hot loop through the backend registry in
   the stream, no per-step Python at all;
 * ``auto`` — the fastest registered backend.
 
-``workers > 1`` additionally shards the stream across a process pool by
-set index (see :mod:`repro.simulator.replay_parallel`) — legal because
-set streams are independent, and exact because per-access LRU ticks are
-derived from *global* stream positions.
-
-Every path mutates the sequential structures
-(:class:`~repro.simulator.cache.SetAssociativeCache` tags/dirty/LRU/tick
-and stats, :class:`~repro.simulator.cache.CacheHierarchy` DRAM counters)
-**bit-identically** to the per-access path — including the LRU tick values
-— so sequential, batched, compiled and sharded replays can be freely
-interleaved on one hierarchy.  Equivalence is locked by
-``tests/test_replay_equivalence.py`` and the hypothesis suite in
-``tests/test_property_cache_fast.py``.
+Every backend mutates the
+:class:`~repro.simulator.cache.SetAssociativeCache` tags/dirty/LRU/tick
+and stats and the :class:`~repro.simulator.cache.CacheHierarchy` DRAM
+counters exactly as a per-access walk would — including the LRU tick
+values — so batches compose and backends can be interleaved on one
+hierarchy.  The per-access walk lives in ``tests/trace_oracle.py``;
+equivalence is locked by ``tests/test_replay_equivalence.py`` and the
+hypothesis suite in ``tests/test_property_cache_fast.py``.
 """
 
 from __future__ import annotations
@@ -72,22 +66,19 @@ def simulate_cache_stream(
     stores: np.ndarray,
     *,
     backend: str = "auto",
-    workers: int = 1,
-    use_pool: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched equivalent of ``cache.access(lines[k], stores[k])`` ∀k.
+    """Replay one access per ``(lines[k], stores[k])``, in stream order.
 
     Mutates ``cache`` (tags, dirty bits, LRU ticks, tick counter, stats)
-    exactly as the sequential accesses would.  Returns per-access arrays
-    ``(hits, writebacks, victims)``: ``victims[k]`` is the dirty line
-    address evicted by access ``k`` and is only meaningful where
-    ``writebacks[k]`` is True (it is -1 elsewhere, but a victim line can
-    legitimately be address 0 — test ``writebacks``, not ``victims``).
+    exactly as one write-allocate, write-back, true-LRU access per line
+    would.  Returns per-access arrays ``(hits, writebacks, victims)``:
+    ``victims[k]`` is the dirty line address evicted by access ``k`` and is
+    only meaningful where ``writebacks[k]`` is True (it is -1 elsewhere, but
+    a victim line can legitimately be address 0 — test ``writebacks``, not
+    ``victims``).
 
     ``backend`` selects the hot-loop implementation (bit-identical
-    either way); ``workers > 1`` shards the stream by set index across a
-    process pool (``use_pool=False`` runs the same sharded merge
-    in-process, for tests and pool-less environments).
+    either way).
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     stores = np.ascontiguousarray(stores, dtype=bool)
@@ -101,19 +92,10 @@ def simulate_cache_stream(
     _check_alignment(cache, lines)
     sets = (lines // cache.line_bytes) & (cache.num_sets - 1)
     tick0 = cache._tick
-    if workers > 1:
-        from repro.simulator.replay_parallel import replay_sets_sharded
-
-        hits, writebacks, victims = replay_sets_sharded(
-            cache, sets, lines, stores, workers=workers,
-            backend=backend, use_pool=use_pool,
-        )
-    else:
-        impl = resolve_backend(backend)
-        hits, writebacks, victims = impl.replay_sets(
-            cache._tags, cache._dirty, cache._lru,
-            sets, lines, stores, np.arange(n, dtype=np.int64), tick0,
-        )
+    hits, writebacks, victims = resolve_backend(backend).replay_sets(
+        cache._tags, cache._dirty, cache._lru,
+        sets, lines, stores, np.arange(n, dtype=np.int64), tick0,
+    )
     cache._tick = tick0 + n
     stats = cache.stats
     nhits = int(np.count_nonzero(hits))
@@ -132,29 +114,26 @@ def replay_line_stream(
     num_ops: int,
     *,
     backend: str = "auto",
-    workers: int = 1,
-    use_pool: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched equivalent of per-line ``CacheHierarchy.access_line``.
+    """Replay vector line accesses through both hierarchy levels.
 
     ``lines``/``stores`` describe vector line accesses in stream order and
     ``op_ids[k]`` names the memory op (0..num_ops-1) access ``k`` belongs
     to.  Updates both cache levels and the hierarchy's DRAM counters
-    exactly as the sequential walk would, and returns per-op
-    ``(l1_misses, l2_misses)`` count arrays of length ``num_ops`` — the
-    same attribution ``access_memop`` produces op by op.  ``backend`` and
-    ``workers`` are forwarded to :func:`simulate_cache_stream` for each
+    exactly as a per-line walk would (an L1 miss first writes back its
+    dirty victim into the L2, then fills from it), and returns per-op
+    ``(l1_misses, l2_misses)`` count arrays of length ``num_ops``.
+    ``backend`` is forwarded to :func:`simulate_cache_stream` for each
     cache level.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     stores = np.ascontiguousarray(stores, dtype=bool)
     op_ids = np.ascontiguousarray(op_ids, dtype=np.int64)
-    kwargs = dict(backend=backend, workers=workers, use_pool=use_pool)
     with obs.span("timing.cache_replay", cat="timing", lines=int(lines.size)):
         if hierarchy.vector_at_l2:
             # decoupled VPU: vector accesses go straight to the L2
             hits2, wbs2, _ = simulate_cache_stream(
-                hierarchy.l2, lines, stores, **kwargs
+                hierarchy.l2, lines, stores, backend=backend
             )
             miss2 = ~hits2
             dram_fills = int(np.count_nonzero(miss2))
@@ -167,7 +146,7 @@ def replay_line_stream(
             l2_per_op = np.bincount(op_ids[miss2], minlength=num_ops)
             return np.zeros(num_ops, dtype=np.int64), l2_per_op
         hits1, wbs1, victims1 = simulate_cache_stream(
-            hierarchy.l1, lines, stores, **kwargs
+            hierarchy.l1, lines, stores, backend=backend
         )
         miss1 = ~hits1
         obs.count("cache.l1.misses", int(np.count_nonzero(miss1)))
@@ -189,7 +168,7 @@ def replay_line_stream(
         l2_lines[fill_pos] = lines[miss1]
         l2_stores[fill_pos] = stores[miss1]
         hits2, wbs2, _ = simulate_cache_stream(
-            hierarchy.l2, l2_lines, l2_stores, **kwargs
+            hierarchy.l2, l2_lines, l2_stores, backend=backend
         )
         # only line fills count toward DRAM fetches and per-op L2 misses;
         # writeback probes update stats/state but are not attributed

@@ -3,8 +3,7 @@
 The trace-replay hot spots (the true-LRU set update and the chime/cost
 folds) have two interchangeable implementations:
 
-* ``numpy`` — the set-partitioned / vectorized engines from PR 2–3,
-  always available;
+* ``numpy`` — the set-partitioned / vectorized engines, always available;
 * ``compiled`` — the single-pass Numba kernels in
   :mod:`repro.simulator._compiled`, registered only when the optional
   ``[compiled]`` extra (Numba) is importable.
@@ -18,10 +17,7 @@ ran, so profiles are self-describing.
 
 The registry is deliberately tiny: a backend is three callables sharing
 fixed signatures (`replay_sets`, `vector_cost_fold`, `memory_cost_fold`)
-plus a name.  The sharded parallel driver
-(:mod:`repro.simulator.replay_parallel`) resolves backends *inside each
-worker process*, so a pool spanning machines with and without Numba
-would still replay identically (just at different speeds).
+plus a name.
 """
 
 from __future__ import annotations
@@ -73,8 +69,8 @@ def exact_sum(costs: np.ndarray) -> float:
     """Strict left-to-right fold of ``costs`` starting from 0.0.
 
     ``np.add.accumulate`` is sequential by definition (unlike
-    ``np.sum``'s pairwise reduction), so this reproduces the sequential
-    replay's ``res.field += cost`` accumulation bit for bit.
+    ``np.sum``'s pairwise reduction), so this reproduces a per-event
+    ``res.field += cost`` accumulation bit for bit.
     """
     if costs.size == 0:
         return 0.0
@@ -82,7 +78,7 @@ def exact_sum(costs: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------- #
-# numpy backend — the PR 2–3 vectorized engines
+# numpy backend — the set-partitioned / vectorized engines
 # --------------------------------------------------------------------- #
 def _replay_sets_numpy(
     tags: np.ndarray,
@@ -128,8 +124,8 @@ def _replay_sets_numpy(
         hit = match.any(axis=1)
         invalid = tg == -1
         # victim way on a miss: first invalid way if any, else true LRU
-        # (argmax/argmin both take the first way on ties, as the
-        # sequential np.nonzero(...)[0] / np.argmin do)
+        # (argmax/argmin both take the first way on ties, as a per-access
+        # np.nonzero(...)[0] / np.argmin walk does)
         way = np.where(
             hit,
             match.argmax(axis=1),
@@ -147,7 +143,7 @@ def _replay_sets_numpy(
         victims[g[wb]] = old_tag[wb]
         tags[rows, way] = addr
         dirty[rows, way] = np.where(hit, old_dirty | st, st)
-        # the sequential path bumps the tick before each access, so the
+        # a per-access walk bumps the tick before each access, so the
         # access at global stream position p lands tick0 + p + 1
         lru[rows, way] = tick0 + 1 + positions[g]
     return hits, writebacks, victims

@@ -12,29 +12,21 @@ structure of the paper's gem5 setup:
   from the two-level LRU cache hierarchy (misses overlap up to the DRAM
   model's MLP; prefetching hides most of the DRAM latency when enabled).
 
-Two replay engines produce identical results:
+Replay consumes the columnar trace without decoding events: the
+compute/scalar/vector cycle terms are reductions over the
+kind/vl/sew/stride columns, accumulated left to right exactly as a
+per-event ``+=`` loop would, and the cache walk runs through the
+set-partitioned engine in :mod:`repro.simulator.cache_fast`.  The per-event
+reference (``tests/trace_oracle.py``) must produce bit-identical
+:class:`TimingResult` fields and cache state
+(``tests/test_replay_equivalence.py``).
 
-* ``sequential`` — decodes one event at a time, the reference
-  implementation;
-* ``batched`` — consumes the columnar trace without decoding events: the
-  compute/scalar/vector cycle terms become reductions over the
-  kind/vl/sew/stride columns and the cache walk runs through the
-  set-partitioned engine in :mod:`repro.simulator.cache_fast`.  The
-  per-event formulas and the left-to-right accumulation order are
-  replicated exactly, so every :class:`TimingResult` field is
-  **bit-identical** to the sequential replay (locked by
-  ``tests/test_replay_equivalence.py``).
-
-The batched engine's hot loops are further dispatched through the
-backend registry (:mod:`repro.simulator.replay_backend`): ``numpy`` is
-the always-available PR 2–3 path, ``compiled`` the Numba kernels from
-the ``[compiled]`` extra, and ``auto`` (default) the fastest registered
-— all bit-identical.  ``workers > 1`` shards the cache replay across a
-process pool by set index (:mod:`repro.simulator.replay_parallel`),
-again with exact parity.  :func:`configure_replay` sets process-wide
-defaults (the ``repro-experiments --replay-backend/--replay-workers``
-flags route here), and every run bumps a
-``timing.replay_backend.<name>`` obs counter naming what actually ran.
+The hot loops dispatch through the backend registry
+(:mod:`repro.simulator.replay_backend`): ``numpy`` always, ``compiled``
+(the Numba kernels of the ``[compiled]`` extra) when installed, and
+``auto`` (default) the fastest registered — all bit-identical.  Every run
+bumps a ``timing.replay_backend.<name>`` obs counter naming the backend
+that ran.
 
 Absolute cycles are not expected to match gem5; orderings and scaling trends
 are (and are what the tests assert).
@@ -42,29 +34,20 @@ are (and are what the tests assert).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.isa.trace import (
-    KIND_SCALAR,
-    KIND_VECTOR,
-    InstructionTrace,
-    MemoryOp,
-    ScalarOp,
-    VectorOp,
-)
+from repro.isa.trace import KIND_SCALAR, KIND_VECTOR, InstructionTrace
 from repro.simulator.cache import CacheHierarchy
 from repro.simulator.cache_fast import replay_line_stream
 from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.memory import DramModel
 from repro.simulator.replay_backend import (
-    BACKEND_CHOICES,
     MemoryCostParams,
-    exact_sum,
+    ReplayBackend,
     resolve_backend,
 )
 
@@ -75,54 +58,6 @@ VMEM_STARTUP_CYCLES = 2.0
 #: Strided/indexed memory ops sustain fewer elements per cycle than unit
 #: stride; penalize their chime by this factor.
 NONUNIT_CHIME_FACTOR = 4.0
-
-#: Valid ``engine`` arguments to :meth:`TraceTimingModel.run`.
-REPLAY_ENGINES = ("auto", "batched", "sequential")
-
-#: Process-wide replay defaults, set by :func:`configure_replay` (the CLI
-#: flags land here) and used whenever ``run()`` is called without explicit
-#: ``backend``/``workers`` arguments.
-_DEFAULT_BACKEND = "auto"
-_DEFAULT_WORKERS = 1
-
-#: Back-compat alias: the strict left-to-right fold now lives in
-#: :mod:`repro.simulator.replay_backend` (shared with the backends).
-_exact_sum = exact_sum
-
-
-def configure_replay(
-    backend: str | None = None, workers: int | None = None
-) -> tuple[str, int]:
-    """Set process-wide defaults for batched replay dispatch.
-
-    ``backend`` must be one of :data:`~repro.simulator.replay_backend.
-    BACKEND_CHOICES` (an explicit ``compiled`` is validated eagerly so a
-    missing Numba fails at configuration time, not mid-experiment);
-    ``workers`` is the shard-pool width (1 = in-process).  ``None``
-    leaves a value unchanged.  Returns the effective ``(backend,
-    workers)`` pair.
-    """
-    global _DEFAULT_BACKEND, _DEFAULT_WORKERS
-    if backend is not None:
-        if backend not in BACKEND_CHOICES:
-            raise SimulationError(
-                f"unknown replay backend {backend!r}; choose from "
-                f"{BACKEND_CHOICES}"
-            )
-        resolve_backend(backend)  # fail fast on unavailable 'compiled'
-        _DEFAULT_BACKEND = backend
-    if workers is not None:
-        if workers < 1:
-            raise SimulationError(
-                f"replay workers must be >= 1, got {workers}"
-            )
-        _DEFAULT_WORKERS = workers
-    return _DEFAULT_BACKEND, _DEFAULT_WORKERS
-
-
-def replay_defaults() -> tuple[str, int]:
-    """The current process-wide ``(backend, workers)`` replay defaults."""
-    return _DEFAULT_BACKEND, _DEFAULT_WORKERS
 
 
 @dataclass
@@ -165,135 +100,47 @@ class TraceTimingModel:
         trace: InstructionTrace,
         flush: bool = False,
         *,
-        engine: str = "auto",
-        backend: str | None = None,
-        workers: int | None = None,
+        backend: str = "auto",
     ) -> TimingResult:
         """Time a trace; ``flush=True`` starts from cold caches.
 
-        ``engine`` selects the replay implementation: ``"sequential"``
-        decodes one event at a time (the reference), ``"batched"`` runs
-        the columnar fast path, and ``"auto"`` (default) picks batched
-        whenever the trace supports it.  ``backend`` picks the batched
-        engine's hot-loop implementation (``auto``/``compiled``/
-        ``numpy``) and ``workers`` the shard-pool width; both default to
-        the process-wide values from :func:`configure_replay`.  All
-        combinations produce bit-identical results and leave the
-        hierarchy in bit-identical state.
+        ``trace`` must be a full-mode :class:`InstructionTrace`.
+        ``backend`` picks the hot-loop implementation (``auto``/
+        ``compiled``/``numpy``); all produce bit-identical results and
+        leave the hierarchy in bit-identical state.
         """
-        if engine not in REPLAY_ENGINES:
+        if not isinstance(trace, InstructionTrace):
             raise SimulationError(
-                f"unknown replay engine {engine!r}; choose from "
-                f"{REPLAY_ENGINES}"
+                f"trace replay needs an InstructionTrace, got "
+                f"{type(trace).__name__}"
             )
-        if backend is None:
-            backend = _DEFAULT_BACKEND
-        if workers is None:
-            workers = _DEFAULT_WORKERS
-        if workers < 1:
-            raise SimulationError(
-                f"replay workers must be >= 1, got {workers}"
-            )
-        impl = resolve_backend(backend)
-        if (
-            isinstance(trace, InstructionTrace)
-            and trace.mode != "full"
-            and trace.stats.total_instrs > 0
-        ):
+        if trace.mode != "full":
             raise SimulationError(
                 "trace was recorded in 'counts' mode (statistics only, no "
                 "events) and cannot be replayed for timing; run the machine "
                 "with trace='full' to time this kernel"
             )
-        batchable = (
-            isinstance(trace, InstructionTrace) and not trace.has_foreign_events
-        )
-        if engine == "batched" and not batchable:
-            raise SimulationError(
-                "batched replay needs a columnar InstructionTrace without "
-                "foreign events; use engine='sequential' (or 'auto') instead"
-            )
+        impl = resolve_backend(backend)
         if flush:
             self.hierarchy.flush()
-        used = "sequential" if (engine == "sequential" or not batchable) else "batched"
         # profiles are self-describing: name the backend that actually ran
-        used_backend = "sequential" if used == "sequential" else impl.name
-        obs.count(f"timing.replay_backend.{used_backend}")
-        if used == "batched" and workers > 1:
-            obs.count("timing.replay_sharded_runs")
+        obs.count(f"timing.replay_backend.{impl.name}")
         with obs.span(
-            "timing.run", cat="timing", engine=used, backend=used_backend,
-            workers=workers if used == "batched" else 1,
-            events=len(trace) if isinstance(trace, InstructionTrace) else None,
+            "timing.run", cat="timing", backend=impl.name, events=len(trace)
         ):
-            if used == "sequential":
-                res = self._run_sequential(trace)
-            else:
-                res = self._run_batched(trace, impl, workers)
+            res = self._replay(trace, impl)
             obs.count("timing.l1_misses", res.l1_misses)
             obs.count("timing.l2_misses", res.l2_misses)
             obs.count("timing.vector_instrs", res.vector_instrs)
             obs.count("timing.memory_instrs", res.memory_instrs)
         return res
 
-    # ------------------------------------------------------------------ #
-    # sequential (per-event) replay — the reference implementation
-    # ------------------------------------------------------------------ #
-    def _run_sequential(self, trace: InstructionTrace) -> TimingResult:
-        cfg = self.config
-        datapath = cfg.datapath_f32_per_cycle
-        prefetch = cfg.software_prefetch or cfg.hardware_prefetch
-        res = TimingResult()
-        for event in trace:
-            if isinstance(event, VectorOp):
-                # datapath is in f32 elements/cycle; wider SEW processes
-                # proportionally fewer elements per cycle
-                chime = math.ceil(event.vl / max(1.0, datapath * 32 / event.sew_bits))
-                cost = max(VECTOR_ISSUE_CYCLES, chime)
-                res.compute_cycles += cost
-                res.vector_instrs += 1
-            elif isinstance(event, MemoryOp):
-                unit = event.indices is None and abs(event.stride) == event.elem_bytes
-                eff_dp = datapath if unit else datapath / NONUNIT_CHIME_FACTOR
-                chime = math.ceil(event.vl / max(1.0, eff_dp))
-                l1_m, l2_m = self.hierarchy.access_memop(event)
-                res.l1_misses += l1_m
-                res.l2_misses += l2_m
-                penalty = l1_m * cfg.l2_latency / self.dram.mlp
-                penalty += self.dram.miss_penalty_cycles(l2_m, prefetch)
-                if self.hierarchy.vector_at_l2:
-                    # decoupled VPU: every vector access pays the L2 round
-                    # trip (hit or miss), partially pipelined
-                    lines = max(1.0, event.vl * event.elem_bytes / cfg.line_bytes)
-                    penalty += lines * cfg.l2_latency / self.dram.mlp
-                # line fills also consume DRAM bandwidth
-                penalty = max(
-                    penalty, self.dram.transfer_cycles(l2_m * cfg.line_bytes)
-                )
-                res.memory_cycles += VMEM_STARTUP_CYCLES + chime + penalty
-                res.memory_instrs += 1
-            elif isinstance(event, ScalarOp):
-                res.scalar_cycles += event.count
-                res.scalar_instrs += event.count
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown trace event {event!r}")
-        overlap = 0.6 if cfg.out_of_order else 1.0
-        res.cycles = overlap * (
-            res.compute_cycles + res.memory_cycles + res.scalar_cycles
-        )
-        return res
-
-    # ------------------------------------------------------------------ #
-    # batched (columnar) replay — no per-event decoding
-    # ------------------------------------------------------------------ #
-    def _run_batched(
-        self, trace: InstructionTrace, impl=None, workers: int = 1
+    def _replay(
+        self, trace: InstructionTrace, impl: ReplayBackend
     ) -> TimingResult:
         cfg = self.config
         datapath = cfg.datapath_f32_per_cycle
         prefetch = cfg.software_prefetch or cfg.hardware_prefetch
-        if impl is None:
-            impl = resolve_backend(_DEFAULT_BACKEND)
         res = TimingResult()
         cols = trace.columns()
 
@@ -323,7 +170,7 @@ class TraceTimingModel:
                 )
                 l1_m, l2_m = replay_line_stream(
                     self.hierarchy, lines, mem.is_store[op_ids], op_ids,
-                    num_ops, backend=impl.name, workers=workers,
+                    num_ops, backend=impl.name,
                 )
                 res.l1_misses = int(l1_m.sum())
                 res.l2_misses = int(l2_m.sum())

@@ -13,7 +13,7 @@ from repro.simulator.analytical.cachemodel import (
     stream_dram_bytes,
     stream_l2_bytes,
 )
-from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION
+from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.analytical.model import AnalyticalTimingModel
 from repro.simulator.analytical.phases import DataStream, Phase
 from repro.simulator.hwconfig import HardwareConfig
@@ -247,3 +247,23 @@ class TestEngineProperties:
             model_big.phase_cycles(p).cycles
             <= model_small.phase_cycles(p).cycles + 1e-9
         )
+
+
+class TestCalibration:
+    """The model divides by these three rates; anything not > 0 would let
+    ``layer_cycles`` raise ``ZeroDivisionError`` while the grid returns
+    ``inf``, or price a layer at negative cycles."""
+
+    @pytest.mark.parametrize(
+        "field", ["dram_efficiency", "l2_bytes_per_cycle", "nonunit_penalty"]
+    )
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, -0.5, math.nan])
+    def test_non_positive_rate_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"Calibration.{field} must be > 0"):
+            Calibration(**{field: value})
+
+    def test_positive_rates_accepted(self):
+        cal = Calibration(
+            dram_efficiency=1e-9, l2_bytes_per_cycle=1, nonunit_penalty=0.5
+        )
+        assert cal.dram_efficiency == 1e-9

@@ -283,7 +283,7 @@ class TestCellErrorHandling:
         try:
             with faults.inject("seed=5,cell.error=0.1"):
                 records = engine.evaluate_many(tasks, on_error="record")
-            cell_errors = recorder.snapshot()["counters"]["engine.cell_errors"]
+            cell_errors = recorder.counters.get("engine.cell_errors")
         finally:
             obs.disable()
         errors = [r for r in records if isinstance(r, CellError)]

@@ -208,6 +208,6 @@ class TestInjectScoping:
         try:
             faults.mark_injected("test.site")
             faults.mark_injected("test.site", 2)
-            assert recorder.snapshot()["counters"]["faults.injected.test.site"] == 3.0
+            assert recorder.counters.get("faults.injected.test.site") == 3.0
         finally:
             obs.disable()

@@ -21,7 +21,6 @@ from repro.obs.metrics import (
     CounterStore,
     GaugeStore,
     Histogram,
-    HistogramStore,
     percentile,
 )
 from repro.obs.recorder import NOOP_SPAN, NULL_RECORDER, Recorder
@@ -166,8 +165,7 @@ class TestMetrics:
         assert c.get("x") == 3.5
         assert c.get("y") == -1
         assert c.get("missing") == 0.0
-        c.merge({"x": 0.5, "z": 7})
-        assert c.as_dict() == {"x": 4.0, "y": -1, "z": 7}
+        assert c.as_dict() == {"x": 3.5, "y": -1}
 
     def test_gauge_math(self):
         g = GaugeStore()
@@ -177,17 +175,6 @@ class TestMetrics:
         assert gv is not None
         assert (gv.last, gv.min, gv.max, gv.n) == (2.0, 1.0, 3.0, 3)
         assert gv.mean == pytest.approx(2.0)
-
-    def test_gauge_merge(self):
-        a, b = GaugeStore(), GaugeStore()
-        a.set("q", 1.0)
-        b.set("q", 5.0)
-        b.set("q", 3.0)
-        a.merge(b.snapshot())
-        gv = a.get("q")
-        assert gv is not None
-        assert (gv.min, gv.max, gv.n, gv.last) == (1.0, 5.0, 3, 3.0)
-        assert gv.mean == pytest.approx(3.0)
 
     def test_percentile_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -217,49 +204,6 @@ class TestMetrics:
     def test_empty_histogram_summary_is_zero(self):
         s = Histogram().summary()
         assert s.count == 0 and s.mean == 0.0 and s.p99 == 0.0
-
-    def test_histogram_store_merge(self):
-        a, b = HistogramStore(), HistogramStore()
-        a.observe("lat", 1.0)
-        b.observe("lat", 3.0)
-        a.merge(b.snapshot())
-        hist = a.get("lat")
-        assert hist is not None and sorted(hist.values) == [1.0, 3.0]
-
-
-# --------------------------------------------------------------------- #
-# snapshot / merge (cross-process aggregation)
-# --------------------------------------------------------------------- #
-class TestSnapshotMerge:
-    def test_merge_remaps_ids_and_reparents_roots(self):
-        worker = Recorder()
-        with worker.span("w_root"):
-            with worker.span("w_child"):
-                pass
-        worker.count("points", 5)
-        worker.observe("lat", 0.25)
-
-        parent = Recorder()
-        with parent.span("dispatch") as dispatch:
-            pass
-        parent.count("points", 2)
-        parent.merge(worker.snapshot(), parent_id=dispatch.span_id)
-
-        names = {s.name: s for s in parent.spans}
-        assert names["w_root"].parent_id == dispatch.span_id
-        assert names["w_child"].parent_id == names["w_root"].span_id
-        # remapped ids must not collide with the parent's own
-        ids = [s.span_id for s in parent.spans]
-        assert len(ids) == len(set(ids))
-        assert parent.counters.get("points") == 7
-        hist = parent.histograms.get("lat")
-        assert hist is not None and hist.values == [0.25]
-
-    def test_snapshot_is_json_serializable(self):
-        rec = Recorder()
-        with rec.span("s", "c", {"answer": 42}):
-            pass
-        json.dumps(rec.snapshot())  # tuples serialize as lists; no error
 
 
 # --------------------------------------------------------------------- #
@@ -347,7 +291,7 @@ class TestInstrumentation:
 
         rec = obs.enable()
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
-        res = model.run(machine.trace, flush=True, engine="batched")
+        res = model.run(machine.trace, flush=True)
         names = {s.name for s in rec.spans}
         assert {"timing.run", "timing.vector", "timing.memory",
                 "timing.cache_replay"} <= names

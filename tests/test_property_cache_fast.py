@@ -1,17 +1,14 @@
-"""Hypothesis properties: set-partitioned cache replay == sequential model.
+"""Hypothesis properties: set-partitioned cache replay == per-access walk.
 
 Random line-address streams (mixed loads/stores, many sets, tiny caches so
 evictions are frequent) must produce identical hits, misses, writebacks and
 victim streams — and leave identical cache state behind — whether replayed
-access by access through :meth:`SetAssociativeCache.access` /
-:meth:`CacheHierarchy.access_line` or in one batch through
-:mod:`repro.simulator.cache_fast`.  Both hierarchy modes are covered.
+access by access through the reference walk in ``tests/trace_oracle.py``
+or in one batch through :mod:`repro.simulator.cache_fast`.  Both hierarchy
+modes are covered.
 """
 
 from __future__ import annotations
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,17 +20,13 @@ from repro.simulator import replay_backend as rb
 from repro.simulator._compiled import HAVE_NUMBA
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
 from repro.simulator.cache_fast import replay_line_stream, simulate_cache_stream
+from tests.trace_oracle import cache_access, hierarchy_access_memop
 
 LINE = 64
 
 #: simulate_cache_stream dispatch variants every property must hold under.
-#: (sharded runs in-process — use_pool=False — so hypothesis's example
-#: loop doesn't pay process-pool startup per example.)
 REPLAY_VARIANTS = [
     pytest.param(dict(backend="numpy"), id="numpy"),
-    pytest.param(
-        dict(backend="numpy", workers=3, use_pool=False), id="sharded"
-    ),
     pytest.param(
         dict(backend="compiled"),
         id="compiled",
@@ -76,7 +69,7 @@ def test_single_level_stream_equivalence(replay_kwargs, stream, geometry):
     ref, fast = _caches(*geometry)
     lines = np.array([lid * LINE for lid, _ in stream], dtype=np.int64)
     stores = np.array([s for _, s in stream], dtype=bool)
-    expected = [ref.access(int(a), bool(s)) for a, s in zip(lines, stores)]
+    expected = [cache_access(ref, int(a), bool(s)) for a, s in zip(lines, stores)]
     hits, wbs, victims = simulate_cache_stream(
         fast, lines, stores, **replay_kwargs
     )
@@ -102,7 +95,7 @@ def test_kernel_source_matches_sequential(stream, geometry):
     ref, fast = _caches(*geometry)
     lines = np.array([lid * LINE for lid, _ in stream], dtype=np.int64)
     stores = np.array([s for _, s in stream], dtype=bool)
-    expected = [ref.access(int(a), bool(s)) for a, s in zip(lines, stores)]
+    expected = [cache_access(ref, int(a), bool(s)) for a, s in zip(lines, stores)]
     n = lines.size
     sets = (lines // LINE) & (fast.num_sets - 1)
     hits, wbs, victims = rb._replay_sets_compiled(
@@ -182,7 +175,7 @@ def test_hierarchy_memop_replay_equivalence(ops, vector_at_l2):
     ref = _hierarchy(vector_at_l2)
     fast = _hierarchy(vector_at_l2)
     mem_ops = list(trace)
-    expected = [ref.access_memop(op) for op in mem_ops]
+    expected = [hierarchy_access_memop(ref, op) for op in mem_ops]
     mem = trace.memory_columns()
     lines, op_ids = trace.memory_line_stream(fast.line_bytes, rows=mem.rows)
     l1_m, l2_m = replay_line_stream(
@@ -270,47 +263,3 @@ def test_memory_fold_kernel_matches_numpy(rows, vector_at_l2, prefetch):
         vl, elem_bytes, stride, indexed, l1_m, l2_m, params
     )
     assert a == b  # bit-exact float equality, not approx
-
-
-# --------------------------------------------------------------------- #
-# trace spill round trip
-# --------------------------------------------------------------------- #
-@given(
-    ops=st.lists(memop_strategy, min_size=0, max_size=25),
-    extras=st.integers(0, 3),
-    mmap=st.booleans(),
-)
-@settings(max_examples=40, deadline=None)
-def test_spill_round_trip_preserves_trace(ops, extras, mmap):
-    """save → load is lossless: stats, columns, line stream, events."""
-    trace = InstructionTrace()
-    rng = np.random.default_rng(len(ops) + extras)
-    for base_id, vl, stride, is_store, indexed in ops:
-        name = ("vsuxei" if is_store else "vluxei") if indexed else (
-            "vse" if is_store else "vle"
-        )
-        indices = (
-            tuple(int(v) for v in rng.integers(0, 4096, size=vl))
-            if indexed
-            else None
-        )
-        trace.emit_memory(
-            name, base_id * LINE + 4, 4, vl, stride, is_store, indices=indices
-        )
-    for _ in range(extras):  # non-memory rows survive the trip too
-        trace.emit_vector("vfmacc", 16, 32)
-        trace.emit_scalar("addi", 2)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = trace.save(Path(tmp) / "trace")
-        loaded = InstructionTrace.load(path, mmap=mmap)
-        assert len(loaded) == len(trace)
-        assert loaded.stats == trace.stats
-        lines_a, ops_a = trace.memory_line_stream(LINE)
-        lines_b, ops_b = loaded.memory_line_stream(LINE)
-        assert np.array_equal(lines_a, lines_b)
-        assert np.array_equal(ops_a, ops_b)
-        ca, cb = trace.columns(), loaded.columns()
-        for field in ("kind", "op", "vl", "aux", "base", "stride", "store"):
-            assert np.array_equal(getattr(ca, field), getattr(cb, field))
-        assert trace._indices == loaded._indices
-        assert list(trace.events) == list(loaded.events)

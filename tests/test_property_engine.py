@@ -29,7 +29,7 @@ from repro.engine.keys import (
     key_from_payload,
 )
 from repro.nn.layer import ConvSpec
-from repro.simulator.analytical.calibration import Calibration
+from repro.simulator.analytical.calibration import _POSITIVE_FIELDS, Calibration
 from repro.simulator.hwconfig import HardwareConfig, VectorUnitStyle
 
 # ---------------------------------------------------------------------- #
@@ -98,11 +98,19 @@ def any_hw(draw) -> HardwareConfig:
 def _cal_value(f):
     if f.type == "bool":
         return st.one_of(st.booleans(), st.sampled_from([0, 1]))
+    if f.name in _POSITIVE_FIELDS:
+        # Calibration rejects values that are not > 0 in these fields
+        # (tests/test_analytical.py::TestCalibration covers that region)
+        return st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.integers(1, 4),
+        )
     return st.one_of(st.floats(), st.integers(-4, 4))
 
 
 #: Random Calibrations: any float (signed zeros, infinities and NaN
-#: included) or int spelling in every numeric field.
+#: included) or int spelling in every numeric field, except positive
+#: finite values only in the three divisor fields.
 any_calibration = st.builds(
     Calibration, **{f.name: _cal_value(f) for f in fields(Calibration)}
 )

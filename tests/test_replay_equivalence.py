@@ -1,13 +1,14 @@
-"""Batched (columnar/set-partitioned) replay vs sequential: equivalence.
+"""Trace replay vs the per-event reference: equivalence.
 
-The batched replay path (``TraceTimingModel.run(engine="batched")`` +
-``repro.simulator.cache_fast``) must be *observationally identical* to the
-per-event reference: bit-identical :class:`TimingResult` fields, identical
-:class:`CacheStats` at both levels, identical DRAM counters, identical
-per-op miss attribution, and bit-identical cache state afterwards (tags,
-dirty bits, LRU ticks) — so the two engines can be freely interleaved on
-one model.  Parametrized over kernels (incl. Winograd's indexed gathers),
-VLEN, LMUL-built traces and both ``vector_at_l2`` hierarchy modes.
+``TraceTimingModel.run`` (columnar replay + ``repro.simulator.cache_fast``)
+must be *observationally identical* to the per-event reference in
+``tests/trace_oracle.py``: bit-identical :class:`TimingResult` fields,
+identical :class:`CacheStats` at both levels, identical DRAM counters,
+identical per-op miss attribution, and bit-identical cache state afterwards
+(tags, dirty bits, LRU ticks) — so the two can be freely interleaved on one
+model.  Parametrized over kernels (incl. Winograd's indexed gathers), VLEN,
+LMUL-built traces, both ``vector_at_l2`` hierarchy modes and every
+registered backend.
 """
 
 from __future__ import annotations
@@ -27,18 +28,21 @@ from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
 from repro.simulator.cache_fast import replay_line_stream, simulate_cache_stream
 from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.replay_backend import available_backends, resolve_backend
-from repro.simulator.timing import TraceTimingModel, configure_replay, replay_defaults
+from repro.simulator.timing import TraceTimingModel
+from tests.trace_oracle import (
+    cache_access,
+    hierarchy_access_memop,
+    sequential_replay,
+)
 
 SPEC = ConvSpec(ic=5, oc=7, ih=13, iw=11, kh=3, kw=3, stride=1, pad=1)
 
 _needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="Numba not installed")
 
-#: (backend, workers) combinations every equivalence claim is checked under.
+#: Backends every equivalence claim is checked under.
 REPLAY_MODES = [
-    pytest.param("numpy", 1, id="numpy"),
-    pytest.param("numpy", 3, id="numpy-sharded"),
-    pytest.param("compiled", 1, id="compiled", marks=_needs_numba),
-    pytest.param("compiled", 3, id="compiled-sharded", marks=_needs_numba),
+    pytest.param("numpy", id="numpy"),
+    pytest.param("compiled", id="compiled", marks=_needs_numba),
 ]
 
 CONFIGS = [
@@ -93,20 +97,15 @@ def _assert_hierarchy_equal(a: CacheHierarchy, b: CacheHierarchy) -> None:
 
 
 def _assert_replay_equivalent(
-    trace: InstructionTrace,
-    cfg: HardwareConfig,
-    backend: str = "auto",
-    workers: int = 1,
+    trace: InstructionTrace, cfg: HardwareConfig, backend: str = "auto"
 ):
     seq = TraceTimingModel(cfg)
     bat = TraceTimingModel(cfg)
     # two back-to-back runs without flush: the second starts from the warm
-    # state the first left behind, in both engines
+    # state the first left behind, on both sides
     for _ in range(2):
-        r_seq = seq.run(trace, engine="sequential")
-        r_bat = bat.run(
-            trace, engine="batched", backend=backend, workers=workers
-        )
+        r_seq = sequential_replay(seq, trace)
+        r_bat = bat.run(trace, backend=backend)
         assert r_seq == r_bat  # dataclass ==: bit-exact float comparison
         _assert_hierarchy_equal(seq.hierarchy, bat.hierarchy)
     return r_seq
@@ -128,37 +127,34 @@ def test_lmul_trace_replay_matches(lmul, cfg):
     _assert_replay_equivalent(trace, cfg)
 
 
-@pytest.mark.parametrize("backend,workers", REPLAY_MODES)
+@pytest.mark.parametrize("backend", REPLAY_MODES)
 @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=lambda c: c.name)
-def test_per_op_miss_attribution_matches(cfg, backend, workers):
+def test_per_op_miss_attribution_matches(cfg, backend):
     trace = _kernel_trace(WinogradConv(), 256)  # includes indexed gathers
     ops = [e for e in trace if isinstance(e, MemoryOp)]
     h_ref = CacheHierarchy.from_config(cfg)
-    ref = [h_ref.access_memop(op) for op in ops]
+    ref = [hierarchy_access_memop(h_ref, op) for op in ops]
     h_fast = CacheHierarchy.from_config(cfg)
     mem = trace.memory_columns()
     lines, op_ids = trace.memory_line_stream(h_fast.line_bytes, rows=mem.rows)
     l1_m, l2_m = replay_line_stream(
-        h_fast, lines, mem.is_store[op_ids], op_ids, len(ops),
-        backend=backend, workers=workers,
+        h_fast, lines, mem.is_store[op_ids], op_ids, len(ops), backend=backend
     )
     assert [(int(a), int(b)) for a, b in zip(l1_m, l2_m)] == ref
     _assert_hierarchy_equal(h_ref, h_fast)
 
 
-@pytest.mark.parametrize("backend,workers", REPLAY_MODES)
-def test_backend_modes_match_sequential(backend, workers):
-    """Every backend × sharding mode is bit-identical to sequential."""
+@pytest.mark.parametrize("backend", REPLAY_MODES)
+def test_backend_modes_match_sequential(backend):
+    """Every registered backend is bit-identical to the per-event replay."""
     cfg = HardwareConfig.paper2_rvv(512, 1.0)
     for trace in (_kernel_trace(WinogradConv(), 256), _lmul_trace(512, 2)):
-        res = _assert_replay_equivalent(
-            trace, cfg, backend=backend, workers=workers
-        )
+        res = _assert_replay_equivalent(trace, cfg, backend=backend)
         assert res.cycles > 0
 
 
-@pytest.mark.parametrize("backend,workers", REPLAY_MODES)
-def test_victim_stream_parity_across_modes(backend, workers):
+@pytest.mark.parametrize("backend", REPLAY_MODES)
+def test_victim_stream_parity_across_modes(backend):
     """hits/writebacks/victims arrays match the per-access walk exactly."""
     rng = np.random.default_rng(11)
     cache_ref = SetAssociativeCache("C", 8 * 2 * 64, 2, 64)
@@ -166,10 +162,10 @@ def test_victim_stream_parity_across_modes(backend, workers):
     lines = rng.integers(0, 64, size=600).astype(np.int64) * 64
     stores = rng.random(600) < 0.4
     expected = [
-        cache_ref.access(int(a), bool(s)) for a, s in zip(lines, stores)
+        cache_access(cache_ref, int(a), bool(s)) for a, s in zip(lines, stores)
     ]
     hits, wbs, victims = simulate_cache_stream(
-        cache_fast, lines, stores, backend=backend, workers=workers
+        cache_fast, lines, stores, backend=backend
     )
     for (ref_hit, ref_victim), hit, wb, victim in zip(
         expected, hits, wbs, victims
@@ -184,15 +180,15 @@ def test_victim_stream_parity_across_modes(backend, workers):
 
 
 def test_engines_can_interleave_on_one_model():
-    """Sequential then batched on the same model: state stays consistent."""
+    """Per-event then columnar replay on one model: state stays consistent."""
     cfg = HardwareConfig.paper2_rvv(512, 1.0)
     trace = _kernel_trace(DirectConv(), 512)
     mixed = TraceTimingModel(cfg)
-    r1 = mixed.run(trace, engine="sequential")
-    r2 = mixed.run(trace, engine="batched")
+    r1 = sequential_replay(mixed, trace)
+    r2 = mixed.run(trace)
     ref = TraceTimingModel(cfg)
-    assert r1 == ref.run(trace, engine="sequential")
-    assert r2 == ref.run(trace, engine="sequential")
+    assert r1 == sequential_replay(ref, trace)
+    assert r2 == sequential_replay(ref, trace)
     _assert_hierarchy_equal(mixed.hierarchy, ref.hierarchy)
 
 
@@ -203,9 +199,7 @@ def test_flush_starts_cold_in_both_engines():
     bat = TraceTimingModel(cfg)
     seq.run(trace)
     bat.run(trace)
-    assert seq.run(trace, flush=True, engine="sequential") == bat.run(
-        trace, flush=True, engine="batched"
-    )
+    assert sequential_replay(seq, trace, flush=True) == bat.run(trace, flush=True)
     _assert_hierarchy_equal(seq.hierarchy, bat.hierarchy)
 
 
@@ -232,20 +226,21 @@ def test_columns_are_read_only_views():
 
 
 def test_batched_engine_rejects_foreign_events():
-    cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    trace = InstructionTrace()
-    trace.events.append("bogus")
-    with pytest.raises(SimulationError, match="foreign"):
-        TraceTimingModel(cfg).run(trace, engine="batched")
-    # auto falls back to sequential, which rejects the unknown payload
-    with pytest.raises(TypeError):
-        TraceTimingModel(cfg).run(trace)
+    """Replay takes an :class:`InstructionTrace` and nothing else: only
+    ``emit`` writes trace rows, and raw events or event lists are refused."""
+    assert not hasattr(InstructionTrace().events, "append")
+    model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
+    op = MemoryOp("vle", 0, 4, 16, 4, False)
+    for not_a_trace in ([], ["bogus"], [op], op, "trace", None):
+        with pytest.raises(SimulationError, match="needs an InstructionTrace"):
+            model.run(not_a_trace)
 
 
 def test_unknown_engine_rejected():
+    """There is one replay path, so ``run`` takes no ``engine`` choice."""
     cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    with pytest.raises(SimulationError, match="unknown replay engine"):
-        TraceTimingModel(cfg).run(InstructionTrace(), engine="warp")
+    with pytest.raises(TypeError, match="engine"):
+        TraceTimingModel(cfg).run(InstructionTrace(), engine="sequential")
 
 
 def test_trace_report_uses_batched_replay():
@@ -260,7 +255,7 @@ def test_trace_report_uses_batched_replay():
 
 
 # --------------------------------------------------------------------- #
-# backend registry and process-wide replay defaults
+# backend registry
 # --------------------------------------------------------------------- #
 def test_backend_registry_resolution():
     assert "numpy" in available_backends()
@@ -285,42 +280,13 @@ def test_compiled_backend_registered():
     assert resolve_backend("compiled").name == "compiled"
 
 
-@pytest.fixture
-def _restore_replay_defaults():
-    yield
-    configure_replay(backend="auto", workers=1)
-
-
-def test_configure_replay_sets_process_defaults(_restore_replay_defaults):
-    assert replay_defaults() == ("auto", 1)
-    assert configure_replay(backend="numpy", workers=2) == ("numpy", 2)
-    assert replay_defaults() == ("numpy", 2)
-    # None leaves a value unchanged
-    assert configure_replay(workers=1) == ("numpy", 1)
-    with pytest.raises(SimulationError, match="unknown replay backend"):
-        configure_replay(backend="warp")
-    with pytest.raises(SimulationError, match="workers must be >= 1"):
-        configure_replay(workers=0)
-    if not HAVE_NUMBA:  # eager validation: fails at config time
-        with pytest.raises(SimulationError, match=r"\[compiled\] extra"):
-            configure_replay(backend="compiled")
-
-
-def test_run_uses_configured_defaults(_restore_replay_defaults):
-    cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    trace = _kernel_trace(DirectConv(), 512)
-    ref = TraceTimingModel(cfg).run(trace, engine="batched")
-    configure_replay(backend="numpy", workers=2)
-    assert TraceTimingModel(cfg).run(trace, engine="batched") == ref
-
-
 def test_run_rejects_bad_backend_and_workers():
-    cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    model = TraceTimingModel(cfg)
+    """A bad backend name fails; replay is in-process, so no ``workers``."""
+    model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
     with pytest.raises(SimulationError, match="unknown replay backend"):
-        model.run(InstructionTrace(), engine="batched", backend="warp")
-    with pytest.raises(SimulationError, match="workers must be >= 1"):
-        model.run(InstructionTrace(), engine="batched", workers=0)
+        model.run(InstructionTrace(), backend="warp")
+    with pytest.raises(TypeError, match="workers"):
+        model.run(InstructionTrace(), workers=2)
 
 
 # --------------------------------------------------------------------- #
@@ -348,51 +314,3 @@ def test_misaligned_error_without_truncation():
     with pytest.raises(SimulationError, match="1 of 2 accesses") as excinfo:
         simulate_cache_stream(cache, lines, np.zeros(2, dtype=bool))
     assert "..." not in str(excinfo.value)
-
-
-# --------------------------------------------------------------------- #
-# trace spill: replaying a reloaded trace is bit-identical
-# --------------------------------------------------------------------- #
-def test_spilled_trace_replays_identically(tmp_path):
-    trace = _kernel_trace(WinogradConv(), 256)  # indexed gathers included
-    path = trace.save(tmp_path / "trace")
-    loaded = InstructionTrace.load(path)
-    assert not loaded._kind.flags.writeable  # zero-copy memmap columns
-    cfg = HardwareConfig.paper2_rvv(512, 1.0)
-    ref = TraceTimingModel(cfg).run(trace, engine="batched")
-    assert TraceTimingModel(cfg).run(loaded, engine="batched") == ref
-    assert TraceTimingModel(cfg).run(loaded, engine="sequential") == ref
-    assert TraceTimingModel(cfg).run(
-        loaded, engine="batched", backend="numpy", workers=3
-    ) == ref
-
-
-def test_spilled_trace_copies_on_first_append(tmp_path):
-    trace = _lmul_trace(512, 2)
-    loaded = InstructionTrace.load(trace.save(tmp_path / "t"))
-    before = len(loaded)
-    loaded.emit_scalar("nop")  # must not blow up on read-only columns
-    assert len(loaded) == before + 1
-    assert loaded._kind.flags.writeable
-    assert list(loaded.events)[:before] == list(trace.events)
-
-
-def test_spill_refuses_foreign_events(tmp_path):
-    trace = InstructionTrace()
-    trace.events.append(object())
-    with pytest.raises(SimulationError, match="foreign"):
-        trace.save(tmp_path / "t")
-
-
-def test_load_rejects_non_container(tmp_path):
-    junk = tmp_path / "junk.npz"
-    junk.write_bytes(b"this is not a zip file")
-    with pytest.raises(SimulationError, match="not a readable"):
-        InstructionTrace.load(junk)
-    incomplete = tmp_path / "incomplete.npz"
-    import zipfile
-
-    with zipfile.ZipFile(incomplete, "w") as zf:
-        zf.writestr("meta.json", "{}")
-    with pytest.raises(SimulationError, match="missing members"):
-        InstructionTrace.load(incomplete)

@@ -25,7 +25,7 @@ def recorder():
 
 
 def counters(rec) -> dict[str, float]:
-    return rec.snapshot()["counters"]
+    return rec.counters.as_dict()
 
 
 class TestAdmissionControl:

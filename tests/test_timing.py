@@ -101,11 +101,15 @@ class TestTraceTiming:
         assert again.l2_misses == first.l2_misses
 
     def test_unknown_event_rejected(self):
-        model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
-        trace = InstructionTrace()
-        trace.events.append("bogus")  # bypass emit() checking
+        """Unknown events never reach replay: ``emit`` refuses them and
+        ``run`` refuses anything but an :class:`InstructionTrace`."""
+        from repro.errors import SimulationError
+
         with pytest.raises(TypeError):
-            model.run(trace)
+            InstructionTrace().emit("bogus")
+        model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
+        with pytest.raises(SimulationError):
+            model.run(["bogus"])
 
     def test_reset_rebuilds_dram_model(self):
         """reset() must restore the config's DRAM model, not keep a stale one."""
@@ -126,9 +130,8 @@ class TestTraceTiming:
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
         trace = InstructionTrace(mode="counts")
         trace.emit(ScalarOp("s", 1))
-        for engine in ("auto", "batched", "sequential"):
-            with pytest.raises(SimulationError, match="'counts' mode"):
-                model.run(trace, engine=engine)
+        with pytest.raises(SimulationError, match="'counts' mode"):
+            model.run(trace)
 
 
 class TestKernelLevelTiming:

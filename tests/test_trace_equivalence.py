@@ -2,7 +2,7 @@
 
 The batched kernels (``run_vectorized``, ``gemm*_vectorized``,
 ``im2col_vectorized``) must be *observationally identical* to their per-op
-references: bit-identical outputs, identical per-category instruction
+references in ``tests/trace_oracle.py``: bit-identical outputs, identical per-category instruction
 counts (the full :class:`TraceStats`), and the same ordered memory-op
 address stream — the three things the cache/timing simulators and the
 experiment harnesses consume.  Event granularity (how many ``ScalarOp``
@@ -17,16 +17,19 @@ import pytest
 
 from repro.algorithms import gemm_kernels as gk
 from repro.algorithms.direct import DirectConv
-from repro.algorithms.im2col import (
-    col2im_output,
-    im2col_vectorized,
-    im2col_vectorized_perop,
-)
+from repro.algorithms.im2col import col2im_output, im2col_vectorized
 from repro.algorithms.im2col_gemm import Im2colGemm3, Im2colGemm6
 from repro.algorithms.winograd import WinogradConv
 from repro.isa.machine import VectorMachine
 from repro.isa.types import E32
 from repro.nn.layer import ConvSpec
+from tests.trace_oracle import (
+    direct_perop,
+    gemm3_vectorized_perop,
+    gemm6_vectorized_perop,
+    im2col_vectorized_perop,
+    winograd_perop,
+)
 
 VLENS = [128, 256, 512]
 
@@ -83,7 +86,7 @@ def test_direct_batched_matches_perop(vlen, spec):
     x, w = _tensors(spec)
     _assert_equivalent(
         vlen,
-        lambda m: alg.run_vectorized_perop(spec, x, w, m),
+        lambda m: direct_perop(alg, spec, x, w, m),
         lambda m: alg.run_vectorized(spec, x, w, m),
     )
 
@@ -98,7 +101,7 @@ def test_winograd_batched_matches_perop(vlen, spec):
     x, w = _tensors(spec)
     _assert_equivalent(
         vlen,
-        lambda m: alg.run_vectorized_perop(spec, x, w, m),
+        lambda m: winograd_perop(alg, spec, x, w, m),
         lambda m: alg.run_vectorized(spec, x, w, m),
     )
 
@@ -110,7 +113,7 @@ def test_winograd_strided_batched_matches_perop(vlen):
     x, w = _tensors(spec)
     _assert_equivalent(
         vlen,
-        lambda m: alg.run_vectorized_perop(spec, x, w, m),
+        lambda m: winograd_perop(alg, spec, x, w, m),
         lambda m: alg.run_vectorized(spec, x, w, m),
     )
 
@@ -146,7 +149,7 @@ def test_im2col_gemm3_batched_matches_perop(vlen, spec):
     x, w = _tensors(spec)
     _assert_equivalent(
         vlen,
-        lambda m: _im2col_gemm_perop(spec, x, w, m, gk.gemm3_vectorized_perop),
+        lambda m: _im2col_gemm_perop(spec, x, w, m, gemm3_vectorized_perop),
         lambda m: alg.run_vectorized(spec, x, w, m),
     )
 
@@ -157,7 +160,7 @@ def test_im2col_gemm6_batched_matches_perop(vlen):
     x, w = _tensors(SPEC)
     _assert_equivalent(
         vlen,
-        lambda m: _im2col_gemm_perop(SPEC, x, w, m, gk.gemm6_vectorized_perop),
+        lambda m: _im2col_gemm_perop(SPEC, x, w, m, gemm6_vectorized_perop),
         lambda m: alg.run_vectorized(SPEC, x, w, m),
     )
 
@@ -170,8 +173,8 @@ def test_im2col_gemm6_batched_matches_perop(vlen):
 @pytest.mark.parametrize(
     "fast,perop",
     [
-        (gk.gemm3_vectorized, gk.gemm3_vectorized_perop),
-        (gk.gemm6_vectorized, gk.gemm6_vectorized_perop),
+        (gk.gemm3_vectorized, gemm3_vectorized_perop),
+        (gk.gemm6_vectorized, gemm6_vectorized_perop),
     ],
     ids=["gemm3", "gemm6"],
 )
