@@ -130,6 +130,62 @@ def test_intrinsics_batched_vs_perop(benchmark):
     assert speedup >= 5.0, f"batched path only {speedup:.1f}x faster"
 
 
+def test_im2col_gemm_batched_vs_perop(benchmark):
+    """Full-mode im2col+GEMM (3- and 6-loop) must be >= 10x faster than
+    the per-op composition in ``tests/trace_oracle.py`` (run from the
+    repository root), with bit-identical outputs and identical instruction
+    statistics.  The lower of the two speedups is recorded."""
+    from repro.algorithms.im2col_gemm import Im2colGemm3, Im2colGemm6
+    from tests.trace_oracle import (
+        gemm3_vectorized_perop,
+        gemm6_vectorized_perop,
+        im2col_gemm_perop,
+    )
+
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(
+        (BATCH_SPEC.ic, BATCH_SPEC.ih, BATCH_SPEC.iw)
+    ).astype(np.float32)
+    w = (
+        0.3 * rng.standard_normal((BATCH_SPEC.oc, BATCH_SPEC.ic, 3, 3))
+    ).astype(np.float32)
+
+    def runs(alg, kernel_perop):
+        def perop():
+            m = VectorMachine(512)
+            y = im2col_gemm_perop(BATCH_SPEC, x, w, m, kernel_perop)
+            return m.trace.stats, y
+
+        def batched():
+            m = VectorMachine(512)
+            y = alg.run_vectorized(BATCH_SPEC, x, w, m)
+            return m.trace.stats, y
+
+        return perop, batched
+
+    speedups = {}
+    for alg, kernel_perop in (
+        (Im2colGemm3(), gemm3_vectorized_perop),
+        (Im2colGemm6(), gemm6_vectorized_perop),
+    ):
+        perop, batched = runs(alg, kernel_perop)
+        ref_stats, ref_y = perop()
+        fast_stats, fast_y = batched()
+        assert np.array_equal(ref_y, fast_y)
+        assert fast_stats == ref_stats
+
+        perop_s = _best_of(perop)
+        fast_s = _best_of(batched, repeats=10)
+        speedups[alg.name] = perop_s / fast_s
+        print(f"\n{alg.name}: per-op {perop_s * 1e3:.1f} ms, batched "
+              f"{fast_s * 1e3:.2f} ms, speedup {speedups[alg.name]:.1f}x")
+    benchmark(batched)
+
+    speedup = min(speedups.values())
+    record_metric("kernels.im2col_gemm_batched_vs_perop_speedup", speedup)
+    assert speedup >= 10.0, f"batched im2col+GEMM only {speedup:.1f}x faster"
+
+
 def test_vgg_conv3_1_counts_mode(benchmark):
     """Full instruction-level simulation of VGG-16 conv3_1 (128->256 ch,
     56x56) in counts mode — the tentpole feasibility target: single-digit

@@ -10,6 +10,15 @@ These mirror the paper's Paper I pseudocode exactly:
   contiguous inner-loop accesses, software-prefetch markers, and the same
   vectorized micro-kernel.
 
+The traced kernels issue one machine call per register block, not one per
+instruction: a C block loads and stores with ``vload_seq``/``vstore_seq``,
+its whole k-loop runs as one
+:meth:`~repro.isa.machine.VectorMachine.vfmacc_vf_kloop`, and each packing
+block is one multi-row
+:meth:`~repro.isa.machine.VectorMachine.vcopy_strips`.  Outputs and the
+decoded trace equal those of the one-call-per-instruction reference in
+``tests/trace_oracle.py``.
+
 Each also has an analytical schedule builder used on full-size layers.
 """
 
@@ -79,11 +88,11 @@ def gemm_functional(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndar
 # --------------------------------------------------------------------- #
 # intrinsics kernels
 # --------------------------------------------------------------------- #
-def _scale_a_rows(a: np.ndarray, i0: int, u: int, k: int, alpha: float) -> np.ndarray:
-    """``float32(alpha * float64(A[i0:i0+u, :]))`` — the exact scalar operand
+def _scale_a_rows(a: np.ndarray, m: int, k: int, alpha: float) -> np.ndarray:
+    """``float32(alpha * float64(A[:m, :k]))`` — the exact scalar operand
     sequence of the per-op loop (``alpha * float(a[..])`` is a float64
     product, rounded to float32 by ``vfmacc_vf``)."""
-    rows = a[i0 * k : (i0 + u) * k].reshape(u, k).astype(np.float64)
+    rows = a[: m * k].reshape(m, k).astype(np.float64)
     return (np.float64(alpha) * rows).astype(np.float32)
 
 
@@ -105,14 +114,10 @@ def gemm3_vectorized(
     (Darknet's GEMM is ``C += alpha*A*B`` with C pre-zeroed by
     ``fill_cpu``).  ``unroll`` is the schedulable knob searched by
     :mod:`repro.schedule` (default: the paper's 16).
-
-    Batched fast path: the unrolled i-block issues one ``*_seq`` intrinsic
-    per block instead of one call per register — bit-identical results and
-    trace to the one-call-per-instruction reference in
-    ``tests/trace_oracle.py``.
     """
     _check_unroll(unroll)
-    a = a_buf.array
+    a_scaled = _scale_a_rows(a_buf.array, m, k, alpha)
+    k_rows = np.arange(k, dtype=np.int64) * n
     j = 0
     while j < n:
         gvl = machine.vsetvl(n - j)
@@ -121,12 +126,9 @@ def gemm3_vectorized(
             machine.scalar(2, "loop_i")
             rows = (i0 + np.arange(u, dtype=np.int64)) * n + j
             machine.vload_seq(1, c_buf, rows)
-            a_scaled = _scale_a_rows(a, i0, u, k, alpha)
-            for kk in range(k):
-                machine.scalar(2, "loop_k")
-                machine.vload(0, b_buf, kk * n + j)
-                machine.scalar(u, "a_load")
-                machine.vfmacc_vf_seq(1, a_scaled[:, kk], 0)
+            machine.vfmacc_vf_kloop(
+                1, a_scaled[i0 : i0 + u], 0, b_buf, k_rows + j, ("loop_k", 2)
+            )
             machine.vstore_seq(1, c_buf, rows)
         j += gvl
 
@@ -141,10 +143,11 @@ def _pack_b_block(
     jb: int,
     n: int,
 ) -> None:
-    """Pack B[k0:k0+kb, j0:j0+jb] row-major into ``packed`` (batched)."""
-    for kk in range(kb):
-        machine.scalar(2, "pack_b_loop")
-        machine.vcopy_strips(b_buf, (k0 + kk) * n + j0, packed, kk * jb, jb)
+    """Pack B[k0:k0+kb, j0:j0+jb] row-major into ``packed`` (one call)."""
+    rows = np.arange(kb, dtype=np.int64)
+    machine.vcopy_strips(
+        b_buf, (k0 + rows) * n + j0, packed, rows * jb, jb, loop=("pack_b_loop", 2)
+    )
 
 
 def _pack_a_block(
@@ -157,10 +160,11 @@ def _pack_a_block(
     kb: int,
     k: int,
 ) -> None:
-    """Pack A[i0:i0+ib, k0:k0+kb] row-major into ``packed`` (batched)."""
-    for it in range(ib):
-        machine.scalar(2, "pack_a_loop")
-        machine.vcopy_strips(a_buf, (i0 + it) * k + k0, packed, it * kb, kb)
+    """Pack A[i0:i0+ib, k0:k0+kb] row-major into ``packed`` (one call)."""
+    rows = np.arange(ib, dtype=np.int64)
+    machine.vcopy_strips(
+        a_buf, (i0 + rows) * k + k0, packed, rows * kb, kb, loop=("pack_a_loop", 2)
+    )
 
 
 def gemm6_vectorized(
@@ -181,11 +185,6 @@ def gemm6_vectorized(
     Prefetch intents are recorded as named scalar markers — the RVV toolchain
     of the paper ignores them (no Zicbop) and so does the decoupled timing
     model; platforms with prefetch benefit through the latency model instead.
-
-    Batched fast path: packing rows go through
-    :meth:`~repro.isa.machine.VectorMachine.vcopy_strips` and the micro-kernel
-    through the ``*_seq`` intrinsics — bit-identical results and trace to
-    the one-call-per-instruction reference in ``tests/trace_oracle.py``.
     """
     packed_b = machine.alloc("packB", block_k * block_n, np.float32, unique=True)
     packed_a = machine.alloc("packA", block_m * block_k, np.float32, unique=True)
@@ -193,24 +192,23 @@ def gemm6_vectorized(
         jb = min(block_n, n - j1)
         for k1 in range(0, k, block_k):
             kb = min(block_k, k - k1)
+            k_rows = np.arange(kb, dtype=np.int64) * jb
             with obs.span("gemm6.pack_b", cat="kernel"):
                 _pack_b_block(machine, b_buf, packed_b, k1, kb, j1, jb, n)
             for i1 in range(0, m, block_m):
                 ib = min(block_m, m - i1)
                 with obs.span("gemm6.pack_a", cat="kernel"):
                     _pack_a_block(machine, a_buf, packed_a, i1, ib, k1, kb, k)
-                pa_scaled = _scale_a_rows(packed_a.array, 0, ib, kb, alpha)
+                pa_scaled = _scale_a_rows(packed_a.array, ib, kb, alpha)
                 j = 0
                 while j < jb:
                     gvl = machine.vsetvl(jb - j)
                     machine.scalar(3, "prefetch_c")
                     rows = (i1 + np.arange(ib, dtype=np.int64)) * n + j1 + j
                     machine.vload_seq(1, c_buf, rows)
-                    for kk in range(kb):
-                        machine.scalar(2, "prefetch_ab")
-                        machine.vload(0, packed_b, kk * jb + j)
-                        machine.scalar(ib, "a_load")
-                        machine.vfmacc_vf_seq(1, pa_scaled[:, kk], 0)
+                    machine.vfmacc_vf_kloop(
+                        1, pa_scaled, 0, packed_b, k_rows + j, ("prefetch_ab", 2)
+                    )
                     machine.vstore_seq(1, c_buf, rows)
                     j += gvl
 

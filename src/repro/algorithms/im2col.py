@@ -50,10 +50,11 @@ def im2col_vectorized(
     loads); for stride > 1 a strided load gathers every ``stride``-th
     element, matching the vectorized ``im2col`` of the paper's Darknet port.
 
-    Batched fast path: each output-row copy is one
-    :meth:`~repro.isa.machine.VectorMachine.vcopy_strips` call — bit-identical
-    results and trace to the one-call-per-instruction reference in
-    ``tests/trace_oracle.py``.
+    All ``K * OH`` output-row copies, in (channel, kh, kw, output row)
+    order, are one multi-row
+    :meth:`~repro.isa.machine.VectorMachine.vcopy_strips` call — outputs
+    and decoded trace equal those of the one-call-per-instruction
+    reference in ``tests/trace_oracle.py``.
     """
     spec.validate_input(x.shape)
     with obs.span("im2col.pack", cat="kernel"):
@@ -64,18 +65,16 @@ def im2col_vectorized(
         )
         ph, pw = xp.shape[1], xp.shape[2]
         ow, oh, s = spec.ow, spec.oh, spec.stride
-        row = 0
-        for c in range(spec.ic):
-            for dh in range(spec.kh):
-                for dw in range(spec.kw):
-                    for out_y in range(oh):
-                        machine.scalar(3, "im2col_loop")
-                        src_base = c * ph * pw + (out_y * s + dh) * pw + dw
-                        dst_base = row * (oh * ow) + out_y * ow
-                        machine.vcopy_strips(
-                            src, src_base, col, dst_base, ow, src_stride=s
-                        )
-                    row += 1
+        c = np.arange(spec.ic, dtype=np.int64)[:, None, None, None]
+        dh = np.arange(spec.kh, dtype=np.int64)[None, :, None, None]
+        dw = np.arange(spec.kw, dtype=np.int64)[None, None, :, None]
+        out_y = np.arange(oh, dtype=np.int64)
+        src_rows = c * ph * pw + (out_y * s + dh) * pw + dw
+        dst_rows = np.arange(spec.gemm_k * oh, dtype=np.int64) * ow
+        machine.vcopy_strips(
+            src, src_rows.reshape(-1), col, dst_rows, ow, src_stride=s,
+            loop=("im2col_loop", 3),
+        )
         return col
 
 

@@ -91,12 +91,6 @@ class EpiIntrinsics:
     def vstore_seq(self, vs0: int, buf: Buffer, offsets) -> None:
         self.m.vstore_seq(vs0, buf, offsets)
 
-    def vfmacc_vf_seq(self, vd0: int, scalars, vs2: int) -> None:
-        self.m.vfmacc_vf_seq(vd0, scalars, vs2)
-
-    def vbroadcast_seq(self, vd0: int, count: int, scalar: float) -> None:
-        self.m.vbroadcast_seq(vd0, count, scalar)
-
     # -- SEW shortcuts mirroring the C type suffixes ---------------------- #
     def vsetvl_e32(self, rvl: int) -> int:
         """``vsetvl`` with 32-bit elements (the kernels' float type)."""

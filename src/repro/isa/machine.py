@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.errors import IsaError, RegisterError
 from repro.isa.registers import VectorRegisterFile
-from repro.isa.trace import InstructionTrace
+from repro.isa.trace import (
+    KIND_MEMORY,
+    KIND_SCALAR,
+    KIND_VECTOR,
+    InstructionTrace,
+    LoopRow,
+)
 from repro.isa.types import (
     E32,
     ElementType,
@@ -33,6 +39,10 @@ from repro.isa.types import (
 )
 
 _ALIGN = 64  # buffers are cache-line aligned
+
+#: Elements per product temporary of :meth:`VectorMachine.vfmacc_vf_kloop`
+#: (bounds its memory on long k-loops and wide registers).
+_KLOOP_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -376,12 +386,15 @@ class VectorMachine:
     # ------------------------------------------------------------------ #
     # batched intrinsics (fast path)
     # ------------------------------------------------------------------ #
-    # Each *_seq method is semantically an unrolled run of the per-op
-    # intrinsic above it — same register effects, same trace events, same
-    # element-wise fp rounding — issued as ONE Python call per unrolled
-    # block.  This is what lets the kernel inner loops in
-    # repro.algorithms.{direct,gemm_kernels,winograd} amortize interpreter
-    # and event-allocation overhead across a whole register block.
+    # Each method below is semantically a run of the per-op intrinsics
+    # above it — same register effects, same trace rows in the same order,
+    # same element-wise fp rounding — issued as ONE Python call: a register
+    # block (vload_seq/vstore_seq), a whole micro-kernel k-loop
+    # (vfmacc_vf_kloop), or every row of a strip-mined copy (vcopy_strips).
+    # They compute with NumPy on the register file and buffers and write
+    # their trace rows as one columnar block, which is what lets the kernels
+    # in repro.algorithms.{im2col,gemm_kernels} amortize interpreter and
+    # event-allocation overhead.
 
     def _seq_block(self, reg0: int, count: int) -> np.ndarray | None:
         """2-D (count, VLMAX) view for a register run, or None if the
@@ -389,23 +402,6 @@ class VectorMachine:
         if self.vtype.lmul != 1:
             return None
         return self.regs.block_view(reg0, count, self.vtype.sew)
-
-    def vbroadcast_seq(
-        self, vd0: int, count: int, scalar: float, vl: int | None = None
-    ) -> None:
-        """Splat ``scalar`` into registers ``vd0 .. vd0+count-1``.
-
-        Equivalent to ``count`` successive :meth:`vbroadcast` calls.
-        """
-        n = self._active(vl)
-        sew = self.vtype.sew
-        block = self._seq_block(vd0, count)
-        if block is None:
-            for it in range(count):
-                self.vbroadcast(vd0 + it * self.vtype.lmul, scalar)
-            return
-        block[:, :n] = sew.dtype.type(scalar)
-        self.trace.emit_vector("vfmv", n, sew.bits, count)
 
     def vload_seq(
         self, vd0: int, buf: Buffer, offsets, vl: int | None = None
@@ -478,117 +474,171 @@ class VectorMachine:
             True,
         )
 
-    def vfmacc_vf_seq(
-        self, vd0: int, scalars, vs2: int, vl: int | None = None
+    def vfmacc_vf_kloop(
+        self,
+        vd0: int,
+        scalars,
+        vs2: int,
+        b_buf: Buffer,
+        b_offsets,
+        loop: tuple[str, int],
     ) -> None:
-        """Vector-scalar FMAs ``v(vd0+i) += scalars[i] * v(vs2)`` for each i.
+        """A GEMM micro-kernel k-loop of vector-scalar FMAs, as one call.
 
-        Equivalent to ``len(scalars)`` successive :meth:`vfmacc_vf` calls —
-        bit-identical accumulation (each product is rounded to SEW before
-        the add, exactly as the per-op path does).  ``vs2`` must not lie in
-        the destination run.
+        ``scalars`` has shape ``(count, k)``.  Equivalent to::
+
+            for kk in range(k):
+                machine.scalar(loop[1], loop[0])           # loop bookkeeping
+                machine.vload(vs2, b_buf, b_offsets[kk])
+                machine.scalar(count, "a_load")            # the FMAs' scalars
+                for i in range(count):
+                    machine.vfmacc_vf(vd0 + i, scalars[i, kk], vs2)
+
+        bit for bit: each product is rounded to SEW before its add, and the
+        adds run in ``kk`` order.  ``vs2`` is left holding the last loaded
+        row and must not lie in the destination run.
         """
         scalars = np.asarray(scalars)
-        n = self._active(vl)
+        b_offsets = np.asarray(b_offsets, dtype=np.int64)
+        n = self._active(None)
         sew = self.vtype.sew
-        count = scalars.size
-        if count == 0:
+        lmul = self.vtype.lmul
+        count, k = scalars.shape
+        if count == 0 or k == 0:
             return
-        if vd0 <= vs2 < vd0 + count * self.vtype.lmul:
+        if vd0 <= vs2 < vd0 + count * lmul:
             raise IsaError(
-                f"vfmacc_vf_seq source v{vs2} overlaps destinations "
-                f"v{vd0}..v{vd0 + count - 1}"
+                f"vfmacc_vf_kloop source v{vs2} overlaps destinations "
+                f"v{vd0}..v{vd0 + count * lmul - 1}"
+            )
+        lo, hi = int(b_offsets.min()), int(b_offsets.max())
+        if lo < 0 or hi + n > b_buf.array.size:
+            raise IsaError(
+                f"vfmacc_vf_kloop load of {n} elements at offsets [{lo}, {hi}] "
+                f"overruns buffer {b_buf.name!r} ({b_buf.array.size} elements)"
             )
         block = self._seq_block(vd0, count)
         if block is None:
-            for it, s in enumerate(scalars):
-                self.vfmacc_vf(vd0 + it * self.vtype.lmul, float(s), vs2)
+            for kk, off in enumerate(b_offsets):
+                self.scalar(loop[1], loop[0])
+                self.vload(vs2, b_buf, int(off))
+                self.scalar(count, "a_load")
+                for it in range(count):
+                    self.vfmacc_vf(vd0 + it * lmul, float(scalars[it, kk]), vs2)
             return
-        b = self._read_group(vs2, n)
-        block[:, :n] += scalars.astype(sew.dtype, copy=False)[:, None] * b[None, :]
-        self.trace.emit_vector("vfmacc.vf", n, sew.bits, count)
+        b_rows = b_buf.array[b_offsets[:, None] + np.arange(n)].astype(
+            sew.dtype, copy=False
+        )
+        self._write_group(vs2, b_rows[-1])
+        a_cols = scalars.T.astype(sew.dtype, copy=False)
+        acc = block[:, :n]
+        # k-chunks bound the (chunk, count, n) product temporary
+        step = max(1, _KLOOP_CHUNK_ELEMS // max(1, count * n))
+        for k0 in range(0, k, step):
+            products = a_cols[k0 : k0 + step, :, None] * b_rows[k0 : k0 + step, None, :]
+            products[0] += acc  # acc + p0 first, then a strict left-to-right fold
+            acc[:] = np.add.accumulate(products, axis=0)[-1]
+        width = sew.bytes
+        body = (
+            LoopRow(KIND_SCALAR, loop[0], loop[1]),
+            LoopRow(KIND_MEMORY, "vle", n, width, width),
+            LoopRow(KIND_SCALAR, "a_load", count),
+        ) + (LoopRow(KIND_VECTOR, "vfmacc.vf", n, sew.bits),) * count
+        self.trace.emit_loop(
+            body, (b_buf.base + b_offsets * b_buf.array.itemsize)[:, None]
+        )
 
     def vcopy_strips(
         self,
         src_buf: Buffer,
-        src_off: int,
+        src_off,
         dst_buf: Buffer,
-        dst_off: int,
+        dst_off,
         length: int,
         src_stride: int = 1,
         vreg: int = 0,
         sew: ElementType = E32,
         lmul: int = 1,
+        loop: tuple[str, int] | None = None,
     ) -> None:
-        """Strip-mined copy of ``length`` elements, issued as one call.
+        """Strip-mined copies of ``length`` elements per row, issued as one call.
 
-        Equivalent to the canonical per-op loop every packing/im2col kernel
-        writes by hand::
+        ``src_off`` and ``dst_off`` are one row offset each or equal-length
+        arrays of them.  Equivalent to the canonical per-op loop every
+        packing/im2col kernel writes by hand::
 
-            j = 0
-            while j < length:
-                gvl = machine.vsetvl(length - j, sew, lmul)
-                machine.vload[_strided](vreg, src_buf, src_off + j*src_stride, ...)
-                machine.vstore(vreg, dst_buf, dst_off + j)
-                j += gvl
+            for s0, d0 in zip(src_off, dst_off):
+                machine.scalar(loop[1], loop[0])   # only with ``loop``
+                j = 0
+                while j < length:
+                    gvl = machine.vsetvl(length - j, sew, lmul)
+                    machine.vload[_strided](vreg, src_buf, s0 + j*src_stride, ...)
+                    machine.vstore(vreg, dst_buf, d0 + j)
+                    j += gvl
 
-        Same data movement, same trace events in the same order (one
-        ``vsetvl`` scalar per strip, load/store memory ops interleaved per
-        strip), same end state for ``vl`` and register ``vreg``.
+        Same data movement, same trace rows in the same order (per row: the
+        ``loop`` scalars, one ``vsetvl`` scalar row counting the strips, then
+        load/store memory ops interleaved per strip), same end state for
+        ``vl`` and register ``vreg``.  Destination rows must not overlap each
+        other or the source rows.
         """
-        if length <= 0:
+        src_off = np.atleast_1d(np.asarray(src_off, dtype=np.int64))
+        dst_off = np.atleast_1d(np.asarray(dst_off, dtype=np.int64))
+        if length <= 0 or src_off.size == 0:
             return
-        last_src = src_off + (length - 1) * src_stride
-        if src_off < 0 or last_src + 1 > src_buf.array.size:
+        span = (length - 1) * src_stride
+        first_src = int(src_off.min()) + min(span, 0)
+        last_src = int(src_off.max()) + max(span, 0)
+        if first_src < 0 or last_src + 1 > src_buf.array.size:
             raise IsaError(
-                f"vcopy_strips source [{src_off}, {last_src}] overruns buffer "
+                f"vcopy_strips source [{first_src}, {last_src}] overruns buffer "
                 f"{src_buf.name!r} ({src_buf.array.size} elements)"
             )
-        if dst_off < 0 or dst_off + length > dst_buf.array.size:
+        first_dst, last_dst = int(dst_off.min()), int(dst_off.max())
+        if first_dst < 0 or last_dst + length > dst_buf.array.size:
             raise IsaError(
-                f"vcopy_strips of {length} elements at offset {dst_off} overruns "
-                f"buffer {dst_buf.name!r} ({dst_buf.array.size} elements)"
+                f"vcopy_strips of {length} elements at offsets [{first_dst}, "
+                f"{last_dst}] overruns buffer {dst_buf.name!r} "
+                f"({dst_buf.array.size} elements)"
             )
         vlmax = self.vlmax(sew, lmul)
         nstrips = -(-length // vlmax)
         starts = np.arange(nstrips, dtype=np.int64) * vlmax
         vls = np.minimum(length - starts, vlmax)
         # -- data movement (src dtype -> SEW register dtype -> dst dtype) -- #
-        if src_stride == 1:
-            src_vals = src_buf.array[src_off : src_off + length]
-        else:
-            src_vals = src_buf.array[src_off + src_stride * np.arange(length)]
+        elems = np.arange(length, dtype=np.int64)
+        src_vals = src_buf.array[src_off[:, None] + src_stride * elems]
         data_sew = src_vals.astype(sew.dtype, copy=False)
-        dst_buf.array[dst_off : dst_off + length] = data_sew
-        # -- trace: vsetvl per strip, then load/store interleaved per strip #
-        self.trace.emit_scalar("vsetvl", nstrips)
-        load_name = "vle" if src_stride == 1 else "vlse"
-        load_bases = src_buf.base + (src_off + starts * src_stride) * src_buf.array.itemsize
-        store_bases = dst_buf.base + (dst_off + starts) * dst_buf.array.itemsize
-        bases = np.empty(2 * nstrips, dtype=np.int64)
-        bases[0::2] = load_bases
-        bases[1::2] = store_bases
-        if nstrips == 1:
-            names: str | np.ndarray = np.array([load_name, "vse"])
-            vl_rows: int | np.ndarray = int(vls[0])
-        else:
-            names = np.empty(2 * nstrips, dtype=object)
-            names[0::2] = load_name
-            names[1::2] = "vse"
-            vl_rows = np.repeat(vls, 2)
-        strides = np.empty(2 * nstrips, dtype=np.int64)
-        strides[0::2] = src_stride * sew.bytes
-        strides[1::2] = sew.bytes
-        store_flags = np.zeros(2 * nstrips, dtype=bool)
-        store_flags[1::2] = True
-        self.trace.emit_memory_rows(names, bases, sew.bytes, vl_rows, strides, store_flags)
+        dst_buf.array[dst_off[:, None] + elems] = data_sew
+        # -- trace: per row, [loop], vsetvl, then load/store per strip ---- #
+        width = sew.bytes
+        load = LoopRow(
+            KIND_MEMORY, "vle" if src_stride == 1 else "vlse", 0, width,
+            src_stride * width,
+        )
+        store = LoopRow(KIND_MEMORY, "vse", 0, width, width, True)
+        head = () if loop is None else (LoopRow(KIND_SCALAR, *loop),)
+        body = head + (LoopRow(KIND_SCALAR, "vsetvl", nstrips),) + tuple(
+            row._replace(vl=strip_vl)
+            for strip_vl in vls.tolist()
+            for row in (load, store)
+        )
+        bases = np.empty((src_off.size, 2 * nstrips), dtype=np.int64)
+        bases[:, 0::2] = src_buf.base + (
+            src_off[:, None] + starts * src_stride
+        ) * src_buf.array.itemsize
+        bases[:, 1::2] = dst_buf.base + (
+            dst_off[:, None] + starts
+        ) * dst_buf.array.itemsize
+        self.trace.emit_loop(body, bases)
         # -- end state: vl/vtype and vreg as the per-op loop leaves them -- #
         last_vl = int(vls[-1])
         self.vtype = VType(sew=sew, vl=last_vl, lmul=lmul)
+        last_row = data_sew[-1]
         if nstrips >= 2:
             pen = int(starts[-2])
-            self._write_group(vreg, data_sew[pen : pen + vlmax])
-        self._write_group(vreg, data_sew[int(starts[-1]) :])
+            self._write_group(vreg, last_row[pen : pen + vlmax])
+        self._write_group(vreg, last_row[int(starts[-1]) :])
 
     # ------------------------------------------------------------------ #
     # scalar bookkeeping

@@ -70,7 +70,7 @@ class VectorRegisterFile:
         """A writable 2-D view of ``count`` consecutive registers.
 
         Shape is ``(count, VLEN/SEW)`` — one row per register.  This is the
-        storage the batched intrinsics (:meth:`VectorMachine.vfmacc_vf_seq`
+        storage the batched intrinsics (:meth:`VectorMachine.vfmacc_vf_kloop`
         and friends) operate on: one NumPy block op updates a whole run of
         accumulator registers, instead of one Python-level read-modify-write
         per register.

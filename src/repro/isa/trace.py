@@ -15,12 +15,14 @@ A trace is an ordered sequence of lightweight event records:
 Storage is *columnar* (structure-of-arrays): instead of one Python object
 per event, the trace keeps preallocated, geometrically grown NumPy columns
 for the event kind, interned opcode id, vector length, element width, base
-address, stride and store flag.  Trace replay
+address, stride and store flag.  A column a row's kind does not use holds
+0, so two runs of one kernel give byte-identical columns.  Trace replay
 (:mod:`repro.simulator.timing`) reads those columns directly.  The
-dataclasses above remain the public per-event view — iteration decodes
-rows back into them on demand — while the emit path (including the batched
-``emit_*`` entry points used by the fast kernels) never allocates
-per-event Python objects.
+dataclasses above are the per-event view — iteration decodes rows back
+into them on demand — while the ``emit_*`` entry points never allocate
+per-event Python objects: :meth:`InstructionTrace.emit_loop` writes every
+row of a whole loop (mixed scalar, memory and vector rows) as one
+columnar block.
 
 Traces from full convolutional layers would hold 10^8+ events; for those,
 run the machine in ``counts`` mode, which skips event storage entirely but
@@ -53,7 +55,8 @@ class TraceColumns(NamedTuple):
 
     ``vl`` holds the active element count for vector/memory rows and the
     instruction count for scalar rows; ``aux`` holds ``sew_bits`` for
-    vector rows and ``elem_bytes`` for memory rows.
+    vector rows and ``elem_bytes`` for memory rows.  Columns a row's kind
+    does not use hold 0.
     """
 
     kind: np.ndarray
@@ -63,6 +66,22 @@ class TraceColumns(NamedTuple):
     base: np.ndarray
     stride: np.ndarray
     store: np.ndarray
+
+
+class LoopRow(NamedTuple):
+    """One row of a loop body for :meth:`InstructionTrace.emit_loop`.
+
+    ``vl`` and ``aux`` have the meanings of :class:`TraceColumns`;
+    ``stride`` and ``is_store`` apply to memory rows only.  Columns a row's
+    kind does not use are recorded as 0.
+    """
+
+    kind: int
+    name: str
+    vl: int
+    aux: int = 0
+    stride: int = 0
+    is_store: bool = False
 
 
 class MemoryOpColumns(NamedTuple):
@@ -104,19 +123,10 @@ class MemoryOp:
     is_store: bool
     indices: tuple[int, ...] | None = None  # byte offsets for indexed ops
 
-    def byte_span(self) -> int:
-        """Total bytes spanned from first to one-past-last element."""
-        if self.vl == 0:
-            return 0
-        if self.indices is not None:
-            return max(self.indices) + self.elem_bytes - min(self.indices)
-        return abs(self.stride) * (self.vl - 1) + self.elem_bytes
-
     def line_addresses(self, line_bytes: int) -> np.ndarray:
-        """Distinct cache-line addresses touched, in access order (vectorized).
+        """Distinct cache-line addresses touched, in access order.
 
-        Consecutive accesses to the same line are collapsed, exactly as
-        :meth:`touched_lines` does, but computed with NumPy in one pass.
+        Consecutive accesses to the same line are collapsed into one.
         """
         if self.vl == 0:
             return np.empty(0, dtype=np.int64)
@@ -131,11 +141,6 @@ class MemoryOp:
         keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])
         return lines[keep]
-
-    def touched_lines(self, line_bytes: int) -> Iterator[int]:
-        """Yield the distinct cache-line addresses touched, in access order."""
-        for line in self.line_addresses(line_bytes):
-            yield int(line)
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,8 @@ class TraceStats:
 
 
 class _EventsView:
-    """List-like view over a trace's events (``len``, iteration, indexing
-    and ``clear``; rows are decoded on access)."""
+    """List-like view over a trace's events (``len``, iteration and
+    indexing; rows are decoded on access)."""
 
     __slots__ = ("_trace",)
 
@@ -198,9 +203,6 @@ class _EventsView:
         if not 0 <= i < n:
             raise IndexError("trace event index out of range")
         return trace._decode(i)
-
-    def clear(self) -> None:
-        self._trace.clear()
 
 
 class InstructionTrace:
@@ -232,21 +234,26 @@ class InstructionTrace:
         self._alloc(_INITIAL_CAPACITY)
         self._n = 0
         self._indices: dict[int, tuple[int, ...]] = {}
+        # emit_loop bodies, compiled once per trace (opcode ids are per trace)
+        self._loop_bodies: dict[tuple[LoopRow, ...], tuple] = {}
 
     # ------------------------------------------------------------------ #
     # columnar storage
     # ------------------------------------------------------------------ #
+    # Storage past the last row is always zero (zeroed on allocation and
+    # growth, reallocated by clear()), so emitters write only the columns
+    # their row kind uses and the others read 0.
     def _alloc(self, capacity: int) -> None:
         self._capacity = capacity
-        self._kind = np.empty(capacity, dtype=np.uint8)
-        self._op = np.empty(capacity, dtype=np.uint32)
+        self._kind = np.zeros(capacity, dtype=np.uint8)
+        self._op = np.zeros(capacity, dtype=np.uint32)
         # vl for vector/memory rows, count for scalar rows
-        self._vl = np.empty(capacity, dtype=np.int64)
+        self._vl = np.zeros(capacity, dtype=np.int64)
         # sew_bits for vector rows, elem_bytes for memory rows
-        self._aux = np.empty(capacity, dtype=np.int64)
-        self._base = np.empty(capacity, dtype=np.int64)
-        self._stride = np.empty(capacity, dtype=np.int64)
-        self._store = np.empty(capacity, dtype=bool)
+        self._aux = np.zeros(capacity, dtype=np.int64)
+        self._base = np.zeros(capacity, dtype=np.int64)
+        self._stride = np.zeros(capacity, dtype=np.int64)
+        self._store = np.zeros(capacity, dtype=bool)
 
     def _grow(self, needed: int) -> None:
         new_cap = self._capacity or _INITIAL_CAPACITY
@@ -254,7 +261,7 @@ class InstructionTrace:
             new_cap *= 2
         for col in ("_kind", "_op", "_vl", "_aux", "_base", "_stride", "_store"):
             old = getattr(self, col)
-            grown = np.empty(new_cap, dtype=old.dtype)
+            grown = np.zeros(new_cap, dtype=old.dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, col, grown)
         self._capacity = new_cap
@@ -413,29 +420,7 @@ class InstructionTrace:
         return np.concatenate(out_lines), np.concatenate(out_ops)
 
     # ------------------------------------------------------------------ #
-    # per-event emission (dataclass API, kept for compatibility)
-    # ------------------------------------------------------------------ #
-    def emit(self, event: TraceEvent) -> None:
-        """Record one event (statistics update even if event storage is off)."""
-        if isinstance(event, VectorOp):
-            self.emit_vector(event.name, event.vl, event.sew_bits)
-        elif isinstance(event, MemoryOp):
-            self.emit_memory(
-                event.name,
-                event.base,
-                event.elem_bytes,
-                event.vl,
-                event.stride,
-                event.is_store,
-                event.indices,
-            )
-        elif isinstance(event, ScalarOp):
-            self.emit_scalar(event.name, event.count)
-        else:
-            raise TypeError(f"unknown trace event {event!r}")
-
-    # ------------------------------------------------------------------ #
-    # batched columnar emission (the fast path)
+    # columnar emission
     # ------------------------------------------------------------------ #
     def emit_vector(
         self, name: str, vl: int, sew_bits: int, count: int = 1
@@ -498,57 +483,106 @@ class InstructionTrace:
 
     def emit_memory_rows(
         self,
-        name,
+        name: str,
         bases,
         elem_bytes: int,
-        vl,
-        stride,
-        is_store,
+        vl: int,
+        stride: int,
+        is_store: bool,
     ) -> None:
-        """Record a *sequence* of memory instructions in one call.
+        """Record one memory instruction per byte address in ``bases``.
 
-        ``bases`` is an array of byte addresses; ``name``, ``vl``, ``stride``
-        and ``is_store`` may each be a scalar (applied to every row) or an
-        array of the same length (per-row values — this is how interleaved
-        load/store streams are emitted while preserving the exact address
-        order the per-op path would produce).  Indexed ops are not batchable
-        (their per-element offsets are irregular); use :meth:`emit_memory`.
+        Every row has the same ``name``, ``vl``, ``stride`` and store flag;
+        a loop of mixed rows goes through :meth:`emit_loop`.  Indexed ops
+        are not batchable (their per-element offsets are irregular); use
+        :meth:`emit_memory`.
         """
         bases = np.asarray(bases, dtype=np.int64)
         count = bases.size
         if count == 0:
             return
+        elems = count * int(vl)
         stats = self.stats
         stats.memory_instrs += count
-        if isinstance(vl, (int, np.integer)) and isinstance(is_store, bool):
-            # uniform rows: O(1) statistics arithmetic
-            vl_arr: np.ndarray | int = vl
-            store_arr: np.ndarray | bool = is_store
-            total_elems = count * int(vl)
-            store_elems = total_elems if is_store else 0
+        stats.vector_elements += elems
+        stats.memory_bytes += elems * elem_bytes
+        if is_store:
+            stats.store_bytes += elems * elem_bytes
         else:
-            vl_arr = np.broadcast_to(np.asarray(vl, dtype=np.int64), (count,))
-            store_arr = np.broadcast_to(np.asarray(is_store, dtype=bool), (count,))
-            total_elems = int(vl_arr.sum())
-            store_elems = int(vl_arr[store_arr].sum())
-        stats.vector_elements += total_elems
-        stats.memory_bytes += total_elems * elem_bytes
-        stats.store_bytes += store_elems * elem_bytes
-        stats.load_bytes += (total_elems - store_elems) * elem_bytes
+            stats.load_bytes += elems * elem_bytes
         if self.mode != "full":
             return
         row = self._rows(count)
         end = row + count
         self._kind[row:end] = KIND_MEMORY
-        if isinstance(name, str):
-            self._op[row:end] = self._intern(name)
-        else:
-            self._op[row:end] = [self._intern(n) for n in name]
-        self._vl[row:end] = vl_arr
+        self._op[row:end] = self._intern(name)
+        self._vl[row:end] = vl
         self._aux[row:end] = elem_bytes
         self._base[row:end] = bases
         self._stride[row:end] = stride
-        self._store[row:end] = store_arr
+        self._store[row:end] = is_store
+
+    def emit_loop(self, body: tuple[LoopRow, ...], bases) -> None:
+        """Record every row of a loop in one call.
+
+        ``body`` lists the rows of one iteration as :class:`LoopRow`
+        tuples; ``bases`` holds the byte addresses of the iteration's memory
+        rows, one line per iteration: shape ``(iterations, memory rows)``.
+        The rows land iteration by iteration, exactly as the matching
+        ``emit_scalar`` / ``emit_memory`` / ``emit_vector`` calls would
+        record them.  Indexed ops are not expressible here; use
+        :meth:`emit_memory`.
+        """
+        compiled = self._loop_bodies.get(body)
+        if compiled is None:
+            compiled = self._loop_bodies[body] = self._compile_body(body)
+        columns, is_mem, per_iteration = compiled
+        reps = len(bases)
+        stats = self.stats
+        stats.vector_instrs += reps * per_iteration.vector_instrs
+        stats.vector_elements += reps * per_iteration.vector_elements
+        stats.memory_instrs += reps * per_iteration.memory_instrs
+        stats.memory_bytes += reps * per_iteration.memory_bytes
+        stats.load_bytes += reps * per_iteration.load_bytes
+        stats.store_bytes += reps * per_iteration.store_bytes
+        stats.scalar_instrs += reps * per_iteration.scalar_instrs
+        if self.mode != "full" or reps == 0:
+            return
+        width = is_mem.size
+        row = self._rows(reps * width)
+        end = row + reps * width
+        for col, values in zip(
+            (self._kind, self._op, self._vl, self._aux, self._stride, self._store),
+            columns,
+        ):
+            col[row:end].reshape(reps, width)[:] = values
+        self._base[row:end].reshape(reps, width)[:, is_mem] = bases
+
+    def _compile_body(self, body: tuple[LoopRow, ...]):
+        """Columns, memory-row mask and per-iteration statistics of a body.
+
+        Columns a row's kind does not use are set to 0.
+        """
+        kind, names, vl, aux, stride, store = zip(*body)
+        kind = np.array(kind, dtype=np.uint8)
+        vl = np.array(vl, dtype=np.int64)
+        is_vec = kind == KIND_VECTOR
+        is_mem = kind == KIND_MEMORY
+        aux = np.where(kind == KIND_SCALAR, 0, np.array(aux, dtype=np.int64))
+        stride = np.where(is_mem, np.array(stride, dtype=np.int64), 0)
+        store = is_mem & np.array(store, dtype=bool)
+        op = np.array([self._intern(n) for n in names], dtype=np.uint32)
+        nbytes = vl * aux
+        per_iteration = TraceStats(
+            vector_instrs=int(is_vec.sum()),
+            vector_elements=int(vl[is_vec | is_mem].sum()),
+            memory_instrs=int(is_mem.sum()),
+            memory_bytes=int(nbytes[is_mem].sum()),
+            load_bytes=int(nbytes[is_mem & ~store].sum()),
+            store_bytes=int(nbytes[store].sum()),
+            scalar_instrs=int(vl[kind == KIND_SCALAR].sum()),
+        )
+        return (kind, op, vl, aux, stride, store), is_mem, per_iteration
 
     # ------------------------------------------------------------------ #
     # sequence API
@@ -560,6 +594,7 @@ class InstructionTrace:
         return iter(self.events)
 
     def clear(self) -> None:
+        self._alloc(_INITIAL_CAPACITY)
         self._n = 0
         self._indices.clear()
         self.stats = TraceStats()

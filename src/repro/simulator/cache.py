@@ -37,9 +37,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        self.accesses = self.hits = self.misses = self.writebacks = 0
-
 
 class SetAssociativeCache:
     """State of one write-allocate, write-back, true-LRU cache level."""

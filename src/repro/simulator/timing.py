@@ -74,18 +74,6 @@ class TimingResult:
     memory_instrs: int = 0
     scalar_instrs: int = 0
 
-    def merge(self, other: "TimingResult") -> None:
-        """Accumulate another result into this one (phase composition)."""
-        self.cycles += other.cycles
-        self.compute_cycles += other.compute_cycles
-        self.memory_cycles += other.memory_cycles
-        self.scalar_cycles += other.scalar_cycles
-        self.l1_misses += other.l1_misses
-        self.l2_misses += other.l2_misses
-        self.vector_instrs += other.vector_instrs
-        self.memory_instrs += other.memory_instrs
-        self.scalar_instrs += other.scalar_instrs
-
 
 class TraceTimingModel:
     """Replays traces against a config's cache hierarchy and DRAM model."""

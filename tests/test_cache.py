@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.isa.trace import MemoryOp
-from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
+from repro.simulator.cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from repro.simulator.cache_fast import simulate_cache_stream
 from repro.simulator.hwconfig import HardwareConfig
 from tests.trace_oracle import (
@@ -103,7 +103,7 @@ class TestCacheBehaviour:
         lines = [i * 64 for i in range(16)]  # exactly capacity
         for l in lines:
             cache_access(c, l, False)
-        c.stats.reset()
+        c.stats = CacheStats()
         for l in lines:
             assert cache_access(c, l, False)[0]
         assert c.stats.hit_rate == 1.0
@@ -115,7 +115,7 @@ class TestCacheBehaviour:
         for _ in range(3):
             for l in lines:
                 cache_access(c, l, False)
-        c.stats.reset()
+        c.stats = CacheStats()
         for l in lines:
             assert not cache_access(c, l, False)[0]
 

@@ -20,6 +20,7 @@ from repro.isa import (
     VectorRegisterFile,
 )
 from repro.isa.types import element_type_for_bits, grant_vl, validate_vlen_bits
+from tests.trace_oracle import emit
 
 
 class TestTypes:
@@ -150,6 +151,23 @@ class TestMachine:
         with pytest.raises(IsaError, match="overruns"):
             m.vload(0, src, 0)
 
+    def test_batched_overrun_rejected(self):
+        """The k-loop and multi-row copy check every row they touch."""
+        m = VectorMachine(512)
+        src = m.alloc("src", 64)
+        dst = m.alloc("dst", 64)
+        m.vsetvl(16)
+        scalars = np.ones((2, 3), dtype=np.float32)
+        with pytest.raises(IsaError, match="overruns"):
+            m.vfmacc_vf_kloop(1, scalars, 0, src, [0, 16, 49], ("loop_k", 2))
+        with pytest.raises(IsaError, match="overlaps"):
+            m.vfmacc_vf_kloop(1, scalars, 2, src, [0, 16, 32], ("loop_k", 2))
+        with pytest.raises(IsaError, match="overruns"):
+            m.vcopy_strips(src, [0, 8], dst, [0, 50], 16)
+        with pytest.raises(IsaError, match="overruns"):  # strided row below 0
+            m.vcopy_strips(src, [40, 20], dst, [0, 16], 8, src_stride=-3)
+        assert len(m.trace) == 1  # only the vsetvl: nothing half-recorded
+
     def test_strided_ops(self):
         m = VectorMachine(512)
         src = m.alloc_from("src", np.arange(64, dtype=np.float32))
@@ -243,40 +261,31 @@ class TestMachine:
 
 
 class TestTraceEvents:
-    def test_memoryop_byte_span_unit(self):
-        op = MemoryOp("vle", 0, 4, 16, 4, is_store=False)
-        assert op.byte_span() == 64
-
-    def test_memoryop_byte_span_strided(self):
-        op = MemoryOp("vlse", 0, 4, 4, 128, is_store=False)
-        assert op.byte_span() == 3 * 128 + 4
-
     def test_touched_lines_unit_stride(self):
         op = MemoryOp("vle", 0, 4, 32, 4, is_store=False)
-        assert list(op.touched_lines(64)) == [0, 64]
+        assert op.line_addresses(64).tolist() == [0, 64]
 
     def test_touched_lines_strided_touches_each_line(self):
         op = MemoryOp("vlse", 0, 4, 4, 128, is_store=False)
-        assert list(op.touched_lines(64)) == [0, 128, 256, 384]
+        assert op.line_addresses(64).tolist() == [0, 128, 256, 384]
 
     def test_touched_lines_indexed(self):
         op = MemoryOp("vluxei", 0, 4, 3, 0, False, indices=(0, 4, 200))
-        assert list(op.touched_lines(64)) == [0, 192]
+        assert op.line_addresses(64).tolist() == [0, 192]
 
     def test_zero_vl(self):
         op = MemoryOp("vle", 0, 4, 0, 4, is_store=False)
-        assert op.byte_span() == 0
-        assert list(op.touched_lines(64)) == []
+        assert op.line_addresses(64).tolist() == []
 
     def test_trace_rejects_unknown_event(self):
         trace = InstructionTrace()
         with pytest.raises(TypeError):
-            trace.emit("nonsense")
+            emit(trace, "nonsense")
 
     def test_trace_clear(self):
         trace = InstructionTrace()
-        trace.emit(VectorOp("vfadd", 8, 32))
-        trace.emit(ScalarOp("s", 2))
+        emit(trace, VectorOp("vfadd", 8, 32))
+        emit(trace, ScalarOp("s", 2))
         trace.clear()
         assert len(trace) == 0 and trace.stats.total_instrs == 0
 

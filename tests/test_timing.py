@@ -7,6 +7,7 @@ from repro.isa import VectorMachine
 from repro.isa.trace import InstructionTrace, MemoryOp, ScalarOp, VectorOp
 from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.timing import TraceTimingModel
+from tests.trace_oracle import emit
 
 
 def saxpy_trace(vlen_bits: int, n: int = 4096) -> InstructionTrace:
@@ -53,7 +54,7 @@ class TestTraceTiming:
     def test_scalar_ops_cost_one_cycle_each(self):
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
         trace = InstructionTrace()
-        trace.emit(ScalarOp("s", 100))
+        emit(trace, ScalarOp("s", 100))
         res = model.run(trace)
         assert res.scalar_cycles == 100
 
@@ -62,8 +63,8 @@ class TestTraceTiming:
         unit = InstructionTrace()
         strided = InstructionTrace()
         for i in range(64):
-            unit.emit(MemoryOp("vle", i * 64, 4, 16, 4, is_store=False))
-            strided.emit(MemoryOp("vlse", i * 64, 4, 16, 4 * 64, is_store=False))
+            emit(unit, MemoryOp("vle", i * 64, 4, 16, 4, is_store=False))
+            emit(strided, MemoryOp("vlse", i * 64, 4, 16, 4 * 64, is_store=False))
         u = TraceTimingModel(cfg).run(unit)
         s = TraceTimingModel(cfg).run(strided)
         assert s.cycles > u.cycles
@@ -84,14 +85,6 @@ class TestTraceTiming:
         out_order = TraceTimingModel(ooo).run(trace, flush=True)
         assert out_order.cycles < in_order.cycles
 
-    def test_merge_accumulates(self):
-        model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
-        a = model.run(saxpy_trace(512, 512))
-        b = model.run(saxpy_trace(512, 512))
-        total = a.cycles + b.cycles
-        a.merge(b)
-        assert a.cycles == pytest.approx(total)
-
     def test_reset_cold_caches(self):
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
         trace = saxpy_trace(512, n=1024)
@@ -106,7 +99,7 @@ class TestTraceTiming:
         from repro.errors import SimulationError
 
         with pytest.raises(TypeError):
-            InstructionTrace().emit("bogus")
+            emit(InstructionTrace(), "bogus")
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
         with pytest.raises(SimulationError):
             model.run(["bogus"])
@@ -129,7 +122,7 @@ class TestTraceTiming:
 
         model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
         trace = InstructionTrace(mode="counts")
-        trace.emit(ScalarOp("s", 1))
+        emit(trace, ScalarOp("s", 1))
         with pytest.raises(SimulationError, match="'counts' mode"):
             model.run(trace)
 

@@ -3,10 +3,11 @@ reference.
 
 The columnar storage must be observationally a ``list[TraceEvent]`` plus a
 running :class:`TraceStats`: random event sequences pushed through
-``emit()`` must round-trip through ``len``/iteration/indexing identically,
-and the statistics must match a straightforward recomputation — including
-across the geometric-growth boundaries of the backing arrays, which the
-tests force by shrinking the initial capacity to a single row.
+``tests.trace_oracle.emit`` must round-trip through ``len``/iteration/
+indexing identically, and the statistics must match a straightforward
+recomputation — including across the geometric-growth boundaries of the
+backing arrays, which the tests force by shrinking the initial capacity to
+a single row.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.trace import (
+    KIND_MEMORY,
+    KIND_SCALAR,
+    KIND_VECTOR,
     InstructionTrace,
+    LoopRow,
     MemoryOp,
     ScalarOp,
     TraceStats,
     VectorOp,
 )
+from tests.trace_oracle import emit
 
 names = st.sampled_from(["vle", "vse", "vfmacc.vf", "vfmv", "vsetvl", "op_x"])
 
@@ -84,7 +90,7 @@ def tiny_trace(mode: str = "full", capacity: int = 1) -> InstructionTrace:
 def test_emit_round_trips_like_a_list(events):
     t = tiny_trace()
     for e in events:
-        t.emit(e)
+        emit(t, e)
     assert len(t) == len(events)
     assert list(t) == events
     assert list(t.events) == events
@@ -101,7 +107,7 @@ def test_emit_round_trips_like_a_list(events):
 def test_counts_mode_same_stats_no_storage(events):
     t = tiny_trace(mode="counts")
     for e in events:
-        t.emit(e)
+        emit(t, e)
     assert len(t) == 0
     assert list(t) == []
     assert t.stats == reference_stats(events)
@@ -124,69 +130,28 @@ def test_emit_vector_batched_equals_singles(name, vl, sew_bits, count):
 
 
 @given(
-    st.lists(
-        st.tuples(
-            names,
-            st.integers(0, 1 << 40),  # base
-            st.integers(0, 256),  # vl
-            st.integers(-64, 64),  # stride
-            st.booleans(),  # is_store
-        ),
-        min_size=1,
-        max_size=40,
-    ),
+    names,
+    st.lists(st.integers(0, 1 << 40), min_size=1, max_size=40),
+    st.integers(0, 256),  # vl
+    st.integers(-64, 64),  # stride
+    st.booleans(),  # is_store
     st.sampled_from([4, 8]),
-    st.booleans(),
 )
-def test_emit_memory_rows_equals_singles(rows, elem_bytes, uniform):
+def test_emit_memory_rows_equals_singles(name, bases, vl, stride, is_store, elem_bytes):
     batched = tiny_trace()
+    batched.emit_memory_rows(
+        name, np.array(bases, dtype=np.int64), elem_bytes, vl, stride, is_store
+    )
     singles = tiny_trace()
-    if uniform:
-        # scalar name/vl/stride/is_store broadcast over the bases array
-        name, _, vl, stride, is_store = rows[0]
-        rows = [(name, base, vl, stride, is_store) for _, base, *_ in rows]
-        batched.emit_memory_rows(
-            name,
-            np.array([r[1] for r in rows], dtype=np.int64),
-            elem_bytes,
-            vl,
-            stride,
-            is_store,
-        )
-    else:
-        batched.emit_memory_rows(
-            np.array([r[0] for r in rows], dtype=object),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            elem_bytes,
-            np.array([r[2] for r in rows], dtype=np.int64),
-            np.array([r[3] for r in rows], dtype=np.int64),
-            np.array([r[4] for r in rows], dtype=bool),
-        )
-    for name, base, vl, stride, is_store in rows:
+    for base in bases:
         singles.emit_memory(name, base, elem_bytes, vl, stride, is_store)
     assert list(batched) == list(singles)
     assert batched.stats == singles.stats
     # counts mode sees the identical statistics
     counted = tiny_trace(mode="counts")
-    if uniform:
-        name, _, vl, stride, is_store = rows[0]
-        counted.emit_memory_rows(
-            name,
-            np.array([r[1] for r in rows], dtype=np.int64),
-            elem_bytes,
-            vl,
-            stride,
-            is_store,
-        )
-    else:
-        counted.emit_memory_rows(
-            np.array([r[0] for r in rows], dtype=object),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            elem_bytes,
-            np.array([r[2] for r in rows], dtype=np.int64),
-            np.array([r[3] for r in rows], dtype=np.int64),
-            np.array([r[4] for r in rows], dtype=bool),
-        )
+    counted.emit_memory_rows(
+        name, np.array(bases, dtype=np.int64), elem_bytes, vl, stride, is_store
+    )
     assert counted.stats == singles.stats
     assert len(counted) == 0
 
@@ -204,12 +169,60 @@ def test_emit_scalar_coalesces_counts(name, count):
     assert list(batched) == [ScalarOp(name, count)]
 
 
+loop_rows = st.builds(
+    LoopRow,
+    kind=st.sampled_from([KIND_VECTOR, KIND_MEMORY, KIND_SCALAR]),
+    name=names,
+    vl=st.integers(0, 256),
+    aux=st.sampled_from([1, 2, 4, 8, 32]),
+    stride=st.integers(-64, 64),
+    is_store=st.booleans(),
+)
+
+
+@given(
+    st.lists(loop_rows, min_size=1, max_size=12).map(tuple),
+    st.integers(0, 6),
+    st.randoms(use_true_random=False),
+)
+def test_emit_loop_equals_singles(body, reps, rnd):
+    """``emit_loop`` records the same rows, raw columns and statistics as
+    the matching per-row emits, in both modes."""
+    n_mem = sum(row.kind == KIND_MEMORY for row in body)
+    bases = np.array(
+        [[rnd.randrange(1 << 40) for _ in range(n_mem)] for _ in range(reps)],
+        dtype=np.int64,
+    ).reshape(reps, n_mem)
+    batched = tiny_trace()
+    batched.emit_loop(body, bases)
+    singles = tiny_trace()
+    for it in range(reps):
+        mem = iter(bases[it].tolist())
+        for row in body:
+            if row.kind == KIND_VECTOR:
+                singles.emit_vector(row.name, row.vl, row.aux)
+            elif row.kind == KIND_MEMORY:
+                singles.emit_memory(
+                    row.name, next(mem), row.aux, row.vl, row.stride, row.is_store
+                )
+            else:
+                singles.emit_scalar(row.name, row.vl)
+    assert list(batched) == list(singles)
+    assert batched.stats == singles.stats
+    for a, b in zip(batched.columns(), singles.columns()):
+        assert a.tobytes() == b.tobytes()
+    counted = tiny_trace(mode="counts")
+    counted.emit_loop(body, bases)
+    assert counted.stats == singles.stats
+    assert len(counted) == 0
+
+
 @given(event_lists, st.sampled_from([1, 2, 3, 1024]))
 def test_growth_preserves_prefix(events, capacity):
     """Whatever the starting capacity, the decoded sequence is the same."""
     t = tiny_trace(capacity=capacity)
     for e in events:
-        t.emit(e)
+        emit(t, e)
     assert list(t) == events
 
 
@@ -217,21 +230,21 @@ def test_growth_preserves_prefix(events, capacity):
 def test_clear_resets(events):
     t = tiny_trace()
     for e in events:
-        t.emit(e)
+        emit(t, e)
     t.clear()
     assert len(t) == 0
     assert list(t) == []
     assert t.stats == TraceStats()
     # trace remains usable after clear
     for e in events:
-        t.emit(e)
+        emit(t, e)
     assert list(t) == events
 
 
 def test_emit_rejects_unknown_event_type():
     t = tiny_trace()
     with pytest.raises(TypeError):
-        t.emit("not an event")
+        emit(t, "not an event")
 
 
 def test_mode_validation():

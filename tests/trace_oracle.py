@@ -14,10 +14,12 @@ one-step-at-a-time versions the fast paths are diffed against:
 * per-op kernels — the convolution, im2col and GEMM kernels written with
   one machine call per RVV instruction, the instruction-level
   specification the batched ``run_vectorized`` / ``*_vectorized`` kernels
-  must reproduce.
+  must reproduce;
+* :func:`emit` — records one dataclass event, for tests that build traces
+  event by event.
 
-Besides the equivalence tests, two benchmark gates import these
-(``benchmarks/bench_kernels.py``, ``benchmarks/bench_timing_replay.py``).
+Besides the equivalence tests, three benchmark gates import these (two in
+``benchmarks/bench_kernels.py``, one in ``benchmarks/bench_timing_replay.py``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.algorithms.gemm_kernels import (
     UNROLL,
     _check_unroll,
 )
+from repro.algorithms.im2col import col2im_output
 from repro.algorithms.winograd import (
     MIN_CHANNELS,
     PACK_ELEMS,
@@ -47,7 +50,13 @@ from repro.algorithms.winograd import (
 )
 from repro.errors import SimulationError
 from repro.isa.machine import Buffer, VectorMachine
-from repro.isa.trace import InstructionTrace, MemoryOp, ScalarOp, VectorOp
+from repro.isa.trace import (
+    InstructionTrace,
+    MemoryOp,
+    ScalarOp,
+    TraceEvent,
+    VectorOp,
+)
 from repro.nn.layer import ConvSpec
 from repro.nn.reference import pad_input
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
@@ -58,6 +67,29 @@ from repro.simulator.timing import (
     TimingResult,
     TraceTimingModel,
 )
+
+
+# --------------------------------------------------------------------- #
+# event-by-event trace construction
+# --------------------------------------------------------------------- #
+def emit(trace: InstructionTrace, event: TraceEvent) -> None:
+    """Record one dataclass event (statistics update in counts mode too)."""
+    if isinstance(event, VectorOp):
+        trace.emit_vector(event.name, event.vl, event.sew_bits)
+    elif isinstance(event, MemoryOp):
+        trace.emit_memory(
+            event.name,
+            event.base,
+            event.elem_bytes,
+            event.vl,
+            event.stride,
+            event.is_store,
+            event.indices,
+        )
+    elif isinstance(event, ScalarOp):
+        trace.emit_scalar(event.name, event.count)
+    else:
+        raise TypeError(f"unknown trace event {event!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -530,3 +562,20 @@ def gemm6_vectorized_perop(
                     for it in range(ib):
                         machine.vstore(1 + it, c_buf, (i1 + it) * n + j1 + j)
                     j += gvl
+
+
+def im2col_gemm_perop(
+    spec: ConvSpec,
+    x: np.ndarray,
+    w: np.ndarray,
+    machine: VectorMachine,
+    kernel_perop,
+) -> np.ndarray:
+    """Per-op im2col+GEMM, composed as ``_Im2colGemmBase._vectorized`` is;
+    ``kernel_perop`` is :func:`gemm3_vectorized_perop` or
+    :func:`gemm6_vectorized_perop`."""
+    col_buf = im2col_vectorized_perop(spec, x, machine)
+    a_buf = machine.alloc_from("gemm_a", w.reshape(spec.oc, spec.gemm_k), unique=True)
+    c_buf = machine.alloc("gemm_c", spec.gemm_m * spec.gemm_n, np.float32, unique=True)
+    kernel_perop(machine, a_buf, col_buf, c_buf, spec.gemm_m, spec.gemm_k, spec.gemm_n)
+    return col2im_output(spec, c_buf.array.reshape(spec.gemm_m, spec.gemm_n))
