@@ -186,6 +186,48 @@ def test_im2col_gemm_batched_vs_perop(benchmark):
     assert speedup >= 10.0, f"batched im2col+GEMM only {speedup:.1f}x faster"
 
 
+def test_winograd_batched_vs_perop(benchmark):
+    """Full-mode Winograd must be >= 10x faster than the per-op kernel in
+    ``tests/trace_oracle.py`` (run from the repository root), with
+    bit-identical outputs and identical instruction statistics."""
+    from repro.algorithms.winograd import WinogradConv
+    from tests.trace_oracle import winograd_perop
+
+    alg = WinogradConv()
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(
+        (BATCH_SPEC.ic, BATCH_SPEC.ih, BATCH_SPEC.iw)
+    ).astype(np.float32)
+    w = (
+        0.3 * rng.standard_normal((BATCH_SPEC.oc, BATCH_SPEC.ic, 3, 3))
+    ).astype(np.float32)
+
+    def perop():
+        m = VectorMachine(512)
+        y = winograd_perop(alg, BATCH_SPEC, x, w, m)
+        return m.trace.stats, y
+
+    def batched():
+        m = VectorMachine(512)
+        y = alg.run_vectorized(BATCH_SPEC, x, w, m)
+        return m.trace.stats, y
+
+    ref_stats, ref_y = perop()
+    fast_stats, fast_y = batched()
+    assert np.array_equal(ref_y, fast_y)
+    assert fast_stats == ref_stats
+
+    perop_s = _best_of(perop)
+    fast_s = _best_of(batched, repeats=10)
+    benchmark(batched)
+
+    speedup = perop_s / fast_s
+    print(f"\nwinograd: per-op {perop_s * 1e3:.1f} ms, batched "
+          f"{fast_s * 1e3:.2f} ms, speedup {speedup:.1f}x")
+    record_metric("kernels.winograd_batched_vs_perop_speedup", speedup)
+    assert speedup >= 10.0, f"batched Winograd only {speedup:.1f}x faster"
+
+
 def test_vgg_conv3_1_counts_mode(benchmark):
     """Full instruction-level simulation of VGG-16 conv3_1 (128->256 ch,
     56x56) in counts mode — the tentpole feasibility target: single-digit

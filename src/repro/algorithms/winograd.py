@@ -34,7 +34,10 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import ConvAlgorithm
 from repro.algorithms.winograd_transforms import f63
-from repro.isa.machine import VectorMachine
+from repro.errors import IsaError
+from repro.isa.machine import Buffer, VectorMachine
+from repro.isa.trace import KIND_MEMORY, KIND_SCALAR, KIND_VECTOR, LoopRow
+from repro.isa.types import E32, VType
 from repro.nn.layer import DTYPE_BYTES, ConvSpec
 from repro.nn.reference import pad_input
 from repro.simulator.analytical.phases import DataStream, Phase
@@ -76,6 +79,90 @@ TUPLE_VMEM_PER_FMA_SVE = 0.6
 def tile_counts(spec: ConvSpec) -> tuple[int, int]:
     """(tiles_y, tiles_x): 6x6 output tiles covering the output plane."""
     return math.ceil(spec.oh / TILE_M), math.ceil(spec.ow / TILE_M)
+
+
+def _emit_transform(
+    machine: VectorMachine,
+    buf: Buffer,
+    scratch: Buffer,
+    mat: np.ndarray,
+    channels: int,
+    group: int,
+    channel_stride: int,
+    row_stride: int,
+    tile_offsets: np.ndarray,
+) -> None:
+    """Trace rows of a packed transform, as one ``emit_loop`` over tiles.
+
+    Per tile, per group of ``group`` channels (the last one ragged):
+    ``vsetvl``; per tile row a gather of the group's packed half-rows
+    (channel ``c``'s row ``r`` starts at element ``tile_offsets[t] +
+    c * channel_stride + r * row_stride`` of ``buf``), its scratch store and
+    the packing scalars; then the two linear-combination stages of ``mat``
+    around the transpose scalars.  Leaves ``machine.vtype`` as the last
+    group's ``vsetvl`` does.
+    """
+    vlmax = machine.vlmax()
+    elem = E32.bytes
+    rows_out = mat.shape[0]
+    nnz = int(np.count_nonzero(mat[:, 1:TILE_ALPHA]))
+    lanes = np.arange(TILE_ALPHA, dtype=np.int64)  # tile rows, and taps per row
+    scratch_rows = scratch.base + lanes * vlmax * elem
+    # per group: (gather, scratch store) per tile row, then both stages'
+    # scratch loads and stores
+    stage_bases = np.concatenate([scratch_rows, scratch_rows[:rows_out]])
+    group_bases = np.concatenate([
+        np.stack([np.full(TILE_ALPHA, buf.base), scratch_rows], axis=1).reshape(-1),
+        stage_bases,
+        stage_bases,
+    ])
+    starts = range(0, channels, group)
+    body, offsets = (), []
+    for c0 in starts:
+        nch = min(group, channels - c0)
+        vl = min(nch * PACK_ELEMS * 2, vlmax)
+        if (TILE_ALPHA - 1) * vlmax + vl > scratch.array.size:
+            raise IsaError(
+                f"Winograd scratch rows of {vl} elements overrun buffer "
+                f"{scratch.name!r} ({scratch.array.size} elements)"
+            )
+        stage = (
+            (LoopRow(KIND_MEMORY, "vle", vl, elem, elem),) * TILE_ALPHA
+            + (LoopRow(KIND_VECTOR, "vfmul.vf", vl, 32),) * rows_out
+            + (LoopRow(KIND_VECTOR, "vfmacc.vf", vl, 32),) * nnz
+            + (LoopRow(KIND_MEMORY, "vse", vl, elem, elem, True),) * rows_out
+        )
+        body += (
+            (LoopRow(KIND_SCALAR, "vsetvl", 1),)
+            + (
+                LoopRow(KIND_MEMORY, "vluxei", vl, elem, indexed=True),
+                LoopRow(KIND_MEMORY, "vse", vl, elem, elem, True),
+                LoopRow(KIND_SCALAR, "wg_pack", int(PACK_SCALARS * nch)),
+            ) * TILE_ALPHA
+            + stage
+            + (LoopRow(KIND_SCALAR, "wg_transpose", 2 * rows_out),)
+            + stage
+        )
+        # tile row r gathers the group's rows r, channel by channel (8 taps
+        # each), and keeps the first vl offsets
+        chan = (c0 + np.arange(nch, dtype=np.int64)) * channel_stride
+        row_offsets = (chan[:, None] + lanes).reshape(-1)[:vl]
+        offsets.append(lanes[:, None] * row_stride + row_offsets)
+    offsets = np.concatenate(offsets, axis=None)
+    lo = int(tile_offsets.min()) + int(offsets.min())
+    hi = int(tile_offsets.max()) + int(offsets.max())
+    if lo < 0 or hi >= buf.array.size:
+        raise IsaError(
+            f"Winograd gather offsets [{lo}, {hi}] outside buffer "
+            f"{buf.name!r} ({buf.array.size} elements)"
+        )
+    bases = np.tile(group_bases, len(starts))
+    machine.trace.emit_loop(
+        body,
+        np.broadcast_to(bases, (tile_offsets.size, bases.size)),
+        (tile_offsets[:, None] + offsets) * elem,
+    )
+    machine.vtype = VType(sew=E32, vl=vl)
 
 
 class WinogradConv(ConvAlgorithm):
@@ -199,9 +286,14 @@ class WinogradConv(ConvAlgorithm):
         contents, identical per-category instruction counts, and the same
         ordered memory-op address stream — while computing the transforms
         with whole-grid einsums (stride-tricks tile extraction, batched over
-        all tiles and channels) and emitting the trace in batched columnar
-        writes.  The packing gathers still run per-op (they carry exact
-        per-element index lists for the cache simulator).  Register and
+        all tiles and channels) and emitting the trace as three
+        :meth:`~repro.isa.trace.InstructionTrace.emit_loop` calls: the input
+        and output transforms one tile per iteration (every channel group,
+        the ragged last one included, with the gathers' per-element offsets
+        as one block), the tuple multiplication one (tile, output channel)
+        per iteration.  Gather offsets and scratch rows are bounds-checked
+        like the per-op intrinsics (:class:`~repro.errors.IsaError`), and
+        ``machine.vtype`` ends as the per-op loop leaves it.  Register and
         scratch-buffer contents after the call are unspecified, as with the
         other batched kernels.
         """
@@ -280,90 +372,51 @@ class WinogradConv(ConvAlgorithm):
                 y_grid.transpose(2, 0, 3, 1, 4).reshape(oc, ty * TILE_M, tx * TILE_M)
             )
 
-        # ---- trace emission (batched, same counts and address stream) --- #
-        trace = machine.trace
-        elem = scratch.array.itemsize
-        scratch_row_bases = scratch.base + (
-            np.arange(TILE_ALPHA, dtype=np.int64) * vlmax * elem
-        )
-
-        def _emit_stage(mat: np.ndarray, rows_in: int, vl: int) -> None:
-            # per-op order: rows_in loads, then per output row one vfmul.vf,
-            # the non-zero FMAs, and one store — memory stream preserved
-            rows_out = mat.shape[0]
-            nnz = int(np.count_nonzero(mat[:, 1:rows_in]))
-            trace.emit_memory_rows(
-                "vle", scratch_row_bases[:rows_in], elem, vl, elem, False
-            )
-            trace.emit_vector("vfmul.vf", vl, 32, rows_out)
-            trace.emit_vector("vfmacc.vf", vl, 32, nnz)
-            trace.emit_memory_rows(
-                "vse", scratch_row_bases[:rows_out], elem, vl, elem, True
-            )
-
-        def _emit_transform_group(
-            buf, bases: np.ndarray, mat: np.ndarray, nch: int,
-            row_stride: int, rows: int,
-        ) -> None:
-            vl = machine.vsetvl(nch * PACK_ELEMS * 2)
-            taps = np.arange(TILE_ALPHA, dtype=np.int64)
-            for row in range(rows):
-                offs = (bases[:, None] + row * row_stride + taps).reshape(-1)
-                machine.vgather(0, buf, offs, vl=min(vl, offs.size))
-                machine.vstore(0, scratch, row * vlmax, vl=min(vl, offs.size))
-                machine.scalar(int(PACK_SCALARS * nch), "wg_pack")
-            rows_out = mat.shape[0]
-            _emit_stage(mat, rows, vl)
-            machine.scalar(2 * rows_out, "wg_transpose")
-            _emit_stage(mat, rows, vl)
-
-        # input transform
+        # ---- trace emission: one emit_loop per stage, same rows --------- #
+        tiles = np.arange(ntiles, dtype=np.int64)
+        tyi, txi = np.divmod(tiles, tx)
         with obs.span("winograd.emit_input", cat="kernel"):
-            for t in range(ntiles):
-                tyi, txi = divmod(t, tx)
-                base_row = (tyi * TILE_M) * pw + txi * TILE_M
-                for c0 in range(0, ic, cb):
-                    nch = min(cb, ic - c0)
-                    bases = (c0 + np.arange(nch, dtype=np.int64)) * ph * pw + base_row
-                    _emit_transform_group(src, bases, bt32, nch, pw, TILE_ALPHA)
+            _emit_transform(
+                machine, src, scratch, bt32, ic, cb, ph * pw, pw,
+                (tyi * TILE_M) * pw + txi * TILE_M,
+            )
 
-        # tuple multiplication (64 positions, strip-mined)
+        # tuple multiplication, per (tile, output channel): the 64 positions
+        # strip-mined; per strip vsetvl, vfmv, loop scalars, the U and V
+        # loads of every input channel interleaved, ic vfmacc, one M store
         with obs.span("winograd.emit_tuple", cat="kernel"):
+            elem = E32.bytes
+            strips = np.arange(0, TUPLE_ELEMS, vlmax, dtype=np.int64)
+            body = ()
+            for pos in strips.tolist():
+                vl = min(TUPLE_ELEMS - pos, vlmax)
+                body += (
+                    (LoopRow(KIND_SCALAR, "vsetvl", 1),
+                     LoopRow(KIND_VECTOR, "vfmv", vl, 32),
+                     LoopRow(KIND_SCALAR, "wg_tuple_loop", 2 * ic))
+                    + (LoopRow(KIND_MEMORY, "vle", vl, elem, elem),) * (2 * ic)
+                    + (LoopRow(KIND_VECTOR, "vfmacc", vl, 32),) * ic
+                    + (LoopRow(KIND_MEMORY, "vse", vl, elem, elem, True),)
+                )
+            row_bytes = TUPLE_ELEMS * elem
             c_idx = np.arange(ic, dtype=np.int64)
-            for t in range(ntiles):
-                u_bases = u_buf.base + (t * ic + c_idx) * TUPLE_ELEMS * elem
-                for o in range(oc):
-                    v_bases = v_buf.base + (o * ic + c_idx) * TUPLE_ELEMS * elem
-                    uv_bases = np.empty(2 * ic, dtype=np.int64)
-                    uv_bases[0::2] = u_bases
-                    uv_bases[1::2] = v_bases
-                    pos = 0
-                    while pos < TUPLE_ELEMS:
-                        vl = machine.vsetvl(TUPLE_ELEMS - pos)
-                        trace.emit_vector("vfmv", vl, 32, 1)
-                        trace.emit_scalar("wg_tuple_loop", 2 * ic)
-                        trace.emit_memory_rows(
-                            "vle", uv_bases + pos * elem, elem, vl, elem, False
-                        )
-                        trace.emit_vector("vfmacc", vl, 32, ic)
-                        trace.emit_memory(
-                            "vse", m_buf.addr((t * oc + o) * TUPLE_ELEMS + pos),
-                            elem, vl, elem, True,
-                        )
-                        pos += vl
+            o_idx = np.arange(oc, dtype=np.int64)
+            u_rows = u_buf.base + (tiles[:, None] * ic + c_idx) * row_bytes
+            v_rows = v_buf.base + (o_idx[:, None] * ic + c_idx) * row_bytes
+            m_rows = m_buf.base + (tiles[:, None] * oc + o_idx) * row_bytes
+            strip_bytes = strips * elem
+            bases = np.empty((ntiles, oc, strips.size, 2 * ic + 1), dtype=np.int64)
+            bases[..., 0:-1:2] = u_rows[:, None, None, :] + strip_bytes[:, None]
+            bases[..., 1:-1:2] = v_rows[:, None, :] + strip_bytes[:, None]
+            bases[..., -1] = m_rows[:, :, None] + strip_bytes
+            machine.trace.emit_loop(body, bases.reshape(ntiles * oc, -1))
 
-        # output transform
         with obs.span("winograd.emit_output", cat="kernel"):
             cbo = max(1, min(oc, vlmax // PACK_ELEMS)) if intertile else 1
-            for t in range(ntiles):
-                for o0 in range(0, oc, cbo):
-                    nch = min(cbo, oc - o0)
-                    bases = (
-                        t * oc + o0 + np.arange(nch, dtype=np.int64)
-                    ) * TUPLE_ELEMS
-                    _emit_transform_group(
-                        m_buf, bases, at32, nch, TILE_ALPHA, TILE_ALPHA
-                    )
+            _emit_transform(
+                machine, m_buf, scratch, at32, oc, cbo, TUPLE_ELEMS, TILE_ALPHA,
+                tiles * oc * TUPLE_ELEMS,
+            )
         return out[:, : spec.oh, : spec.ow]
 
     # ------------------------------------------------------------------ #

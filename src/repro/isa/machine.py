@@ -232,31 +232,50 @@ class VectorMachine:
             "vsse", buf.addr(offset), sew.bytes, n, stride_elems * sew.bytes, True
         )
 
+    def _indexed_offsets(self, op: str, buf: Buffer, offsets, n: int) -> np.ndarray:
+        """The first ``n`` element offsets, checked against ``buf``."""
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        if offsets.size < n:
+            raise IsaError(
+                f"{op} of {n} elements got {offsets.size} offsets for "
+                f"buffer {buf.name!r}"
+            )
+        offsets = offsets[:n]
+        if n and (offsets.min() < 0 or offsets.max() >= buf.array.size):
+            raise IsaError(
+                f"{op} offsets [{int(offsets.min())}, {int(offsets.max())}] "
+                f"outside buffer {buf.name!r} ({buf.array.size} elements)"
+            )
+        return offsets
+
     def vgather(
         self, vd: int, buf: Buffer, offsets: np.ndarray, vl: int | None = None
     ) -> None:
-        """Indexed (gather) load from element offsets ``offsets``."""
+        """Indexed (gather) load from element offsets ``offsets``.
+
+        Needs at least ``vl`` offsets, all inside ``buf``.
+        """
         n = self._active(vl)
         sew = self.vtype.sew
-        offsets = np.asarray(offsets[:n], dtype=np.int64)
-        data = buf.array[offsets]
-        self._write_group(vd, data)
+        offsets = self._indexed_offsets("vgather", buf, offsets, n)
+        self._write_group(vd, buf.array[offsets])
         self.trace.emit_memory(
-            "vluxei", buf.base, sew.bytes, n, 0, False,
-            indices=tuple(int(o) * sew.bytes for o in offsets),
+            "vluxei", buf.base, sew.bytes, n, 0, False, indices=offsets * sew.bytes
         )
 
     def vscatter(
         self, vs: int, buf: Buffer, offsets: np.ndarray, vl: int | None = None
     ) -> None:
-        """Indexed (scatter) store to element offsets ``offsets``."""
+        """Indexed (scatter) store to element offsets ``offsets``.
+
+        Needs at least ``vl`` offsets, all inside ``buf``.
+        """
         n = self._active(vl)
         sew = self.vtype.sew
-        offsets = np.asarray(offsets[:n], dtype=np.int64)
+        offsets = self._indexed_offsets("vscatter", buf, offsets, n)
         buf.array[offsets] = self._read_group(vs, n)
         self.trace.emit_memory(
-            "vsuxei", buf.base, sew.bytes, n, 0, True,
-            indices=tuple(int(o) * sew.bytes for o in offsets),
+            "vsuxei", buf.base, sew.bytes, n, 0, True, indices=offsets * sew.bytes
         )
 
     # ------------------------------------------------------------------ #

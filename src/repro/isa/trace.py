@@ -8,7 +8,8 @@ A trace is an ordered sequence of lightweight event records:
 * :class:`MemoryOp` — a vector load/store described compactly as
   ``(base address, element bytes, element count, stride)`` — the cache
   simulator expands this to cache-line touches without storing per-element
-  addresses;
+  addresses; an indexed (gather/scatter) op carries its per-element byte
+  offsets instead;
 * :class:`ScalarOp` — a batch of scalar bookkeeping instructions (address
   arithmetic, loop control), recorded in bulk.
 
@@ -16,8 +17,10 @@ Storage is *columnar* (structure-of-arrays): instead of one Python object
 per event, the trace keeps preallocated, geometrically grown NumPy columns
 for the event kind, interned opcode id, vector length, element width, base
 address, stride and store flag.  A column a row's kind does not use holds
-0, so two runs of one kernel give byte-identical columns.  Trace replay
-(:mod:`repro.simulator.timing`) reads those columns directly.  The
+0, so two runs of one kernel give byte-identical columns.  The byte
+offsets of indexed rows live beside them in one flat store, with each
+indexed row's trace row, start and length appended in row order.  Trace
+replay (:mod:`repro.simulator.timing`) reads those columns directly.  The
 dataclasses above are the per-event view — iteration decodes rows back
 into them on demand — while the ``emit_*`` entry points never allocate
 per-event Python objects: :meth:`InstructionTrace.emit_loop` writes every
@@ -45,10 +48,19 @@ KIND_SCALAR = 2
 #: Initial capacity (rows) of the columnar storage.
 _INITIAL_CAPACITY = 1024
 
-#: Target cache-line-expansion chunk size (elements) for
-#: :meth:`InstructionTrace.memory_line_stream` — bounds peak memory while
-#: keeping each chunk big enough to amortize the NumPy call overhead.
-_STREAM_CHUNK_ELEMS = 1 << 22
+
+def _reserve(col: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``col``, or a zero-padded copy of its first ``used`` entries with
+    room for ``extra`` more (capacity doubles)."""
+    if used + extra <= col.size:
+        return col
+    cap = max(col.size, 1)
+    while cap < used + extra:
+        cap *= 2
+    grown = np.zeros(cap, dtype=col.dtype)
+    grown[:used] = col[:used]
+    return grown
+
 
 class TraceColumns(NamedTuple):
     """Read-only views of the trace's columnar storage (trimmed to length).
@@ -72,8 +84,10 @@ class LoopRow(NamedTuple):
     """One row of a loop body for :meth:`InstructionTrace.emit_loop`.
 
     ``vl`` and ``aux`` have the meanings of :class:`TraceColumns`;
-    ``stride`` and ``is_store`` apply to memory rows only.  Columns a row's
-    kind does not use are recorded as 0.
+    ``stride``, ``is_store`` and ``indexed`` apply to memory rows only.
+    An ``indexed`` row is a gather/scatter whose ``vl`` byte offsets come
+    from the ``indices`` block of :meth:`~InstructionTrace.emit_loop`.
+    Columns a row's kind does not use are recorded as 0.
     """
 
     kind: int
@@ -82,6 +96,7 @@ class LoopRow(NamedTuple):
     aux: int = 0
     stride: int = 0
     is_store: bool = False
+    indexed: bool = False
 
 
 class MemoryOpColumns(NamedTuple):
@@ -90,7 +105,7 @@ class MemoryOpColumns(NamedTuple):
     ``rows`` are the trace row indices of the memory ops, in trace order;
     the remaining arrays are aligned with it.  ``indexed`` marks gather/
     scatter ops (their per-element offsets are irregular and come from the
-    op's index tuple).
+    trace's gather-offset store).
     """
 
     rows: np.ndarray
@@ -122,25 +137,6 @@ class MemoryOp:
     stride: int  # byte stride between consecutive elements
     is_store: bool
     indices: tuple[int, ...] | None = None  # byte offsets for indexed ops
-
-    def line_addresses(self, line_bytes: int) -> np.ndarray:
-        """Distinct cache-line addresses touched, in access order.
-
-        Consecutive accesses to the same line are collapsed into one.
-        """
-        if self.vl == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.indices is not None:
-            offsets = np.asarray(self.indices, dtype=np.int64)
-        else:
-            offsets = self.stride * np.arange(self.vl, dtype=np.int64)
-        lines = (self.base + offsets) // line_bytes * line_bytes
-        if lines.size <= 1:
-            return lines
-        keep = np.empty(lines.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        return lines[keep]
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,6 @@ class InstructionTrace:
         self._id_to_name: list[str] = []
         self._alloc(_INITIAL_CAPACITY)
         self._n = 0
-        self._indices: dict[int, tuple[int, ...]] = {}
         # emit_loop bodies, compiled once per trace (opcode ids are per trace)
         self._loop_bodies: dict[tuple[LoopRow, ...], tuple] = {}
 
@@ -254,17 +249,19 @@ class InstructionTrace:
         self._base = np.zeros(capacity, dtype=np.int64)
         self._stride = np.zeros(capacity, dtype=np.int64)
         self._store = np.zeros(capacity, dtype=bool)
+        # indexed rows: trace row, start and length of its byte offsets in
+        # the flat ``_gather_offsets`` store, appended in row order
+        self._gathers = 0
+        self._gather_row = np.zeros(capacity, dtype=np.int64)
+        self._gather_start = np.zeros(capacity, dtype=np.int64)
+        self._gather_len = np.zeros(capacity, dtype=np.int64)
+        self._gather_used = 0
+        self._gather_offsets = np.zeros(capacity, dtype=np.int64)
 
     def _grow(self, needed: int) -> None:
-        new_cap = self._capacity or _INITIAL_CAPACITY
-        while new_cap < needed:
-            new_cap *= 2
         for col in ("_kind", "_op", "_vl", "_aux", "_base", "_stride", "_store"):
-            old = getattr(self, col)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, col, grown)
-        self._capacity = new_cap
+            setattr(self, col, _reserve(getattr(self, col), self._n, needed - self._n))
+        self._capacity = self._kind.size
 
     def _rows(self, count: int) -> int:
         """Reserve ``count`` rows; returns the first row index."""
@@ -273,6 +270,40 @@ class InstructionTrace:
             self._grow(row + count)
         self._n = row + count
         return row
+
+    def _append_gathers(
+        self, rows: np.ndarray, lengths: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        """Record indexed rows (ascending, after every earlier one) and
+        their concatenated byte offsets."""
+        k, used = self._gathers, self._gather_used
+        count, total = rows.size, offsets.size
+        self._gather_row = _reserve(self._gather_row, k, count)
+        self._gather_start = _reserve(self._gather_start, k, count)
+        self._gather_len = _reserve(self._gather_len, k, count)
+        self._gather_offsets = _reserve(self._gather_offsets, used, total)
+        self._gather_row[k : k + count] = rows
+        self._gather_len[k : k + count] = lengths
+        self._gather_start[k : k + count] = used + np.cumsum(lengths) - lengths
+        self._gather_offsets[used : used + total] = offsets
+        self._gathers = k + count
+        self._gather_used = used + total
+
+    def _gather_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Trace row, offset start and offset count of every indexed row."""
+        k = self._gathers
+        return self._gather_row[:k], self._gather_start[:k], self._gather_len[:k]
+
+    def _indices_of(self, row: int) -> tuple[int, ...] | None:
+        """The byte offsets of an indexed row, or None."""
+        if not self._gathers:
+            return None
+        g_row, g_start, g_len = self._gather_table()
+        k = int(np.searchsorted(g_row, row))
+        if k == g_row.size or g_row[k] != row:
+            return None
+        start = g_start[k]
+        return tuple(self._gather_offsets[start : start + g_len[k]].tolist())
 
     def _intern(self, name: str) -> int:
         op_id = self._name_to_id.get(name)
@@ -296,7 +327,7 @@ class InstructionTrace:
                 int(self._vl[i]),
                 int(self._stride[i]),
                 bool(self._store[i]),
-                self._indices.get(i),
+                self._indices_of(i),
             )
         return ScalarOp(self._id_to_name[self._op[i]], int(self._vl[i]))
 
@@ -329,13 +360,7 @@ class InstructionTrace:
         """Per-op columns of every memory row, in trace order (copies)."""
         rows = np.nonzero(self._kind[: self._n] == KIND_MEMORY)[0]
         indexed = np.zeros(rows.size, dtype=bool)
-        if self._indices and rows.size:
-            idx_rows = np.fromiter(self._indices.keys(), dtype=np.int64)
-            idx_rows = idx_rows[idx_rows < self._n]
-            pos = np.searchsorted(rows, idx_rows)
-            ok = pos < rows.size
-            ok[ok] = rows[pos[ok]] == idx_rows[ok]
-            indexed[pos[ok]] = True
+        indexed[np.searchsorted(rows, self._gather_table()[0])] = True
         return MemoryOpColumns(
             rows,
             self._vl[rows],
@@ -351,73 +376,60 @@ class InstructionTrace:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand memory ops to one cache-line stream with op markers.
 
-        Returns ``(lines, op_ids)``: ``lines`` is the concatenation of
-        :meth:`MemoryOp.line_addresses` over the selected memory rows in
-        trace order, and ``op_ids[k]`` is the ordinal (0..M-1, position
-        within ``rows``) of the op that access ``k`` belongs to.  The
-        expansion is exact — consecutive same-line accesses collapse
-        *within* each op, never across op boundaries — and is chunked so
-        peak memory stays bounded for 10^8-element traces.
+        Returns ``(lines, op_ids)``: ``lines`` lists, op by op over the
+        selected memory rows in trace order, the line addresses each op
+        touches with consecutive repeats collapsed *within* the op (never
+        across op boundaries), and ``op_ids[k]`` is the ordinal (0..M-1,
+        position within ``rows``) of the op that access ``k`` belongs to.
+        An op with ``vl`` 0 touches nothing.
+
+        A strided op expands straight to its lines: with ``|stride|`` at
+        most a line, its elements visit every line from the first element's
+        to the last one's; with a wider stride, every element is a line of
+        its own.  Only indexed ops expand element by element (over their
+        whole offset list), so the temporaries are the size of the output.
         """
         if rows is None:
             rows = np.nonzero(self._kind[: self._n] == KIND_MEMORY)[0]
         m = rows.size
-        empty = np.empty(0, dtype=np.int64)
-        if m == 0:
-            return empty, empty
         vl = self._vl[rows]
         base = self._base[rows]
         stride = self._stride[rows]
-        # per-op expansion lengths: ``vl`` elements, except indexed ops use
-        # their full index tuple (as MemoryOp.line_addresses does) and
-        # vl == 0 ops expand to nothing either way
-        counts = np.where(vl > 0, vl, 0)
-        indexed: dict[int, np.ndarray] = {}
-        if self._indices:
-            for row, offsets in self._indices.items():
-                if row >= self._n:
-                    continue
-                p = int(np.searchsorted(rows, row))
-                if p < m and rows[p] == row and vl[p] > 0:
-                    offs = np.asarray(offsets, dtype=np.int64)
-                    counts[p] = offs.size
-                    indexed[p] = offs
-        cum = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        if cum[-1] == 0:
-            return empty, empty
-        out_lines: list[np.ndarray] = []
-        out_ops: list[np.ndarray] = []
-        start = 0
-        while start < m:
-            stop = int(
-                np.searchsorted(
-                    cum, cum[start] + _STREAM_CHUNK_ELEMS, side="right"
-                )
-            ) - 1
-            stop = min(max(stop, start + 1), m)
-            total = int(cum[stop] - cum[start])
-            if total == 0:
-                start = stop
-                continue
-            chunk_counts = counts[start:stop]
-            op_of = np.repeat(
-                np.arange(start, stop, dtype=np.int64), chunk_counts
-            )
-            local_start = np.repeat(cum[start:stop] - cum[start], chunk_counts)
-            j = np.arange(total, dtype=np.int64) - local_start
-            offs = stride[op_of] * j
-            for p, poffs in indexed.items():
-                if start <= p < stop:
-                    lo = int(cum[p] - cum[start])
-                    offs[lo : lo + poffs.size] = poffs
-            lines = (base[op_of] + offs) // line_bytes * line_bytes
-            keep = j == 0  # op starts always survive the collapse
-            np.logical_or(keep[1:], lines[1:] != lines[:-1], out=keep[1:])
-            out_lines.append(lines[keep])
-            out_ops.append(op_of[keep])
-            start = stop
-        return np.concatenate(out_lines), np.concatenate(out_ops)
+        # strided ops: access k of an op is line (start + step * k) // L * L
+        first = base // line_bytes
+        last = (base + stride * (vl - 1)) // line_bytes
+        narrow = np.abs(stride) <= line_bytes
+        counts = np.where(narrow, np.abs(last - first) + 1, vl)
+        start = np.where(narrow, first * line_bytes, base)
+        step = np.where(narrow, np.sign(last - first) * line_bytes, stride)
+        # indexed ops among ``rows``: per-element lines, then the within-op
+        # collapse
+        g_row, g_start, g_len = self._gather_table()
+        g = np.searchsorted(rows, g_row)
+        sel = g < m
+        sel[sel] = rows[g[sel]] == g_row[sel]
+        ops = g[sel]
+        lens = np.where(vl[ops] > 0, g_len[sel], 0)
+        elem_op = np.repeat(ops, lens)
+        rank = np.arange(elem_op.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        offsets = self._gather_offsets[np.repeat(g_start[sel], lens) + rank]
+        g_lines = (base[elem_op] + offsets) // line_bytes * line_bytes
+        keep = rank == 0  # an op's first element always survives
+        np.logical_or(keep[1:], g_lines[1:] != g_lines[:-1], out=keep[1:])
+        counts[ops] = np.bincount(elem_op[keep], minlength=m)[ops]
+        start[ops] = 0
+        step[ops] = 0
+        counts[vl <= 0] = 0
+        # lay the ops out back to back
+        op_ids = np.repeat(np.arange(m, dtype=np.int64), counts)
+        k = np.arange(op_ids.size, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        lines = (start[op_ids] + step[op_ids] * k) // line_bytes * line_bytes
+        is_gather = np.zeros(m, dtype=bool)
+        is_gather[ops] = True
+        lines[is_gather[op_ids]] = g_lines[keep]
+        return lines, op_ids
 
     # ------------------------------------------------------------------ #
     # columnar emission
@@ -456,9 +468,13 @@ class InstructionTrace:
         vl: int,
         stride: int,
         is_store: bool,
-        indices: tuple[int, ...] | None = None,
+        indices=None,
     ) -> None:
-        """Record one vector memory instruction."""
+        """Record one vector memory instruction.
+
+        ``indices`` (an array or sequence of byte offsets from ``base``)
+        makes it an indexed op; its length may differ from ``vl``.
+        """
         stats = self.stats
         stats.memory_instrs += 1
         stats.vector_elements += vl
@@ -479,7 +495,10 @@ class InstructionTrace:
         self._stride[row] = stride
         self._store[row] = is_store
         if indices is not None:
-            self._indices[row] = tuple(indices)
+            offsets = np.asarray(indices, dtype=np.int64).reshape(-1)
+            self._append_gathers(
+                np.array([row]), np.array([offsets.size]), offsets
+            )
 
     def emit_memory_rows(
         self,
@@ -492,10 +511,9 @@ class InstructionTrace:
     ) -> None:
         """Record one memory instruction per byte address in ``bases``.
 
-        Every row has the same ``name``, ``vl``, ``stride`` and store flag;
-        a loop of mixed rows goes through :meth:`emit_loop`.  Indexed ops
-        are not batchable (their per-element offsets are irregular); use
-        :meth:`emit_memory`.
+        Only ``bases`` varies per row: every row has the same ``name``,
+        ``vl``, ``stride`` and store flag.  A loop of mixed rows, indexed
+        ones included, goes through :meth:`emit_loop`.
         """
         bases = np.asarray(bases, dtype=np.int64)
         count = bases.size
@@ -522,22 +540,31 @@ class InstructionTrace:
         self._stride[row:end] = stride
         self._store[row:end] = is_store
 
-    def emit_loop(self, body: tuple[LoopRow, ...], bases) -> None:
+    def emit_loop(self, body: tuple[LoopRow, ...], bases, indices=None) -> None:
         """Record every row of a loop in one call.
 
         ``body`` lists the rows of one iteration as :class:`LoopRow`
         tuples; ``bases`` holds the byte addresses of the iteration's memory
         rows, one line per iteration: shape ``(iterations, memory rows)``.
-        The rows land iteration by iteration, exactly as the matching
-        ``emit_scalar`` / ``emit_memory`` / ``emit_vector`` calls would
-        record them.  Indexed ops are not expressible here; use
-        :meth:`emit_memory`.
+        ``indices`` holds the byte offsets of the iteration's indexed rows
+        (gathers/scatters), ``vl`` per row concatenated in body order:
+        shape ``(iterations, sum of their vl)``; it may be omitted when the
+        body has no indexed row.  The rows land iteration by iteration,
+        exactly as the matching ``emit_scalar`` / ``emit_memory`` /
+        ``emit_vector`` calls would record them.
         """
         compiled = self._loop_bodies.get(body)
         if compiled is None:
             compiled = self._loop_bodies[body] = self._compile_body(body)
-        columns, is_mem, per_iteration = compiled
+        columns, is_mem, per_iteration, gather_at, gather_vl = compiled
         reps = len(bases)
+        if gather_at.size:
+            indices = np.asarray(indices, dtype=np.int64)
+            if indices.shape != (reps, int(gather_vl.sum())):
+                raise ValueError(
+                    f"emit_loop indices of shape {indices.shape}, expected "
+                    f"{(reps, int(gather_vl.sum()))}"
+                )
         stats = self.stats
         stats.vector_instrs += reps * per_iteration.vector_instrs
         stats.vector_elements += reps * per_iteration.vector_elements
@@ -557,13 +584,21 @@ class InstructionTrace:
         ):
             col[row:end].reshape(reps, width)[:] = values
         self._base[row:end].reshape(reps, width)[:, is_mem] = bases
+        if gather_at.size:
+            first = row + width * np.arange(reps, dtype=np.int64)
+            self._append_gathers(
+                (first[:, None] + gather_at).reshape(-1),
+                np.tile(gather_vl, reps),
+                indices.reshape(-1),
+            )
 
     def _compile_body(self, body: tuple[LoopRow, ...]):
-        """Columns, memory-row mask and per-iteration statistics of a body.
+        """Columns, memory-row mask, per-iteration statistics, and the
+        positions and ``vl`` of the indexed rows of a body.
 
         Columns a row's kind does not use are set to 0.
         """
-        kind, names, vl, aux, stride, store = zip(*body)
+        kind, names, vl, aux, stride, store, indexed = zip(*body)
         kind = np.array(kind, dtype=np.uint8)
         vl = np.array(vl, dtype=np.int64)
         is_vec = kind == KIND_VECTOR
@@ -571,6 +606,7 @@ class InstructionTrace:
         aux = np.where(kind == KIND_SCALAR, 0, np.array(aux, dtype=np.int64))
         stride = np.where(is_mem, np.array(stride, dtype=np.int64), 0)
         store = is_mem & np.array(store, dtype=bool)
+        gather_at = np.nonzero(is_mem & np.array(indexed, dtype=bool))[0]
         op = np.array([self._intern(n) for n in names], dtype=np.uint32)
         nbytes = vl * aux
         per_iteration = TraceStats(
@@ -582,7 +618,13 @@ class InstructionTrace:
             store_bytes=int(nbytes[store].sum()),
             scalar_instrs=int(vl[kind == KIND_SCALAR].sum()),
         )
-        return (kind, op, vl, aux, stride, store), is_mem, per_iteration
+        return (
+            (kind, op, vl, aux, stride, store),
+            is_mem,
+            per_iteration,
+            gather_at,
+            vl[gather_at],
+        )
 
     # ------------------------------------------------------------------ #
     # sequence API
@@ -596,5 +638,4 @@ class InstructionTrace:
     def clear(self) -> None:
         self._alloc(_INITIAL_CAPACITY)
         self._n = 0
-        self._indices.clear()
         self.stats = TraceStats()

@@ -77,9 +77,8 @@ def replay_sets_kernel(
     """Sequential true-LRU replay of one access stream, compiled.
 
     ``sets[k]`` is the row of ``tags``/``dirty``/``lru`` access ``k``
-    maps to (already masked/remapped by the caller — global set indices
-    for a whole cache, local rows for a shard) and ``positions[k]`` its
-    global stream position, which fixes the LRU tick at
+    maps to (the set index, already masked by the caller) and
+    ``positions[k]`` its stream position, which fixes the LRU tick at
     ``tick0 + 1 + positions[k]`` exactly as the per-access path does.
     Mutates the state arrays and the preallocated output arrays in
     place.

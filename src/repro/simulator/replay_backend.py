@@ -95,6 +95,10 @@ def _replay_sets_numpy(
     Each set's reference stream is independent under set-associative
     LRU, so one NumPy step advances every still-active set by one access
     — Python-level work per access drops by the number of touched sets.
+    An access to the line its set touched last hits the MRU way and only
+    ORs in its store flag and refreshes the tick, so each run of them is
+    folded into the run's head before stepping: the head carries the OR of
+    the run's store flags and the stream position of its last access.
     """
     n = lines.size
     hits = np.zeros(n, dtype=bool)
@@ -103,8 +107,20 @@ def _replay_sets_numpy(
     if n == 0:
         return hits, writebacks, victims
     order = np.argsort(sets, kind="stable")
+    by_set = lines[order]
+    head = np.ones(n, dtype=bool)
+    np.not_equal(by_set[1:], by_set[:-1], out=head[1:])
+    hits[order[~head]] = True
+    heads = np.nonzero(head)[0]
+    ends = np.append(heads[1:], n) - 1  # each run's last access
+    order_h = order[heads]  # original stream positions of the run heads
+    lines_h = by_set[heads]
+    stores_h = np.logical_or.reduceat(stores[order], heads)
+    # a per-access walk bumps the tick before each access, so the access at
+    # global stream position p lands tick0 + p + 1; a run ends on its last
+    ticks_h = tick0 + 1 + positions[order[ends]]
     uniq, starts, counts = np.unique(
-        sets[order], return_index=True, return_counts=True
+        sets[order_h], return_index=True, return_counts=True
     )
     # order touched sets by access count so the sets still active at any
     # time step are a shrinking prefix
@@ -116,9 +132,10 @@ def _replay_sets_numpy(
         while counts[k - 1] <= t:
             k -= 1
         rows = uniq[:k]
-        g = order[starts[:k] + t]  # original stream positions, one per set
-        addr = lines[g]
-        st = stores[g]
+        h = starts[:k] + t  # run heads, one per set
+        g = order_h[h]  # their original stream positions
+        addr = lines_h[h]
+        st = stores_h[h]
         tg = tags[rows]  # (k, assoc) gather
         match = tg == addr[:, None]
         hit = match.any(axis=1)
@@ -143,9 +160,7 @@ def _replay_sets_numpy(
         victims[g[wb]] = old_tag[wb]
         tags[rows, way] = addr
         dirty[rows, way] = np.where(hit, old_dirty | st, st)
-        # a per-access walk bumps the tick before each access, so the
-        # access at global stream position p lands tick0 + p + 1
-        lru[rows, way] = tick0 + 1 + positions[g]
+        lru[rows, way] = ticks_h[h]
     return hits, writebacks, victims
 
 

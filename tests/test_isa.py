@@ -20,7 +20,7 @@ from repro.isa import (
     VectorRegisterFile,
 )
 from repro.isa.types import element_type_for_bits, grant_vl, validate_vlen_bits
-from tests.trace_oracle import emit
+from tests.trace_oracle import emit, line_addresses
 
 
 class TestTypes:
@@ -189,6 +189,31 @@ class TestMachine:
         m.vscatter(2, dst, np.array([0, 2, 4, 6]))
         np.testing.assert_array_equal(dst.array[[0, 2, 4, 6]], [3, 1, 20, 7])
 
+    def test_indexed_ops_check_their_offsets(self):
+        """A gather/scatter needs ``vl`` offsets, all inside the buffer: a
+        negative one would wrap to the buffer's end while the trace records
+        an address before it, and a short list would move fewer elements
+        than the trace counts."""
+        m = VectorMachine(512)
+        buf = m.alloc_from("buf", np.arange(8, dtype=np.float32))
+        m.vsetvl(4)
+        for offsets, message in (
+            ([0, 1, 2, -1], r"offsets \[-1, 2\] outside buffer 'buf'"),
+            ([-2, 1, 2, 3], r"offsets \[-2, 3\] outside buffer 'buf'"),
+            ([0, 8, 2, 3], r"offsets \[0, 8\] outside buffer 'buf'"),
+            ([0, 1], r"of 4 elements got 2 offsets for buffer 'buf'"),
+        ):
+            with pytest.raises(IsaError, match=message):
+                m.vgather(1, buf, np.array(offsets))
+            with pytest.raises(IsaError, match=message):
+                m.vscatter(1, buf, np.array(offsets))
+        assert np.array_equal(buf.array, np.arange(8))
+        assert len(m.trace) == 1  # only the vsetvl: nothing recorded
+        assert m.trace.stats.memory_instrs == 0
+        # extra offsets past vl are ignored, as before
+        m.vgather(1, buf, np.array([7, 0, 6, 1, 99]))
+        assert m.trace.events[-1].indices == (28, 0, 24, 4)
+
     def test_arithmetic_semantics(self):
         m = VectorMachine(256)
         m.vsetvl(8)
@@ -263,19 +288,19 @@ class TestMachine:
 class TestTraceEvents:
     def test_touched_lines_unit_stride(self):
         op = MemoryOp("vle", 0, 4, 32, 4, is_store=False)
-        assert op.line_addresses(64).tolist() == [0, 64]
+        assert line_addresses(op, 64).tolist() == [0, 64]
 
     def test_touched_lines_strided_touches_each_line(self):
         op = MemoryOp("vlse", 0, 4, 4, 128, is_store=False)
-        assert op.line_addresses(64).tolist() == [0, 128, 256, 384]
+        assert line_addresses(op, 64).tolist() == [0, 128, 256, 384]
 
     def test_touched_lines_indexed(self):
         op = MemoryOp("vluxei", 0, 4, 3, 0, False, indices=(0, 4, 200))
-        assert op.line_addresses(64).tolist() == [0, 192]
+        assert line_addresses(op, 64).tolist() == [0, 192]
 
     def test_zero_vl(self):
         op = MemoryOp("vle", 0, 4, 0, 4, is_store=False)
-        assert op.line_addresses(64).tolist() == []
+        assert line_addresses(op, 64).tolist() == []
 
     def test_trace_rejects_unknown_event(self):
         trace = InstructionTrace()

@@ -40,6 +40,19 @@ stream_strategy = st.lists(
     st.tuples(st.integers(0, 47), st.booleans()), min_size=0, max_size=250
 )
 
+# runs of repeated accesses (each with its own store flag) over at most 4
+# distinct lines, so most accesses hit the line their set touched last
+run_stream_strategy = st.lists(
+    st.integers(0, 47), min_size=1, max_size=4, unique=True
+).flatmap(
+    lambda ids: st.lists(
+        st.tuples(
+            st.sampled_from(ids), st.lists(st.booleans(), min_size=1, max_size=6)
+        ),
+        max_size=60,
+    ).map(lambda runs: [(lid, s) for lid, stores in runs for s in stores])
+)
+
 geometry_strategy = st.tuples(
     st.sampled_from([1, 2, 4]),  # associativity
     st.sampled_from([1, 2, 4, 8]),  # sets
@@ -63,7 +76,10 @@ def _assert_cache_state_equal(a: SetAssociativeCache, b: SetAssociativeCache):
 
 
 @pytest.mark.parametrize("replay_kwargs", REPLAY_VARIANTS)
-@given(stream=stream_strategy, geometry=geometry_strategy)
+@given(
+    stream=st.one_of(stream_strategy, run_stream_strategy),
+    geometry=geometry_strategy,
+)
 @settings(max_examples=120, deadline=None)
 def test_single_level_stream_equivalence(replay_kwargs, stream, geometry):
     ref, fast = _caches(*geometry)

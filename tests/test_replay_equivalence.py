@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.direct import DirectConv
 from repro.algorithms.im2col_gemm import Im2colGemm3
@@ -31,7 +33,9 @@ from repro.simulator.replay_backend import available_backends, resolve_backend
 from repro.simulator.timing import TraceTimingModel
 from tests.trace_oracle import (
     cache_access,
+    emit,
     hierarchy_access_memop,
+    line_addresses,
     sequential_replay,
 )
 
@@ -211,9 +215,53 @@ def test_memory_line_stream_matches_per_op_expansion():
     line_bytes = 64
     lines, op_ids = trace.memory_line_stream(line_bytes)
     ops = [e for e in trace if isinstance(e, MemoryOp)]
-    expected = [op.line_addresses(line_bytes) for op in ops]
+    expected = [line_addresses(op, line_bytes) for op in ops]
     assert np.array_equal(lines, np.concatenate(expected))
     expected_ids = np.repeat(np.arange(len(ops)), [e.size for e in expected])
+    assert np.array_equal(op_ids, expected_ids)
+
+
+@st.composite
+def _line_stream_cases(draw):
+    """A trace of random memory ops (strides around the line size, unaligned
+    bases, indexed ops whose offset count differs from ``vl``) between other
+    rows, the line size, and a random subset of its memory rows (or None)."""
+    line = draw(st.sampled_from([16, 64, 256]))
+    trace = InstructionTrace()
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.booleans()):
+            trace.emit_scalar("loop", 1)
+        elem = draw(st.sampled_from([1, 2, 4, 8]))
+        stride = draw(st.sampled_from([
+            0, elem, -elem, line - 4, 4 - line, line, -line,
+            line + 4, -line - 4, 3 * line, -3 * line,
+        ]))
+        indices = draw(
+            st.none()
+            | st.lists(st.integers(-line, 8 * line), max_size=70).map(tuple)
+        )
+        emit(trace, MemoryOp(
+            "vle" if indices is None else "vluxei",
+            draw(st.integers(0, 1 << 16)), elem, draw(st.integers(0, 64)),
+            stride, draw(st.booleans()), indices,
+        ))
+    rows = trace.memory_columns().rows
+    subset = draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size))
+    rows = draw(st.sampled_from([None, rows[np.array(subset, dtype=bool)]]))
+    return trace, line, rows
+
+
+@given(case=_line_stream_cases())
+@settings(max_examples=120, deadline=None)
+def test_memory_line_stream_matches_line_addresses(case):
+    """The closed-form line expansion equals the per-element one, op by op."""
+    trace, line, rows = case
+    lines, op_ids = trace.memory_line_stream(line, rows=rows)
+    if rows is None:
+        rows = trace.memory_columns().rows
+    expected = [line_addresses(trace.events[int(r)], line) for r in rows]
+    assert np.array_equal(lines, np.concatenate([np.empty(0, np.int64), *expected]))
+    expected_ids = np.repeat(np.arange(len(expected)), [e.size for e in expected])
     assert np.array_equal(op_ids, expected_ids)
 
 

@@ -177,6 +177,7 @@ loop_rows = st.builds(
     aux=st.sampled_from([1, 2, 4, 8, 32]),
     stride=st.integers(-64, 64),
     is_store=st.booleans(),
+    indexed=st.booleans(),
 )
 
 
@@ -186,24 +187,35 @@ loop_rows = st.builds(
     st.randoms(use_true_random=False),
 )
 def test_emit_loop_equals_singles(body, reps, rnd):
-    """``emit_loop`` records the same rows, raw columns and statistics as
-    the matching per-row emits, in both modes."""
+    """``emit_loop`` records the same rows, raw columns, gather offsets and
+    statistics as the matching per-row emits, in both modes."""
     n_mem = sum(row.kind == KIND_MEMORY for row in body)
+    n_idx = sum(row.vl for row in body if row.kind == KIND_MEMORY and row.indexed)
     bases = np.array(
         [[rnd.randrange(1 << 40) for _ in range(n_mem)] for _ in range(reps)],
         dtype=np.int64,
     ).reshape(reps, n_mem)
+    indices = np.array(
+        [[rnd.randrange(-(1 << 20), 1 << 20) for _ in range(n_idx)]
+         for _ in range(reps)],
+        dtype=np.int64,
+    ).reshape(reps, n_idx)
     batched = tiny_trace()
-    batched.emit_loop(body, bases)
+    batched.emit_loop(body, bases, indices)
     singles = tiny_trace()
     for it in range(reps):
         mem = iter(bases[it].tolist())
+        idx = indices[it].tolist()
         for row in body:
             if row.kind == KIND_VECTOR:
                 singles.emit_vector(row.name, row.vl, row.aux)
             elif row.kind == KIND_MEMORY:
+                offsets = None
+                if row.indexed:
+                    offsets, idx = idx[: row.vl], idx[row.vl :]
                 singles.emit_memory(
-                    row.name, next(mem), row.aux, row.vl, row.stride, row.is_store
+                    row.name, next(mem), row.aux, row.vl, row.stride,
+                    row.is_store, indices=offsets,
                 )
             else:
                 singles.emit_scalar(row.name, row.vl)
@@ -211,10 +223,24 @@ def test_emit_loop_equals_singles(body, reps, rnd):
     assert batched.stats == singles.stats
     for a, b in zip(batched.columns(), singles.columns()):
         assert a.tobytes() == b.tobytes()
+    assert np.array_equal(
+        batched.memory_columns().indexed, singles.memory_columns().indexed
+    )
     counted = tiny_trace(mode="counts")
-    counted.emit_loop(body, bases)
+    counted.emit_loop(body, bases, indices)
     assert counted.stats == singles.stats
     assert len(counted) == 0
+
+
+@pytest.mark.parametrize("mode", ["full", "counts"])
+def test_emit_loop_rejects_misshapen_indices(mode):
+    """A gather block that does not match the body records nothing."""
+    body = (LoopRow(KIND_MEMORY, "vluxei", 4, 4, indexed=True),)
+    trace = InstructionTrace(mode=mode)
+    with pytest.raises(ValueError, match="indices of shape"):
+        trace.emit_loop(body, np.zeros((2, 1), dtype=np.int64), np.zeros((2, 3)))
+    assert len(trace) == 0
+    assert trace.stats == TraceStats()
 
 
 @given(event_lists, st.sampled_from([1, 2, 3, 1024]))

@@ -23,7 +23,8 @@ from repro.algorithms import gemm_kernels as gk
 from repro.algorithms.direct import DirectConv
 from repro.algorithms.im2col import im2col_vectorized
 from repro.algorithms.im2col_gemm import Im2colGemm3, Im2colGemm6
-from repro.algorithms.winograd import WinogradConv
+from repro.algorithms.winograd import WinogradConv, _emit_transform, f63
+from repro.errors import IsaError
 from repro.isa.machine import VectorMachine
 from repro.isa.types import E32
 from repro.nn.layer import ConvSpec
@@ -73,6 +74,8 @@ def _assert_equivalent(vlen: int, run_perop, run_fast):
     assert m_ref.trace.stats == m_fast.trace.stats
     # identical ordered memory-op address stream
     assert _memory_stream(m_ref) == _memory_stream(m_fast)
+    # the same vector configuration (SEW, LMUL, vl) afterwards
+    assert m_ref.vtype == m_fast.vtype
     # counts mode: same outputs and statistics, no stored events
     m_counts = VectorMachine(vlen, trace="counts")
     y_counts = run_fast(m_counts)
@@ -121,6 +124,24 @@ def test_winograd_strided_batched_matches_perop(vlen):
         lambda m: winograd_perop(alg, spec, x, w, m),
         lambda m: alg.run_vectorized(spec, x, w, m),
     )
+
+
+def test_winograd_emission_checks_its_buffers():
+    """The batched transforms bound-check their gathers and scratch rows as
+    the per-op intrinsics do, and record nothing when a check fails."""
+    bt = f63().BT.astype(np.float32)
+    machine = VectorMachine(512)
+    src = machine.alloc("src", 100)
+    scratch = machine.alloc("scratch", 16 * 8)
+    for tile_offsets in ([0, 40], [-1]):
+        with pytest.raises(IsaError, match="outside buffer 'src'"):
+            _emit_transform(
+                machine, src, scratch, bt, 4, 4, 64, 8, np.array(tile_offsets)
+            )
+    short = machine.alloc("short", 16 * 7)
+    with pytest.raises(IsaError, match="overrun buffer 'short'"):
+        _emit_transform(machine, src, short, bt, 1, 1, 64, 8, np.array([0]))
+    assert len(machine.trace) == 0
 
 
 @pytest.mark.parametrize("vlen", VLENS)
@@ -309,11 +330,23 @@ def test_direct_unique_buffer_names_no_collisions():
 # --------------------------------------------------------------------- #
 #: (spec, VLEN) pairs: a strided layer at a short vector length (several
 #: strips per row), and one whose 6-loop GEMM crosses all three block
-#: boundaries of the default 16x512x128 tiles
+#: boundaries of the default 16x512x128 tiles; then three Winograd shapes:
+#: ragged input and output channel groups (6 = 4 + 2, 10 = 4 + 4 + 2),
+#: fewer than 4 channels (the one-tile fallback), and one 64-wide tuple
+#: strip with an 8-channel group
 ROW_SPECS = {
     "s2": (ConvSpec(ic=4, oc=6, ih=9, iw=11, kh=3, kw=3, stride=2, pad=1), 128),
     "blocks": (
         ConvSpec(ic=16, oc=20, ih=24, iw=24, kh=3, kw=3, stride=1, pad=1), 512
+    ),
+    "ragged": (
+        ConvSpec(ic=6, oc=10, ih=24, iw=24, kh=3, kw=3, stride=1, pad=1), 512
+    ),
+    "few_ch": (
+        ConvSpec(ic=3, oc=8, ih=14, iw=14, kh=3, kw=3, stride=1, pad=1), 256
+    ),
+    "one_strip": (
+        ConvSpec(ic=8, oc=8, ih=14, iw=14, kh=3, kw=3, stride=1, pad=1), 4096
     ),
 }
 
@@ -342,6 +375,9 @@ ROW_DIGESTS = {
     ("blocks", "im2col_gemm3"): (157068, "8b426f83277f8120"),
     ("blocks", "im2col_gemm6"): (170512, "5393355649362a07"),
     ("blocks", "winograd"): (88000, "cfde48ee167a130d"),
+    ("ragged", "winograd"): (25920, "e4693fb21dc425bd"),
+    ("few_ch", "winograd"): (21888, "fcc2c1e5590096ae"),
+    ("one_strip", "winograd"): (4716, "71f40de730abb4ca"),
 }
 
 

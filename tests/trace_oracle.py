@@ -16,9 +16,12 @@ one-step-at-a-time versions the fast paths are diffed against:
   specification the batched ``run_vectorized`` / ``*_vectorized`` kernels
   must reproduce;
 * :func:`emit` — records one dataclass event, for tests that build traces
-  event by event.
+  event by event;
+* :func:`line_addresses` — the cache lines of one memory op, element by
+  element, which ``InstructionTrace.memory_line_stream`` must reproduce
+  op by op.
 
-Besides the equivalence tests, three benchmark gates import these (two in
+Besides the equivalence tests, four benchmark gates import these (three in
 ``benchmarks/bench_kernels.py``, one in ``benchmarks/bench_timing_replay.py``).
 """
 
@@ -90,6 +93,28 @@ def emit(trace: InstructionTrace, event: TraceEvent) -> None:
         trace.emit_scalar(event.name, event.count)
     else:
         raise TypeError(f"unknown trace event {event!r}")
+
+
+def line_addresses(op: MemoryOp, line_bytes: int) -> np.ndarray:
+    """Cache-line addresses ``op`` touches, in access order.
+
+    Element ``j`` sits at ``base + stride * j`` (``base + indices[j]`` for
+    an indexed op, over its whole index tuple); consecutive accesses to the
+    same line collapse into one, and an op with ``vl`` 0 touches nothing.
+    """
+    if op.vl == 0:
+        return np.empty(0, dtype=np.int64)
+    if op.indices is not None:
+        offsets = np.asarray(op.indices, dtype=np.int64)
+    else:
+        offsets = op.stride * np.arange(op.vl, dtype=np.int64)
+    lines = (op.base + offsets) // line_bytes * line_bytes
+    if lines.size <= 1:
+        return lines
+    keep = np.empty(lines.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    return lines[keep]
 
 
 # --------------------------------------------------------------------- #
@@ -180,7 +205,7 @@ def hierarchy_access_line(
 def hierarchy_access_memop(h: CacheHierarchy, op: MemoryOp) -> tuple[int, int]:
     """Replay a whole vector memory op; returns ``(l1_misses, l2_misses)``."""
     l1_misses = l2_misses = 0
-    for line in op.line_addresses(h.line_bytes):
+    for line in line_addresses(op, h.line_bytes):
         res = hierarchy_access_line(h, int(line), op.is_store, vector=True)
         if res["l1_hit"] is False:
             l1_misses += 1
