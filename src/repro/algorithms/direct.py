@@ -30,7 +30,11 @@ from repro.errors import ConfigError
 from repro.isa.machine import VectorMachine
 from repro.nn.layer import DTYPE_BYTES, ConvSpec
 from repro.nn.reference import pad_input
-from repro.simulator.analytical.cachemodel import stream_dram_bytes
+from repro.simulator.analytical.cachemodel import (
+    effective_l2_bytes,
+    stream_dram_bytes_at,
+)
+from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION
 from repro.simulator.analytical.phases import DataStream, Phase
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -304,11 +308,14 @@ class DirectConv(ConvAlgorithm):
         """The tiling with the least DRAM traffic at ``hw``'s L2 size.
 
         The cost sums the tiling's own streams (the kernel's streams less
-        the shared output); on a tie the first candidate wins.
+        the shared output) under :data:`DEFAULT_CALIBRATION`; on a tie the
+        first candidate wins.
         """
-
-        def tiling_cost(i: int) -> float:
-            tiling = candidates[i][-1].streams[:-1]
-            return sum(stream_dram_bytes(s, hw) for s in tiling)
-
-        return min(range(len(candidates)), key=tiling_cost)
+        cache = effective_l2_bytes(hw)
+        costs = []
+        for candidate in candidates:
+            cost = 0.0
+            for stream in candidate[-1].streams[:-1]:
+                cost += stream_dram_bytes_at(stream, cache, DEFAULT_CALIBRATION)
+            costs.append(cost)
+        return min(range(len(costs)), key=costs.__getitem__)

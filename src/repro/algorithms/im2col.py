@@ -9,6 +9,8 @@ analytical-model cost of the transformation phase.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import obs
@@ -90,8 +92,9 @@ def im2col_phase(spec: ConvSpec, hw: HardwareConfig) -> Phase:
     vle = hw.vlmax_f32
     k, n = spec.gemm_k, spec.gemm_n
     oh, ow = spec.oh, spec.ow
-    segments = k * oh * max(1.0, np.ceil(ow / vle))
-    avg_active = ow / max(1.0, np.ceil(ow / vle))
+    strips = max(1.0, float(math.ceil(ow / vle)))
+    segments = k * oh * strips
+    avg_active = ow / strips
     nonunit = 0.5 if spec.stride > 1 else 0.0
     plane_bytes = spec.ih * spec.iw * DTYPE_BYTES
     return Phase(

@@ -75,8 +75,9 @@ class MemoCache:
     def put(self, key: str, record: LayerCycles) -> None:
         """Store a record, evicting the least recently used past capacity."""
         self.stats.stores += 1
+        if key in self._memory:  # a new key is inserted at the end already
+            self._memory.move_to_end(key)
         self._memory[key] = record
-        self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.evictions += 1

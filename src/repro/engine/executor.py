@@ -56,10 +56,8 @@ _KEY_MEMO_SIZE = 16384
 #: does not apply to).
 _SCHEDULE_MEMO_SIZE = 4096
 
-#: A cell is one (index, algorithm, spec, hardware) tuple of a batch.
-_Cell = tuple[int, str, ConvSpec, HardwareConfig]
-#: A batch evaluation yields records or per-cell structured errors.
-_CellResult = tuple[int, "LayerCycles | CellError"]
+#: A cell is one (algorithm, spec, hardware) tuple of a batch.
+_Cell = tuple[str, ConvSpec, HardwareConfig]
 
 
 @dataclass(frozen=True)
@@ -175,14 +173,22 @@ class ScheduleMemo:
     def rows(
         self, algo: ConvAlgorithm, spec: ConvSpec, hw: HardwareConfig
     ) -> PhaseRows:
-        """The PhaseTable rows of ``algo.schedule(spec, hw)``."""
+        """The PhaseTable rows of ``algo.schedule(spec, hw)``.
+
+        Raises what ``algo.check_applicable(spec)`` raises.  A memoized
+        algorithm is checked only when its entry is built: applicability
+        reads the spec alone, and an entry exists only for an (algorithm,
+        spec) pair that passed the check.
+        """
         reads = algo.schedule_reads
         if reads is None:  # undeclared: never memoized
+            algo.check_applicable(spec)
             return PhaseRows.from_phases(algo.schedule(spec, hw))
         key = (algo, spec, *[getattr(hw, name) for name in reads])
         # pop + re-insert touches the entry with one key comparison
         entry = self._entries.pop(key, None)
         if entry is None:
+            algo.check_applicable(spec)
             self.misses += 1
             candidates = algo.schedule_candidates(spec, hw)
             rows = [PhaseRows.from_phases(c) for c in candidates]
@@ -203,27 +209,32 @@ def _compute_grid(
     items: list[_Cell],
     calibration: Calibration | None,
     schedules: ScheduleMemo,
-) -> list[_CellResult]:
+) -> list[LayerCycles | CellError]:
     """Evaluate resolved cells through one tensorized grid call.
 
-    A cell whose schedule construction (or injected ``cell.error`` fault)
-    raises yields its :class:`CellError` in place; the analytical model
-    then runs once over a columnar
-    :class:`~repro.simulator.analytical.grid.PhaseTable` covering every
-    surviving cell.  Schedules and their table rows come from the engine's
-    ``schedules`` memo.  Records are bit-identical to
+    Returns one result per cell, in order.  A cell whose schedule
+    construction (or injected ``cell.error`` fault) raises yields its
+    :class:`CellError`; the analytical model then runs once over a
+    columnar :class:`~repro.simulator.analytical.grid.PhaseTable` covering
+    every surviving cell.  Schedules and their table rows come from the
+    engine's ``schedules`` memo.  Records are bit-identical to
     :func:`repro.algorithms.registry.layer_cycles` by the grid module's
     parity contract.
     """
     plan = faults.active_plan()
+    tracing = obs.enabled()  # per-cell ``engine.point`` spans only when on
     hits, misses = schedules.hits, schedules.misses
-    out: list[_CellResult] = []
+    algos: dict[str, ConvAlgorithm] = {}  # one registry lookup per name
+    out: list[LayerCycles | CellError | None] = []
     grid_cells = []  # (algorithm, rows, hw) for cells whose schedule built
     grid_slots: list[int] = []  # position in `out` to fill with the record
     with obs.span("engine.schedule", cat="engine", cells=len(items)):
-        for idx, name, spec, hw in items:
-            with obs.span(
-                "engine.point", cat="engine", algorithm=name, layer=spec.index
+        for name, spec, hw in items:
+            with (
+                obs.span("engine.point", cat="engine", algorithm=name,
+                         layer=spec.index)
+                if tracing
+                else obs.NOOP_SPAN
             ):
                 try:
                     if plan is not None and plan.cell_fails(
@@ -233,16 +244,17 @@ def _compute_grid(
                         raise InjectedFaultError(
                             f"injected cell error for {_cell_token(name, spec, hw)}"
                         )
-                    algo = get_algorithm(name)
-                    algo.check_applicable(spec)
+                    algo = algos.get(name)
+                    if algo is None:
+                        algo = algos[name] = get_algorithm(name)
                     rows = schedules.rows(algo, spec, hw)
                 except Exception as exc:  # per-cell isolation (not BaseException)
-                    out.append((idx, CellError.from_exception(name, spec, hw, exc)))
+                    out.append(CellError.from_exception(name, spec, hw, exc))
                 else:
                     grid_slots.append(len(out))
-                    out.append((idx, None))  # type: ignore[arg-type]
+                    out.append(None)
                     grid_cells.append((algo.name, rows, hw))
-    if obs.enabled():
+    if tracing:
         obs.count("engine.schedule_memo.hits", schedules.hits - hits)
         obs.count("engine.schedule_memo.misses", schedules.misses - misses)
     if grid_cells:
@@ -251,12 +263,12 @@ def _compute_grid(
                 table = PhaseTable.from_cells(grid_cells, calibration=calibration)
             with obs.span("engine.evaluate", cat="engine", rows=table.n_rows):
                 records = evaluate_phase_table(table)
-        if obs.enabled():
+        if tracing:
             obs.count("engine.grid_cells", len(grid_cells))
         with obs.span("engine.assemble", cat="engine", cells=len(records)):
             for slot, record in zip(grid_slots, records):
-                out[slot] = (out[slot][0], record)
-    return out
+                out[slot] = record
+    return cast("list[LayerCycles | CellError]", out)
 
 
 class EvaluationEngine:
@@ -361,9 +373,9 @@ class EvaluationEngine:
         with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
             missing: dict[str, list[int]] = {}  # key -> task indices needing it
-            get = self.cache.get
+            use_cache, get, put = self.use_cache, self.cache.get, self.cache.put
             for i, (_, key) in enumerate(resolved):
-                record = get(key) if self.use_cache else None
+                record = get(key) if use_cache else None
                 if record is None:
                     missing.setdefault(key, []).append(i)
                 else:
@@ -377,11 +389,11 @@ class EvaluationEngine:
             if missing:
                 # one representative cell per distinct key, in first-seen order
                 cells = [
-                    (i, resolved[i][0], tasks[i][1], tasks[i][2])
+                    (resolved[i][0], tasks[i][1], tasks[i][2])
                     for i in (indices[0] for indices in missing.values())
                 ]
                 computed = _compute_grid(cells, cal, self.schedules)
-                for (key, indices), (_, record) in zip(missing.items(), computed):
+                for (key, indices), record in zip(missing.items(), computed):
                     if isinstance(record, CellError):
                         obs.count("engine.cell_errors")
                         if on_error == "raise":
@@ -389,8 +401,8 @@ class EvaluationEngine:
                         # failed cells are never cached: a later retry of
                         # the same key recomputes instead of replaying the
                         # failure from the cache
-                    elif self.use_cache:
-                        self.cache.put(key, record)
+                    elif use_cache:
+                        put(key, record)
                     for i in indices:
                         results[i] = record
         return cast("list[LayerCycles | CellError]", results)

@@ -182,40 +182,70 @@ class VectorMachine:
     # ------------------------------------------------------------------ #
     # memory instructions
     # ------------------------------------------------------------------ #
+    # The trace records SEW-wide elements at SEW-scaled offsets while the
+    # data moves in the buffer's own dtype, so every intrinsic that
+    # addresses a buffer first checks that the two widths agree.
+    @staticmethod
+    def _check_width(op: str, buf: Buffer, sew: ElementType) -> None:
+        if buf.array.itemsize != sew.bytes:
+            raise IsaError(
+                f"{op} at SEW={sew.bits} on buffer {buf.name!r} of "
+                f"{buf.array.itemsize}-byte elements"
+            )
+
+    @staticmethod
+    def _check_unit(op: str, buf: Buffer, offset: int, n: int) -> None:
+        if offset < 0 or offset + n > buf.array.size:
+            raise IsaError(
+                f"{op} of {n} elements at offset {offset} overruns buffer "
+                f"{buf.name!r} ({buf.array.size} elements)"
+            )
+
+    @staticmethod
+    def _strided_indices(
+        op: str, buf: Buffer, offset: int, stride_elems: int, n: int
+    ) -> np.ndarray:
+        """Element indices ``offset + i*stride_elems``, all inside ``buf``."""
+        idx = offset + stride_elems * np.arange(n, dtype=np.int64)
+        if n:
+            lo, hi = sorted((offset, offset + stride_elems * (n - 1)))
+            if lo < 0 or hi >= buf.array.size:
+                raise IsaError(
+                    f"{op} elements [{lo}, {hi}] outside buffer {buf.name!r} "
+                    f"({buf.array.size} elements)"
+                )
+        return idx
+
     def vload(self, vd: int, buf: Buffer, offset: int, vl: int | None = None) -> None:
         """Unit-stride load of ``vl`` elements starting at ``buf[offset]``."""
         n = self._active(vl)
         sew = self.vtype.sew
-        data = buf.array[offset : offset + n]
-        if data.size != n:
-            raise IsaError(
-                f"vload of {n} elements at offset {offset} overruns buffer "
-                f"{buf.name!r} ({buf.array.size} elements)"
-            )
-        self._write_group(vd, data)
+        self._check_width("vload", buf, sew)
+        self._check_unit("vload", buf, offset, n)
+        self._write_group(vd, buf.array[offset : offset + n])
         self.trace.emit_memory("vle", buf.addr(offset), sew.bytes, n, sew.bytes, False)
 
     def vstore(self, vs: int, buf: Buffer, offset: int, vl: int | None = None) -> None:
         """Unit-stride store of ``vl`` elements to ``buf[offset]``."""
         n = self._active(vl)
         sew = self.vtype.sew
-        if offset + n > buf.array.size:
-            raise IsaError(
-                f"vstore of {n} elements at offset {offset} overruns buffer "
-                f"{buf.name!r} ({buf.array.size} elements)"
-            )
+        self._check_width("vstore", buf, sew)
+        self._check_unit("vstore", buf, offset, n)
         buf.array[offset : offset + n] = self._read_group(vs, n)
         self.trace.emit_memory("vse", buf.addr(offset), sew.bytes, n, sew.bytes, True)
 
     def vload_strided(
         self, vd: int, buf: Buffer, offset: int, stride_elems: int, vl: int | None = None
     ) -> None:
-        """Strided load: elements at ``offset + i*stride_elems``."""
+        """Strided load: elements at ``offset + i*stride_elems``.
+
+        Every element must lie inside ``buf``.
+        """
         n = self._active(vl)
         sew = self.vtype.sew
-        idx = offset + stride_elems * np.arange(n)
-        data = buf.array[idx]
-        self._write_group(vd, data)
+        self._check_width("vload_strided", buf, sew)
+        idx = self._strided_indices("vload_strided", buf, offset, stride_elems, n)
+        self._write_group(vd, buf.array[idx])
         self.trace.emit_memory(
             "vlse", buf.addr(offset), sew.bytes, n, stride_elems * sew.bytes, False
         )
@@ -223,10 +253,14 @@ class VectorMachine:
     def vstore_strided(
         self, vs: int, buf: Buffer, offset: int, stride_elems: int, vl: int | None = None
     ) -> None:
-        """Strided store: elements to ``offset + i*stride_elems``."""
+        """Strided store: elements to ``offset + i*stride_elems``.
+
+        Every element must lie inside ``buf``.
+        """
         n = self._active(vl)
         sew = self.vtype.sew
-        idx = offset + stride_elems * np.arange(n)
+        self._check_width("vstore_strided", buf, sew)
+        idx = self._strided_indices("vstore_strided", buf, offset, stride_elems, n)
         buf.array[idx] = self._read_group(vs, n)
         self.trace.emit_memory(
             "vsse", buf.addr(offset), sew.bytes, n, stride_elems * sew.bytes, True
@@ -257,6 +291,7 @@ class VectorMachine:
         """
         n = self._active(vl)
         sew = self.vtype.sew
+        self._check_width("vgather", buf, sew)
         offsets = self._indexed_offsets("vgather", buf, offsets, n)
         self._write_group(vd, buf.array[offsets])
         self.trace.emit_memory(
@@ -272,6 +307,7 @@ class VectorMachine:
         """
         n = self._active(vl)
         sew = self.vtype.sew
+        self._check_width("vscatter", buf, sew)
         offsets = self._indexed_offsets("vscatter", buf, offsets, n)
         buf.array[offsets] = self._read_group(vs, n)
         self.trace.emit_memory(
@@ -433,6 +469,7 @@ class VectorMachine:
         offsets = np.asarray(offsets, dtype=np.int64)
         n = self._active(vl)
         sew = self.vtype.sew
+        self._check_width("vload_seq", buf, sew)
         count = offsets.size
         if count == 0:
             return
@@ -469,6 +506,7 @@ class VectorMachine:
         offsets = np.asarray(offsets, dtype=np.int64)
         n = self._active(vl)
         sew = self.vtype.sew
+        self._check_width("vstore_seq", buf, sew)
         count = offsets.size
         if count == 0:
             return
@@ -522,6 +560,7 @@ class VectorMachine:
         n = self._active(None)
         sew = self.vtype.sew
         lmul = self.vtype.lmul
+        self._check_width("vfmacc_vf_kloop", b_buf, sew)
         count, k = scalars.shape
         if count == 0 or k == 0:
             return
@@ -603,6 +642,8 @@ class VectorMachine:
         """
         src_off = np.atleast_1d(np.asarray(src_off, dtype=np.int64))
         dst_off = np.atleast_1d(np.asarray(dst_off, dtype=np.int64))
+        self._check_width("vcopy_strips", src_buf, sew)
+        self._check_width("vcopy_strips", dst_buf, sew)
         if length <= 0 or src_off.size == 0:
             return
         span = (length - 1) * src_stride

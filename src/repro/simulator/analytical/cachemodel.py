@@ -13,6 +13,7 @@ cliffs), and it gives the random-forest selector a learnable surface.
 
 from __future__ import annotations
 
+from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.simulator.analytical.phases import DataStream
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -36,22 +37,32 @@ def residency(reuse_ws: float, cache_bytes: float) -> float:
 def stream_dram_bytes(
     stream: DataStream, config: HardwareConfig, calibration=None
 ) -> float:
-    """DRAM traffic for one stream during a phase.
+    """DRAM traffic for one stream during a phase on ``config``'s L2.
+
+    :func:`stream_dram_bytes_at` with the config's usable capacity
+    (:func:`effective_l2_bytes`) and ``calibration`` (default
+    :data:`DEFAULT_CALIBRATION`).
+    """
+    return stream_dram_bytes_at(
+        stream, effective_l2_bytes(config), calibration or DEFAULT_CALIBRATION
+    )
+
+
+def stream_dram_bytes_at(
+    stream: DataStream, cache_bytes: float, calibration: Calibration
+) -> float:
+    """DRAM traffic for one stream with ``cache_bytes`` of usable L2.
 
     The first pass is compulsory (reads fetch from DRAM; writes allocate and
     eventually write back).  Each additional pass misses on the fraction of
     the reuse working set that was evicted.
     """
-    from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION
-
-    cal = calibration or DEFAULT_CALIBRATION
-    cache = effective_l2_bytes(config)
-    res = residency(stream.reuse_ws, cache)
+    res = residency(stream.reuse_ws, cache_bytes)
     compulsory = stream.bytes
-    if stream.resident_source and cal.enable_resident_source:
+    if stream.resident_source and calibration.enable_resident_source:
         # produced by an earlier phase / the previous layer: the fraction of
         # the footprint still cached does not re-fetch from DRAM
-        compulsory *= 1.0 - residency(stream.bytes, cache)
+        compulsory *= 1.0 - residency(stream.bytes, cache_bytes)
     extra = stream.bytes * (stream.passes - 1.0) * (1.0 - res)
     return compulsory + extra
 

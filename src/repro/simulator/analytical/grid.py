@@ -38,7 +38,7 @@ and the hypothesis suite in ``tests/test_property_analytical_grid.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -525,40 +525,6 @@ def grid_defaults() -> str:
 # --------------------------------------------------------------------- #
 # evaluation
 # --------------------------------------------------------------------- #
-_PC_NEW = PhaseCycles.__new__
-_LC_NEW = LayerCycles.__new__
-
-
-def _make_phase(name, vec, sca, l2c, drc, lat, stc, drb, l2b):
-    """Build one PhaseCycles without the dataclass __init__.
-
-    Record assembly is the dominant cost of a grid call (the row math
-    itself is vectorized); mapping this over the columns keeps the loop
-    in C.  ``__dict__`` is assigned in field order, so the records are
-    indistinguishable from constructor-built ones (``==``, ``repr``,
-    ``asdict``, pickle).
-    """
-    p = _PC_NEW(PhaseCycles)
-    p.__dict__ = {
-        "name": name,
-        "vector_cycles": vec,
-        "scalar_cycles": sca,
-        "l2_cycles": l2c,
-        "dram_cycles": drc,
-        "latency_cycles": lat,
-        "startup_cycles": stc,
-        "dram_bytes": drb,
-        "l2_bytes": l2b,
-    }
-    return p
-
-
-def _make_layer(name, start, stop, phases):
-    rec = _LC_NEW(LayerCycles)
-    rec.__dict__ = {"algorithm": name, "phases": phases[start:stop]}
-    return rec
-
-
 def evaluate_phase_table(
     table: PhaseTable, backend: str | None = None
 ) -> list[LayerCycles]:
@@ -578,12 +544,12 @@ def evaluate_phase_table(
         obs.count("analytical.grid_rows", table.n_rows)
     # bulk ndarray -> Python-float conversion (one C pass per column)
     cols = [col.tolist() for col in rows]
-    phases = list(map(_make_phase, table.phase_names, *cols))
+    phases = list(map(PhaseCycles, table.phase_names, *cols))
     stops = np.cumsum(table.phase_counts).tolist()
-    starts = [0] + stops[:-1]
-    return list(
-        map(_make_layer, table.algorithms, starts, stops, repeat(phases))
-    )
+    return [
+        LayerCycles(name, phases[start:stop])
+        for name, start, stop in zip(table.algorithms, [0] + stops[:-1], stops)
+    ]
 
 
 def evaluate_cells(

@@ -34,7 +34,7 @@ from repro.simulator.hwconfig import HardwareConfig, VectorUnitStyle
 from repro.simulator.memory import DramModel
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseCycles:
     """Cycle breakdown for one phase."""
 
@@ -69,7 +69,7 @@ class PhaseCycles:
         return max(lanes, key=lanes.get)
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerCycles:
     """Cycle estimate for one layer under one algorithm and config."""
 

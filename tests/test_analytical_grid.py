@@ -11,6 +11,10 @@ without changing a single output float.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import faults, obs
@@ -23,20 +27,13 @@ from repro.simulator.analytical import grid
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.analytical.model import AnalyticalTimingModel
 from repro.simulator.hwconfig import HardwareConfig
-from tests.oracle import percell_records
+from tests.oracle import percell_records, records_identical
 
 needs_numba = pytest.mark.skipif(
     not HAVE_NUMBA,
     reason="Numba not installed (the [compiled] extra); CI's compiled "
            "job runs these",
 )
-
-
-def records_equal(a, b) -> bool:
-    """Exact (bit-identical) equality of two LayerCycles records."""
-    return a.algorithm == b.algorithm and [
-        p.__dict__ for p in a.phases
-    ] == [p.__dict__ for p in b.phases]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +78,7 @@ class TestGridParity:
         got = grid.evaluate_phase_table(table, backend=backend)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
-            assert records_equal(g, e)
+            assert records_identical(g, e)
             assert g.cycles == e.cycles
             assert g.dram_bytes == e.dram_bytes
             for gp, ep in zip(g.phases, e.phases):
@@ -113,6 +110,22 @@ class TestGridParity:
         for a, b, name in zip(rows_np, rows_c, rows_np._fields):
             assert (a == b).all(), f"column {name} diverged"
 
+    def test_grid_records_keep_the_record_contract(self, paper_grid_cells):
+        """Grid-built records behave like constructor-built ones under
+        ``==``, ``repr``, ``asdict``, pickle and ``deepcopy``, and carry
+        no per-record ``__dict__``."""
+        cells, expected = paper_grid_cells
+        got = grid.evaluate_cells(cells[:64])
+        for g, e in zip(got, expected[:64]):
+            assert g == e and repr(g) == repr(e)
+            assert dataclasses.asdict(g) == dataclasses.asdict(e)
+            for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+                assert copied == e and copied is not g
+                assert records_identical(copied, e)
+            for record in (g, e):
+                assert not hasattr(record, "__dict__")
+                assert not any(hasattr(p, "__dict__") for p in record.phases)
+
     def test_calibration_column_parity(self):
         """Non-default and per-cell calibrations flow through the table."""
         spec = ConvSpec(ic=16, oc=32, ih=28, iw=28, kh=3, kw=3, index=2)
@@ -126,10 +139,10 @@ class TestGridParity:
         expected = AnalyticalTimingModel(hw, cal).evaluate(algo.name, phases)
         # table-wide calibration
         [got] = grid.evaluate_cells([(algo.name, phases, hw)], calibration=cal)
-        assert records_equal(got, expected)
+        assert records_identical(got, expected)
         # per-cell override beats the table-wide default
         [got2] = grid.evaluate_cells([(algo.name, phases, hw, cal)])
-        assert records_equal(got2, expected)
+        assert records_identical(got2, expected)
 
     def test_empty_and_streamless_cells(self):
         assert grid.evaluate_cells([]) == []
@@ -220,7 +233,7 @@ class TestEngineGridFastPath:
         finally:
             obs.disable()
         for got, want in zip(records, percell_records(tasks)):
-            assert records_equal(got, want)
+            assert records_identical(got, want)
 
     def test_cell_errors_isolated_in_grid_path(self, tasks):
         from repro.engine import CellError
@@ -292,10 +305,10 @@ class TestEngineGridFastPath:
         )
         assert list(a) == order
         for key, want in zip(order, b):
-            assert records_equal(a[key], want)
+            assert records_identical(a[key], want)
         # and records cached by the grid path replay identically
         cached = EvaluationEngine()
         first = cached.sweep(specs, hw, ALGORITHM_NAMES)
         again = cached.sweep(specs, hw, ALGORITHM_NAMES)
         for key in first:
-            assert records_equal(first[key], again[key])
+            assert records_identical(first[key], again[key])

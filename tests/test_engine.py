@@ -24,16 +24,9 @@ from repro.engine.keys import dataclass_payload
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.hwconfig import HardwareConfig
-from tests.oracle import percell_records
+from tests.oracle import percell_records, records_identical
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
-
-def phases_equal(a, b) -> bool:
-    """Exact (bit-identical) equality of two LayerCycles records."""
-    return a.algorithm == b.algorithm and [
-        p.__dict__ for p in a.phases
-    ] == [p.__dict__ for p in b.phases]
 
 
 @pytest.fixture
@@ -166,8 +159,8 @@ class TestEvaluationEngine:
             direct = layer_cycles(name, spec, hw)
             cold = engine.evaluate(name, spec, hw)
             warm = engine.evaluate(name, spec, hw)
-            assert phases_equal(cold, direct)
-            assert phases_equal(warm, direct)
+            assert records_identical(cold, direct)
+            assert records_identical(warm, direct)
         assert engine.cache.stats.hits >= len(ALGORITHM_NAMES)
 
     def test_fallback_aliases_im2col_gemm6(self, hw):
@@ -178,7 +171,7 @@ class TestEvaluationEngine:
         )
         record = engine.evaluate("winograd", one_by_one, hw)
         assert record.algorithm == "im2col_gemm6"
-        assert phases_equal(record, layer_cycles("winograd", one_by_one, hw))
+        assert records_identical(record, layer_cycles("winograd", one_by_one, hw))
 
     def test_not_applicable_raises_without_fallback(self, hw):
         from repro.errors import NotApplicableError
@@ -199,14 +192,14 @@ class TestEvaluationEngine:
         records = engine.evaluate_many(tasks)
         assert [r.algorithm for r in records] == ["direct", "winograd", "direct"]
         assert engine.cache.stats.stores == 2  # duplicate computed once
-        assert phases_equal(records[0], records[2])
+        assert records_identical(records[0], records[2])
 
     def test_no_cache_mode_recomputes(self, spec, hw):
         engine = EvaluationEngine(use_cache=False)
         a = engine.evaluate("direct", spec, hw)
         b = engine.evaluate("direct", spec, hw)
         assert engine.cache.stats.stores == 0 and len(engine.cache) == 0
-        assert phases_equal(a, b)
+        assert records_identical(a, b)
 
     def test_rejects_bad_resilience_knobs(self):
         """``on_error`` is the engine's failure-handling knob; a bad value
@@ -241,7 +234,7 @@ class TestCellErrorHandling:
         assert records[0].error_type == "NotApplicableError"
         assert records[0].layer == 5 and records[0].vlen_bits == hw.vlen_bits
         assert not isinstance(records[1], CellError)
-        assert phases_equal(records[1], layer_cycles("direct", spec, hw))
+        assert records_identical(records[1], layer_cycles("direct", spec, hw))
         assert len(engine.cache) == 1  # the failure was never cached
 
     def test_raise_mode_reraises_original_type_with_cell_named(
@@ -291,7 +284,7 @@ class TestCellErrorHandling:
         assert all(e.error_type == "InjectedFaultError" for e in errors)
         for got, want in zip(records, baseline):
             if not isinstance(got, CellError):
-                assert phases_equal(got, want)
+                assert records_identical(got, want)
         failing_keys = {
             engine.key(t) for t, r in zip(tasks, records)
             if isinstance(r, CellError)
@@ -302,7 +295,7 @@ class TestCellErrorHandling:
         with faults.inject(None):
             healed = engine.evaluate_many(tasks)
         for got, want in zip(healed, baseline):
-            assert phases_equal(got, want)
+            assert records_identical(got, want)
 
 
 class TestDefaultEngine:

@@ -214,6 +214,72 @@ class TestMachine:
         m.vgather(1, buf, np.array([7, 0, 6, 1, 99]))
         assert m.trace.events[-1].indices == (28, 0, 24, 4)
 
+    def test_strided_ops_check_their_range(self):
+        """Every strided element must lie inside the buffer: a negative
+        index would wrap to the buffer's end while the trace records an
+        address before it."""
+        m = VectorMachine(512)
+        buf = m.alloc_from("buf", np.arange(8, dtype=np.float32))
+        m.vsetvl(4)
+        for op, offset, stride, message in (
+            (m.vload_strided, 0, -1, r"vload_strided elements \[-3, 0\]"),
+            (m.vload_strided, 6, 2, r"vload_strided elements \[6, 12\]"),
+            (m.vstore_strided, 5, 1, r"vstore_strided elements \[5, 8\]"),
+            (m.vstore_strided, 1, -1, r"vstore_strided elements \[-2, 1\]"),
+        ):
+            with pytest.raises(IsaError, match=message + " outside buffer 'buf'"):
+                op(1, buf, offset, stride)
+        for op in (m.vload, m.vstore):  # unit stride below 0
+            with pytest.raises(IsaError, match="at offset -8 overruns buffer 'buf'"):
+                op(1, buf, -8)
+        assert np.array_equal(buf.array, np.arange(8))
+        assert len(m.trace) == 1  # only the vsetvl: nothing recorded
+        # a negative stride that stays inside is fine
+        m.vload_strided(1, buf, 7, -2)
+        np.testing.assert_array_equal(m.reg_values(1), [7, 5, 3, 1])
+        op = m.trace.events[-1]
+        assert (op.base, op.stride) == (buf.addr(7), -8)
+
+    def test_memory_ops_need_sew_wide_buffers(self):
+        """The trace records SEW-wide elements, so a buffer of another
+        width would be traced at addresses that disagree with the data."""
+        m = VectorMachine(512)
+        wide = m.alloc_from("wide", np.arange(16, dtype=np.float64))
+        m.vsetvl(4)
+        ones = np.ones((1, 2), dtype=np.float32)
+        calls = {
+            "vload": lambda: m.vload(1, wide, 2),
+            "vstore": lambda: m.vstore(1, wide, 2),
+            "vload_strided": lambda: m.vload_strided(1, wide, 0, 2),
+            "vstore_strided": lambda: m.vstore_strided(1, wide, 0, 2),
+            "vgather": lambda: m.vgather(1, wide, np.arange(4)),
+            "vscatter": lambda: m.vscatter(1, wide, np.arange(4)),
+            "vload_seq": lambda: m.vload_seq(1, wide, [0, 4]),
+            "vstore_seq": lambda: m.vstore_seq(1, wide, [0, 4]),
+            "vfmacc_vf_kloop": lambda: m.vfmacc_vf_kloop(
+                1, ones, 0, wide, [0, 4], ("loop_k", 2)
+            ),
+        }
+        for op, call in calls.items():
+            with pytest.raises(
+                IsaError, match=f"{op} at SEW=32 on buffer 'wide' of 8-byte"
+            ):
+                call()
+        narrow = m.alloc("narrow", 16)
+        for src, dst in ((wide, narrow), (narrow, wide)):
+            with pytest.raises(IsaError, match="vcopy_strips at SEW=32"):
+                m.vcopy_strips(src, 0, dst, 0, 8)
+        assert np.array_equal(wide.array, np.arange(16))
+        assert len(m.trace) == 1  # only the vsetvl: nothing recorded
+        # at a matching SEW the same load moves and records 8-byte elements
+        m.vsetvl(4, E64)
+        m.vload(1, wide, 2)
+        np.testing.assert_array_equal(m.reg_values(1), [2, 3, 4, 5])
+        op = m.trace.events[-1]
+        assert (op.base, op.elem_bytes, op.stride) == (wide.base + 16, 8, 8)
+        with pytest.raises(IsaError, match="vload at SEW=64 on buffer 'narrow'"):
+            m.vload(1, narrow, 0)
+
     def test_arithmetic_semantics(self):
         m = VectorMachine(256)
         m.vsetvl(8)

@@ -31,6 +31,7 @@ from repro.engine.keys import (
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import _POSITIVE_FIELDS, Calibration
 from repro.simulator.hwconfig import HardwareConfig, VectorUnitStyle
+from tests.oracle import records_identical
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -205,12 +206,6 @@ _HW = HardwareConfig.paper2_rvv(512, 1.0)
 _TASKS = [EvalTask(name, s, _HW) for s in _SPECS for name in ALGORITHM_NAMES]
 
 
-def _records_equal(a, b) -> bool:
-    return a.algorithm == b.algorithm and [
-        p.__dict__ for p in a.phases
-    ] == [p.__dict__ for p in b.phases]
-
-
 @given(order=st.permutations(range(len(_TASKS))))
 @settings(max_examples=20, deadline=None)
 def test_serial_batch_order_matches_submission_order(order):
@@ -218,7 +213,7 @@ def test_serial_batch_order_matches_submission_order(order):
     shuffled = [_TASKS[i] for i in order]
     records = EvaluationEngine().evaluate_many(shuffled)
     for task, record in zip(shuffled, records):
-        assert _records_equal(record, layer_cycles(task.algorithm, task.spec, _HW))
+        assert records_identical(record, layer_cycles(task.algorithm, task.spec, _HW))
 
 
 # ---------------------------------------------------------------------- #
@@ -267,6 +262,6 @@ def test_schedule_memo_matches_layer_cycles_in_both_orders(algorithm, data):
         engine = EvaluationEngine()
         for hw in (first, second):
             record = engine.evaluate(algorithm, spec, hw, fallback=False)
-            assert _records_equal(record, want[id(hw)])
+            assert records_identical(record, want[id(hw)])
         # the second config was served from the first one's memo entry
         assert (engine.schedules.misses, engine.schedules.hits) == (1, 1)

@@ -9,8 +9,12 @@ order-independence property lives in ``test_property_engine.py``.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm, layer_cycles
@@ -18,8 +22,11 @@ from repro.engine import EvalTask, EvaluationEngine, executor
 from repro.engine.executor import ScheduleMemo
 from repro.nn.layer import ConvSpec
 from repro.nn.models import vgg16_conv_specs, yolov3_conv_specs
+from repro.simulator.analytical.cachemodel import stream_dram_bytes
 from repro.simulator.analytical.grid import PhaseRows
+from repro.simulator.analytical.model import AnalyticalTimingModel
 from repro.simulator.hwconfig import HardwareConfig
+from tests.oracle import records_identical
 
 #: The contenders plus one schedule-search variant of each knobbed template.
 MEMOIZED = ALGORITHM_NAMES + (
@@ -60,12 +67,6 @@ class RecordingConfig:
             return attr.fget(self)
         self.read.add(name)
         return getattr(self._hw, name)
-
-
-def records_equal(a, b) -> bool:
-    return a.algorithm == b.algorithm and [
-        p.__dict__ for p in a.phases
-    ] == [p.__dict__ for p in b.phases]
 
 
 def rows_equal(a: PhaseRows, b: PhaseRows) -> bool:
@@ -119,8 +120,85 @@ def test_direct_choice_depends_on_the_l2_size():
     for hw in (small, large, small):
         for spec in flips:
             record = engine.evaluate("direct", spec, hw)
-            assert records_equal(record, layer_cycles("direct", spec, hw))
+            assert records_identical(record, layer_cycles("direct", spec, hw))
     assert engine.schedules.misses == len(flips)
+
+
+DIRECT = get_algorithm("direct")
+PAPER_LAYERS = vgg16_conv_specs() + yolov3_conv_specs()
+VLENS = (512, 1024, 2048, 4096)
+#: One byte of L2, in MiB.
+BYTE_MIB = 2.0**-20
+
+
+def direct_pick_oracle(candidates, hw: HardwareConfig) -> int:
+    """Direct's tiling choice spelled out: the least summed
+    ``stream_dram_bytes`` over each tiling's own streams (the kernel's
+    streams less the shared output); ``min`` keeps the first on a tie."""
+
+    def cost(i: int) -> float:
+        return sum(stream_dram_bytes(s, hw) for s in candidates[i][-1].streams[:-1])
+
+    return min(range(len(candidates)), key=cost)
+
+
+def _direct_pick(spec: ConvSpec, vlen: int, l2_mib: float) -> int:
+    hw = HardwareConfig.paper2_rvv(vlen, l2_mib)
+    return DIRECT.choose_candidate(DIRECT.schedule_candidates(spec, hw), hw)
+
+
+@cache
+def direct_crossovers() -> tuple[tuple[ConvSpec, int, float], ...]:
+    """(layer, VLEN, L2 size) where Direct's tiling flips, bisected to one
+    byte of L2, for every paper layer and VLEN whose pick differs between
+    1 and 64 MB."""
+    out = []
+    for spec in PAPER_LAYERS:
+        for vlen in VLENS:
+            small = _direct_pick(spec, vlen, 1.0)
+            if small == _direct_pick(spec, vlen, 64.0):
+                continue
+            lo, hi = 1.0, 64.0  # small's side, the other side
+            while hi - lo > BYTE_MIB / 2:
+                mid = (lo + hi) / 2
+                if _direct_pick(spec, vlen, mid) == small:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((spec, vlen, hi))
+    return tuple(out)
+
+
+@st.composite
+def direct_cells(draw) -> tuple[ConvSpec, HardwareConfig]:
+    """A paper layer on an L2 size anywhere in 1-64 MB, or within 64 bytes
+    of a size where Direct's tiling flips."""
+    if draw(st.booleans()):
+        spec, vlen, l2_mib = draw(st.sampled_from(direct_crossovers()))
+        l2_mib += draw(st.integers(-64, 64)) * BYTE_MIB
+    else:
+        spec = draw(st.sampled_from(PAPER_LAYERS))
+        vlen = draw(st.sampled_from(VLENS))
+        l2_mib = draw(st.floats(1.0, 64.0))
+    return spec, HardwareConfig.paper2_rvv(vlen, l2_mib)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=direct_cells())
+def test_engine_direct_pick_equals_choose_candidate(cell):
+    """The engine picks Direct's tiling from a memo entry built at another
+    L2 size; its record is the one of ``choose_candidate``'s pick."""
+    spec, hw = cell
+    assert direct_crossovers(), "no paper layer flips tiling in 1-64 MB"
+    candidates = DIRECT.schedule_candidates(spec, hw)
+    pick = DIRECT.choose_candidate(candidates, hw)
+    assert pick == direct_pick_oracle(candidates, hw)
+    engine = EvaluationEngine(use_cache=False)
+    engine.evaluate("direct", spec, HardwareConfig.paper2_rvv(hw.vlen_bits, 1.0))
+    record = engine.evaluate("direct", spec, hw)
+    assert (engine.schedules.misses, engine.schedules.hits) == (1, 1)
+    want = AnalyticalTimingModel(hw).evaluate("direct", candidates[pick])
+    assert records_identical(record, want)
 
 
 # ---------------------------------------------------------------------- #
@@ -132,7 +210,7 @@ def test_l2_sweep_builds_each_schedule_once():
     engine = EvaluationEngine()
     records = engine.sweep(specs, configs, ALGORITHM_NAMES)
     for (si, ci, name), record in records.items():
-        assert records_equal(record, layer_cycles(name, specs[si], configs[ci]))
+        assert records_identical(record, layer_cycles(name, specs[si], configs[ci]))
     applicable = sum(
         get_algorithm(name).applicable(spec)
         for spec in specs for name in ALGORITHM_NAMES
@@ -162,7 +240,7 @@ def test_undeclared_algorithms_bypass_the_memo():
     for name in ("fft", "im2col_gemm_naive"):
         assert get_algorithm(name).schedule_reads is None
         record = engine.evaluate(name, spec, hw)
-        assert records_equal(record, layer_cycles(name, spec, hw))
+        assert records_identical(record, layer_cycles(name, spec, hw))
     assert len(engine.schedules) == 0
 
 
