@@ -367,10 +367,9 @@ class EvaluationEngine:
         if on_error not in ("raise", "record"):
             raise EngineError(f"on_error must be 'raise' or 'record', got {on_error!r}")
         cal = self.calibration
-        # one memo lookup per task: (resolved algorithm name, cache key)
-        resolved = [_resolved_key(a, s, h, f, cal) for a, s, h, f in tasks]
-
         with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
+            # one memo lookup per task: (resolved algorithm name, cache key)
+            resolved = [_resolved_key(a, s, h, f, cal) for a, s, h, f in tasks]
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
             missing: dict[str, list[int]] = {}  # key -> task indices needing it
             use_cache, get, put = self.use_cache, self.cache.get, self.cache.put

@@ -1,12 +1,12 @@
 """Deterministic, seeded fault injection for chaos-testing the stack.
 
 This package is the *fault plane*: a single place that decides — purely,
-from ``(seed, site, token)`` hashes — which grid cells raise, which
-serving requests see a predictor failure or an arrival burst, and which
-replica dispatches crash, hang or slow down.  The engine, serving
-simulator and replica router each ask the active plan at their fault
-sites; the isolation and failover machinery they wrap must then contain
-the injected faults, which the chaos suites (``tests/test_engine.py``'s
+from ``(seed, site, token)`` hashes — which grid cells raise, whether a
+simulated serving run sees an arrival burst, which replica dispatches
+crash, hang or slow down, and which health probes drop.  The engine,
+serving simulator and replica router each ask the active plan at their
+fault sites; the isolation and failover machinery they wrap must then
+contain the injected faults, which the chaos suites (``tests/test_engine.py``'s
 cell-isolation test, ``tests/test_serving_degradation.py``,
 ``tests/test_serve_router.py``) assert by demanding bit-identical results
 and bounded latency.

@@ -13,6 +13,10 @@ grammar of the ``REPRO_FAULTS`` environment variable (see
 
     seed=42,cell.error=0.1,replica.crash=0.01
 
+The sites: ``cell.error`` (a grid cell of the evaluation engine raises),
+``serving.burst`` (the serving simulators' arrivals speed up over the
+middle third of a run), and ``replica.crash``/``hang``/``slow`` and
+``probe.drop`` (the replica router's dispatches and health probes).
 Rate-valued sites fire on the deterministic fraction of tokens selected
 by the seeded hash.
 """
@@ -20,6 +24,7 @@ by the seeded hash.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from repro.errors import FaultSpecError
@@ -31,7 +36,6 @@ _SPEC_KEYS: dict[str, tuple[str, type]] = {
     "hang.seconds": ("hang_seconds", float),
     "cell.error": ("cell_error", float),
     "serving.burst": ("serving_burst", float),
-    "serving.predictor_error": ("predictor_error", float),
     "replica.crash": ("replica_crash", float),
     "replica.hang": ("replica_hang", float),
     "replica.slow": ("replica_slow", float),
@@ -41,7 +45,6 @@ _SPEC_KEYS: dict[str, tuple[str, type]] = {
 _RATE_FIELDS = frozenset(
     (
         "cell_error",
-        "predictor_error",
         "replica_crash",
         "replica_hang",
         "replica_slow",
@@ -72,9 +75,6 @@ class FaultPlan:
     cell_error: float = 0.0
     #: arrival-rate multiplier over the middle third of a serving run.
     serving_burst: float = 1.0
-    #: probability ``ResilientServingSimulator``'s selector raises for one
-    #: request (the live service has no predictor to fail).
-    predictor_error: float = 0.0
     #: probability one (replica, dispatch) hard-crashes the replica — it
     #: takes no traffic until the router's half-open recovery readmits it.
     replica_crash: float = 0.0
@@ -90,12 +90,12 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultSpecError(f"{name} must be in [0, 1], got {rate}")
-        if self.serving_burst < 1.0:
+        if not 1.0 <= self.serving_burst < math.inf:
             raise FaultSpecError(
-                f"serving_burst must be >= 1, got {self.serving_burst}"
+                f"serving_burst must be >= 1 and finite, got {self.serving_burst}"
             )
-        if self.hang_seconds <= 0:
-            raise FaultSpecError("hang_seconds must be positive")
+        if not 0 < self.hang_seconds < math.inf:
+            raise FaultSpecError("hang_seconds must be positive and finite")
 
     # ------------------------------------------------------------------ #
     # decisions (pure: same answer in every process, on every retry)
@@ -107,12 +107,6 @@ class FaultPlan:
     def cell_fails(self, cell_id: str) -> bool:
         """Should evaluating this grid cell raise ``InjectedFaultError``?"""
         return self.chance("cell.error", cell_id, self.cell_error)
-
-    def predictor_fails(self, request_index: int) -> bool:
-        """Should the serving selector raise for this request?"""
-        return self.chance(
-            "serving.predictor_error", str(request_index), self.predictor_error
-        )
 
     def burst_window(self, n_requests: int) -> tuple[int, int, float]:
         """``(start, stop, factor)`` of the injected arrival burst.

@@ -4,15 +4,18 @@ Requests submitted within ``max_wait_s`` of the batch opening (or until
 ``max_batch`` fills, whichever is first) are handed to the service as
 **one** ``handle_batch`` call — one ``evaluate_many`` over every
 request's candidates — and each submitter gets its own response back
-through a future.  The
-same flush policy is mirrored synchronously by the load-test harness
-(:func:`repro.serve.loadgen.replay`), so assertions made on the virtual
-clock transfer to the live server.
+through a future.  The virtual-clock loop
+:func:`repro.serving.simulator.serve_arrivals` runs the same size-or-age
+flush policy for the load-test harness (:func:`repro.serve.loadgen.replay`),
+so assertions made on the virtual clock transfer to the live server.
+(``routed_replay`` keeps one batch per router shard; a live router-backed
+app batches across shards here.)
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Awaitable, Callable
 
 from repro import obs
@@ -26,8 +29,10 @@ BatchHandler = Callable[[list[ServeRequest]], list[ServeResponse]]
 def validate_batch_params(max_batch: int, max_wait_s: float) -> None:
     if max_batch < 1:
         raise ServeError(f"max_batch must be >= 1, got {max_batch}")
-    if max_wait_s < 0:
-        raise ServeError(f"max_wait_s must be >= 0, got {max_wait_s}")
+    if not 0 <= max_wait_s < math.inf:
+        raise ServeError(
+            f"max_wait_s must be >= 0 and finite, got {max_wait_s}"
+        )
 
 
 class MicroBatcher:

@@ -12,34 +12,42 @@ Two pieces:
   configurations) by the same seeded generator, so a (seed, spec) pair
   names one exact trace forever.
 
-* :func:`replay` — a discrete-event replay of a trace against an
-  in-process :class:`~repro.serve.service.PredictionService` on a
-  :class:`~repro.serve.clock.VirtualClock`.  It mirrors the live
-  server's pipeline exactly — queue-bounded admission, micro-batch
-  flush on size-or-age, one ``handle_batch`` per flush, FCFS dispatch
-  over ``servers`` replicas at the engine-priced per-request service
-  time — but on virtual time, so a 10k-request overload run takes
-  milliseconds of wall clock and two runs produce bit-identical
-  responses, timelines and :class:`~repro.serving.simulator.ServingStats`.
+* :func:`replay` and :func:`routed_replay` — a trace replayed on a
+  :class:`~repro.serve.clock.VirtualClock` against an in-process
+  :class:`~repro.serve.service.PredictionService` or a
+  :class:`~repro.serve.router.ReplicaRouter` pool.  Both are the
+  simulators' discrete-event loop,
+  :func:`~repro.serving.simulator.serve_arrivals` (queue-bounded
+  admission, micro-batch flush on size-or-age), with a dispatcher that
+  calls the live service: one ``handle_batch`` per flush and FCFS
+  dispatch over ``servers`` replicas at the engine-priced per-request
+  service time, or one ``route_priced`` per shard flush.  On virtual
+  time a 10k-request overload run takes milliseconds of wall clock and
+  two runs produce bit-identical responses, timelines and
+  :class:`~repro.serving.simulator.ServingStats`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ServeError
 from repro.nn.layer import ConvSpec
 from repro.nn.models.vgg16 import vgg16_conv_specs
 from repro.serve.batcher import validate_batch_params
 from repro.serve.clock import VirtualClock
-from repro.serve.middleware import AdmissionController, ServingLedger
+from repro.serve.middleware import ServingLedger
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.router import ReplicaRouter, RoutedOutcome
 from repro.serve.service import PredictionService
-from repro.serving.simulator import ServingStats
+from repro.serving.simulator import (
+    Dispatch,
+    ServingStats,
+    fcfs_pool,
+    serve_arrivals,
+)
 from repro.simulator.hwconfig import HardwareConfig
 from repro.utils.prng import make_rng
 
@@ -68,14 +76,14 @@ class TraceSpec:
             )
         if self.n_requests < 1:
             raise ServeError("n_requests must be >= 1")
-        if self.rate_rps <= 0:
-            raise ServeError("rate_rps must be positive")
-        if self.burst_factor < 1.0:
-            raise ServeError("burst_factor must be >= 1")
+        if not 0 < self.rate_rps < math.inf:
+            raise ServeError("rate_rps must be positive and finite")
+        if not 1.0 <= self.burst_factor < math.inf:
+            raise ServeError("burst_factor must be >= 1 and finite")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ServeError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_period_s <= 0:
-            raise ServeError("diurnal_period_s must be positive")
+        if not 0 < self.diurnal_period_s < math.inf:
+            raise ServeError("diurnal_period_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -171,72 +179,60 @@ def replay(
 ) -> ReplayResult:
     """Replay a trace through a live service on the virtual clock.
 
-    The event loop mirrors the asyncio server: an arrival is admitted iff
-    fewer than ``queue_limit`` admitted requests are waiting (batched but
-    unflushed, or flushed but not yet started); admitted requests join
-    the open micro-batch, which flushes when it holds ``max_batch``
-    requests or is ``max_wait_s`` old; each flush is one
-    ``service.handle_batch`` call; dispatch is FCFS over ``servers``
+    :func:`~repro.serving.simulator.serve_arrivals` admits and
+    micro-batches the trace as the asyncio server does; each flush is one
+    ``service.handle_batch`` call, and dispatch is FCFS over ``servers``
     replicas, each request occupying a replica for the engine-priced
-    ``response.seconds``.
+    ``response.seconds`` (an errored request occupies none).
     """
     if servers < 1:
         raise ServeError(f"servers must be >= 1, got {servers}")
     validate_batch_params(max_batch, max_wait_s)
     clock = clock or VirtualClock()
     ledger = ServingLedger(slo_s=slo_s)
-    free_at = [clock.now()] * servers
-    heapq.heapify(free_at)
     responses: list[ServeResponse] = []
-    shed_ids: list[str] = []
-    pending: list[TimedRequest] = []
-    batch_opened: float | None = None
+    pool = fcfs_pool(servers, _service_seconds, clock.now())
 
-    def flush(at: float) -> None:
-        nonlocal batch_opened
-        if not pending:
-            batch_opened = None
-            return
+    def dispatch(
+        batch: list[tuple[float, TimedRequest]], at: float
+    ) -> list[tuple[float, float]]:
         clock.advance_to(at)
-        batch = service.handle_batch([t.request for t in pending])
-        for timed, response in zip(pending, batch):
-            start = max(at, heapq.heappop(free_at))
-            if response.status == "ok":
-                finish = start + response.seconds
-                ledger.record(timed.arrival, start, finish)
-            else:
-                finish = start  # an errored request occupies no replica
-                ledger.record(timed.arrival, start, finish)
-            heapq.heappush(free_at, finish)
-            responses.append(response)
-        pending.clear()
-        batch_opened = None
+        answered = service.handle_batch([t.request for _, t in batch])
+        responses.extend(answered)
+        return pool([(a, r) for (a, _), r in zip(batch, answered)], at)
 
-    for timed in sorted(trace, key=lambda t: t.arrival):
-        # age-based flush happens *before* this arrival is considered
-        if (batch_opened is not None
-                and timed.arrival > batch_opened + max_wait_s):
-            flush(batch_opened + max_wait_s)
-        waiting = len(pending) + ledger.waiting_at(timed.arrival)
-        if queue_limit is not None and waiting >= queue_limit:
-            ledger.record_shed(timed.arrival)
-            shed_ids.append(timed.request.id)
-            continue
-        if not pending:
-            batch_opened = timed.arrival
-        pending.append(timed)
-        if len(pending) >= max_batch:
-            flush(timed.arrival)
-    if pending:
-        assert batch_opened is not None
-        flush(batch_opened + max_wait_s)
-
+    shed = _serve(trace, dispatch, ledger, queue_limit, max_batch, max_wait_s)
     return ReplayResult(
         responses=responses,
-        shed_ids=shed_ids,
+        shed_ids=shed,
         stats=ledger.stats(servers=servers),
         service_snapshot=service.snapshot(),
     )
+
+
+def _service_seconds(response: ServeResponse, busy_others: int) -> float:
+    return response.seconds if response.status == "ok" else 0.0
+
+
+def _serve(
+    trace: Sequence[TimedRequest],
+    dispatch: Dispatch[TimedRequest],
+    ledger: ServingLedger,
+    queue_limit: int | None,
+    max_batch: int,
+    max_wait_s: float,
+    key: Callable[[TimedRequest], str] | None = None,
+) -> list[str]:
+    """Run a trace through the shared loop into ``ledger``; the shed ids."""
+    records, shed = serve_arrivals(
+        [(t.arrival, t) for t in sorted(trace, key=lambda t: t.arrival)],
+        dispatch, queue_limit, max_batch, max_wait_s, key,
+    )
+    for r in records:
+        ledger.record(r.arrival, r.start, r.finish)
+    for arrival, _ in shed:
+        ledger.record_shed(arrival)
+    return [t.request.id for _, t in shed]
 
 
 # ---------------------------------------------------------------------- #
@@ -283,76 +279,39 @@ def routed_replay(
 ) -> RoutedReplayResult:
     """Replay a trace through a replica pool on the virtual clock.
 
-    The single-service :func:`replay` loop, routed: arrivals shard by
-    hardware configuration and each shard keeps its own micro-batch
-    (flushed on size-or-age); each flush is one
+    The :func:`replay` loop, routed: arrivals shard by hardware
+    configuration and each shard keeps its own micro-batch (flushed on
+    size-or-age); each flush runs the router's due probes and is one
     :meth:`~repro.serve.router.ReplicaRouter.route_priced` call, where
     the router's health/retry/hedge machinery and the fault plane's
     ``replica.*`` sites decide which replica serves and when it finishes.
-    Admission consults the :class:`AdmissionController` with the
-    router-side backlog as extra depth, so replica outages backpressure
-    the front door.  Everything is driven by seeded hashes on the
-    virtual clock: two processes replaying the same (trace, router
-    config, fault plan) produce bit-identical results.
+    Requests routed but not yet started count against ``queue_limit``,
+    so replica outages backpressure the front door.  Everything is driven
+    by seeded hashes on the virtual clock: two processes replaying the
+    same (trace, router config, fault plan) produce bit-identical results.
     """
     validate_batch_params(max_batch, max_wait_s)
     clock = clock or VirtualClock()
-    admission = AdmissionController(queue_limit)
     ledger = ServingLedger(slo_s=slo_s)
-    responses: list[ServeResponse] = []
     outcomes: list[RoutedOutcome] = []
-    shed_ids: list[str] = []
-    pending: dict[str, list[TimedRequest]] = {}
-    opened: dict[str, float] = {}
 
-    def flush(key: str, at: float) -> None:
-        batch = pending.pop(key, [])
-        opened.pop(key, None)
-        if not batch:
-            return
+    def dispatch(
+        batch: list[tuple[float, TimedRequest]], at: float
+    ) -> list[tuple[float, float]]:
         clock.advance_to(at)
         router.run_probes(at)
-        admission.started(len(batch))
-        routed = router.route_priced(
-            [(t.arrival, t.request) for t in batch], at
-        )
-        for timed, outcome in zip(batch, routed):
-            ledger.record(timed.arrival, outcome.start, outcome.finish)
-            responses.append(outcome.response)
-            outcomes.append(outcome)
+        routed = router.route_priced([(a, t.request) for a, t in batch], at)
+        outcomes.extend(routed)
+        return [(o.start, o.finish) for o in routed]
 
-    def flush_due(before: float) -> None:
-        due = sorted(
-            (t + max_wait_s, key)
-            for key, t in opened.items()
-            if before > t + max_wait_s
-        )
-        for at, key in due:
-            flush(key, at)
-
-    for timed in sorted(trace, key=lambda t: t.arrival):
-        flush_due(timed.arrival)
-        # admission.depth is the unflushed pending count; the extra depth
-        # is the router-side backlog (flushed but still queued at a replica)
-        backlog = ledger.waiting_at(timed.arrival)
-        if not admission.admit(extra_depth=backlog):
-            ledger.record_shed(timed.arrival)
-            shed_ids.append(timed.request.id)
-            continue
-        key = router.shard_key(timed.request)
-        if key not in pending:
-            pending[key] = []
-            opened[key] = timed.arrival
-        pending[key].append(timed)
-        if len(pending[key]) >= max_batch:
-            flush(key, timed.arrival)
-    for at, key in sorted((t + max_wait_s, k) for k, t in opened.items()):
-        flush(key, at)
-
+    shed = _serve(
+        trace, dispatch, ledger, queue_limit, max_batch, max_wait_s,
+        key=lambda t: router.shard_key(t.request),
+    )
     return RoutedReplayResult(
-        responses=responses,
+        responses=[o.response for o in outcomes],
         outcomes=outcomes,
-        shed_ids=shed_ids,
+        shed_ids=shed,
         stats=ledger.stats(servers=len(router.replicas)),
         router_stats=router.stats.as_dict(),
         router_snapshot=router.snapshot(),

@@ -57,7 +57,6 @@ def stats_dict(stats: ServingStats) -> dict:
         "shed": stats.shed,
         "offered": stats.offered,
         "shed_rate": stats.shed_rate,
-        "fallbacks": stats.fallbacks,
         "slo_s": stats.slo_s,
         "slo_breaches": stats.slo_breaches,
         "mean_latency_s": stats.mean_latency,
@@ -74,7 +73,8 @@ class ServeApp:
     :class:`~repro.serve.router.ReplicaRouter` pool — both answer
     ``handle_batch`` and ``snapshot``; the router additionally gets the
     real arrival instants so per-request deadline budgets run from
-    arrival rather than from batch flush.
+    arrival rather than from batch flush.  The ledger's timelines are
+    seconds since the app was created, read on its clock.
     """
 
     def __init__(
@@ -88,6 +88,7 @@ class ServeApp:
     ) -> None:
         self.service = service
         self.clock = clock or MonotonicClock()
+        self._epoch = self.clock.now()  # the ledger's time origin
         self.admission = AdmissionController(queue_limit)
         self.ledger = ServingLedger(slo_s=slo_s)
         self.batcher = MicroBatcher(
@@ -99,15 +100,17 @@ class ServeApp:
     def _run_batch(self, requests: list[ServeRequest]) -> list[ServeResponse]:
         arrivals = [self._arrivals.popleft() for _ in requests]
         self.admission.started(len(requests))
-        start = self.clock.now()
+        epoch = self._epoch
+        start = self.clock.now() - epoch
         if isinstance(self.service, ReplicaRouter):
             responses = self.service.handle_timed_batch(
                 list(zip(arrivals, requests))
             )
         else:
             responses = self.service.handle_batch(requests)
-        finish = self.clock.now()
+        finish = self.clock.now() - epoch
         for arrival in arrivals:
+            arrival -= epoch
             self.ledger.record(arrival, max(arrival, start),
                                max(arrival, finish))
         return responses
@@ -116,7 +119,7 @@ class ServeApp:
         """Admission-checked entry: shed immediately or await the batch."""
         now = self.clock.now()
         if not self.admission.admit():
-            self.ledger.record_shed(now)
+            self.ledger.record_shed(now - self._epoch)
             return shed_response(request)
         self._arrivals.append(now)
         return await self.batcher.submit(request)

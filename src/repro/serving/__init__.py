@@ -15,7 +15,6 @@ from repro.serving.recommend import DesignRecommendation, recommend_design
 from repro.serving.mixed import ModelGroup, MixedServingResult, evaluate_mixed
 from repro.serving.simulator import (
     ContentionAwareSimulator,
-    ResilientServingSimulator,
     md1_mean_wait,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "MixedServingResult",
     "evaluate_mixed",
     "ContentionAwareSimulator",
-    "ResilientServingSimulator",
     "md1_mean_wait",
 ]

@@ -1,4 +1,4 @@
-"""Request-level model-serving simulation.
+"""Request-level model serving on a virtual clock.
 
 Paper II's context is model serving: replicas of a CNN handle a stream of
 inference requests behind a load balancer (§1, §2.2).  This discrete-event
@@ -10,37 +10,49 @@ distribution and achieved throughput — which is how the benefit of
 per-layer algorithm selection shows up operationally: lower service time →
 lower tail latency at the same offered load, and a higher saturation point.
 
-Beyond the paper's steady-state load, the simulator also models *overload*
-(see ``docs/ROBUSTNESS.md``):
+Every virtual-clock serving run in the repo is one call of
+:func:`serve_arrivals`, the discrete-event loop admit → micro-batch →
+dispatch → record:
 
-* **admission control** — with ``queue_limit`` set, a request arriving to a
-  full queue is shed instead of admitted, keeping the latency of admitted
-  requests bounded under any offered load;
-* **degraded mode** — :class:`ResilientServingSimulator` draws per-request
-  service times from a selection predictor and falls back to a configurable
-  safe algorithm's service time when the predictor raises or is
-  unavailable, opening a circuit breaker after repeated failures;
-* **fault hooks** — an active :mod:`repro.faults` plan can inject arrival
-  bursts (``serving.burst``) and predictor failures
-  (``serving.predictor_error``).
+* **admission control** — an :class:`AdmissionController` with
+  ``queue_limit`` sheds an arrival when the admitted requests not yet in
+  service (unflushed, or flushed but not started) fill the queue, keeping
+  the latency of admitted requests bounded under any offered load;
+* **micro-batching** — admitted arrivals gather per key into batches that
+  flush at ``max_batch`` requests or ``max_wait_s`` of age;
+* **dispatch** — a dispatcher returns each flushed request's
+  ``(start, finish)``.
 
-Shed, fallback and SLO-breach counts are reported in :class:`ServingStats`
-and mirrored into the ``serving.*`` observability counters.
+:class:`ServingSimulator` and :class:`ContentionAwareSimulator` run it
+with batches of one and an :func:`fcfs_pool` of replicas; the load-test
+harness (:func:`repro.serve.loadgen.replay` and ``routed_replay``) runs it
+against the live service's batch handler or replica router.  An active
+:mod:`repro.faults` plan can inject arrival bursts (``serving.burst``)
+into the simulators.
+
+Shed and SLO-breach counts are reported in :class:`ServingStats`; the
+simulators mirror them into the ``serving.*`` observability counters.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from repro import faults, obs
-from repro.errors import ConfigError, InjectedFaultError
+from repro.errors import ConfigError, ServeError
 from repro.serving.colocation import ColocationResult
 from repro.utils.prng import make_rng
+
+T = TypeVar("T")
+
+#: ``dispatch(batch, at)``: a flushed micro-batch of ``(arrival, item)``
+#: pairs at instant ``at`` to one ``(start, finish)`` per request.
+Dispatch = Callable[[list[tuple[float, T]], float], Sequence[tuple[float, float]]]
 
 
 def _record_serving_obs(stats: "ServingStats") -> None:
@@ -91,20 +103,17 @@ class RequestRecord:
 
 @dataclass
 class ServingStats:
-    """Aggregate results of a simulation run.
+    """Aggregate results of a serving run.
 
     ``records`` holds *admitted* requests only; overload accounting lives
-    in ``shed_arrivals`` (arrival instants of rejected requests),
-    ``fallbacks`` (requests served in degraded mode) and, when an SLO was
-    configured, :attr:`slo_breaches`.
+    in ``shed_arrivals`` (arrival instants of rejected requests) and, when
+    an SLO was configured, :attr:`slo_breaches`.
     """
 
     records: list[RequestRecord]
     horizon: float  # last finish time (s)
     servers: int
-    service_time: float
     shed_arrivals: list[float] = field(default_factory=list)
-    fallbacks: int = 0
     slo_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -116,25 +125,14 @@ class ServingStats:
         records: list[RequestRecord],
         servers: int,
         shed_arrivals: list[float] | None = None,
-        fallbacks: int = 0,
         slo_s: float | None = None,
     ) -> "ServingStats":
-        """Build stats from already-collected request timelines.
-
-        The real serving layer (:mod:`repro.serve`) measures per-request
-        timelines itself — service times vary per request there — so the
-        horizon is the last finish and ``service_time`` is the mean
-        busy time over the run.
-        """
+        """Build stats from request timelines; the horizon is the last finish."""
         records = list(records)
         horizon = max((r.finish for r in records), default=0.0)
-        busy = [r.finish - r.start for r in records]
-        service = float(np.mean(busy)) if busy else 0.0
         return cls(
             records=records, horizon=horizon, servers=servers,
-            service_time=service,
-            shed_arrivals=list(shed_arrivals or []),
-            fallbacks=fallbacks, slo_s=slo_s,
+            shed_arrivals=list(shed_arrivals or []), slo_s=slo_s,
         )
 
     @property
@@ -213,6 +211,140 @@ def md1_mean_wait(arrival_rate_rps: float, service_time_s: float) -> float:
     return rho * service_time_s / (2.0 * (1.0 - rho))
 
 
+# ---------------------------------------------------------------------- #
+# the discrete-event loop
+# ---------------------------------------------------------------------- #
+class AdmissionController:
+    """Queue-bounded admission: shed when ``depth >= queue_limit``.
+
+    ``queue_limit=None`` admits everything (accounting still runs).  The
+    caller reports depth transitions (:meth:`admit` / :meth:`started`), so
+    the controller works for both the asyncio batcher queue and the
+    virtual queue of :func:`serve_arrivals`.
+    """
+
+    def __init__(self, queue_limit: int | None = None) -> None:
+        if queue_limit is not None and queue_limit < 0:
+            raise ServeError(f"queue_limit must be >= 0, got {queue_limit}")
+        self.queue_limit = queue_limit
+        self._depth = 0
+        self.admitted = 0
+        self.shed = 0
+
+    @property
+    def depth(self) -> int:
+        return self._depth
+
+    def admit(self, extra_depth: int = 0) -> bool:
+        """Decide one arrival; updates admitted/shed accounting.
+
+        ``extra_depth`` is backpressure from beyond the local queue —
+        requests already handed on but not yet in service — so a deep
+        downstream queue sheds at the front door.
+        """
+        if extra_depth < 0:
+            raise ServeError(f"extra_depth must be >= 0, got {extra_depth}")
+        depth = self._depth + extra_depth
+        if self.queue_limit is not None and depth >= self.queue_limit:
+            self.shed += 1
+            obs.count("serve.shed")
+            return False
+        self.admitted += 1
+        self._depth += 1
+        return True
+
+    def started(self, n: int = 1) -> None:
+        """``n`` admitted requests left the queue and entered service."""
+        if n > self._depth:
+            raise ServeError(
+                f"cannot start {n} requests with queue depth {self._depth}"
+            )
+        self._depth -= n
+
+
+def serve_arrivals(
+    arrivals: Iterable[tuple[float, T]],
+    dispatch: Dispatch[T],
+    queue_limit: int | None = None,
+    max_batch: int = 1,
+    max_wait_s: float = 0.0,
+    key: Callable[[T], Hashable] | None = None,
+) -> tuple[list[RequestRecord], list[tuple[float, T]]]:
+    """Run ``(arrival, item)`` pairs, in arrival order, on a virtual clock.
+
+    An arrival is admitted iff fewer than ``queue_limit`` admitted
+    requests are waiting: batched but unflushed, or flushed but not yet
+    started.  Admitted arrivals join the open micro-batch of their
+    ``key`` (one batch when ``key`` is None), which flushes once it holds
+    ``max_batch`` requests, or at ``max_wait_s`` past its first arrival
+    when a later arrival (or the end of the trace) comes after that;
+    batches due together flush in (instant, key) order.  Each flush is
+    one ``dispatch`` call.  Returns the admitted requests' records in
+    flush order and the shed ``(arrival, item)`` pairs.
+    """
+    admission = AdmissionController(queue_limit)
+    records: list[RequestRecord] = []
+    shed: list[tuple[float, T]] = []
+    unstarted: list[float] = []  # heap: start instants of flushed requests
+    pending: dict[Hashable, list[tuple[float, T]]] = {}  # never empty
+
+    def flush(k: Hashable, at: float) -> None:
+        batch = pending.pop(k)
+        admission.started(len(batch))
+        for (arrival, _), (start, finish) in zip(batch, dispatch(batch, at)):
+            records.append(RequestRecord(arrival, start, finish))
+            heapq.heappush(unstarted, start)
+
+    def flush_due(before: float) -> None:
+        due = [(batch[0][0] + max_wait_s, k) for k, batch in pending.items()]
+        for at, k in sorted(d for d in due if before > d[0]):
+            flush(k, at)
+
+    for arrival, item in arrivals:
+        flush_due(arrival)
+        while unstarted and unstarted[0] <= arrival:
+            heapq.heappop(unstarted)
+        if not admission.admit(extra_depth=len(unstarted)):
+            shed.append((arrival, item))
+            continue
+        k = key(item) if key is not None else None
+        batch = pending.setdefault(k, [])
+        batch.append((arrival, item))
+        if len(batch) >= max_batch:
+            flush(k, arrival)
+    flush_due(math.inf)
+    return records, shed
+
+
+def fcfs_pool(
+    servers: int, service_time: Callable[[T, int], float], now: float = 0.0
+) -> Dispatch[T]:
+    """A dispatcher over ``servers`` replicas free from instant ``now``.
+
+    Each request of a batch takes the earliest-free replica, starting no
+    earlier than the flush; ``service_time(item, busy_others)`` prices it
+    given how many other replicas are busy at its start.
+    """
+    free_at = [now] * servers
+
+    def dispatch(
+        batch: list[tuple[float, T]], at: float
+    ) -> list[tuple[float, float]]:
+        out = []
+        for _, item in batch:
+            start = max(at, heapq.heappop(free_at))
+            busy_others = sum(1 for t in free_at if t > start)
+            finish = start + service_time(item, busy_others)
+            heapq.heappush(free_at, finish)
+            out.append((start, finish))
+        return out
+
+    return dispatch
+
+
+# ---------------------------------------------------------------------- #
+# the M/D/c simulators
+# ---------------------------------------------------------------------- #
 class ServingSimulator:
     """M/D/c queue over the co-location model's replicas.
 
@@ -232,18 +364,17 @@ class ServingSimulator:
     ) -> None:
         if servers < 1:
             raise ConfigError(f"servers must be >= 1, got {servers}")
-        if service_time_s <= 0:
-            raise ConfigError("service_time_s must be positive")
+        if not 0 < service_time_s < math.inf:
+            raise ConfigError("service_time_s must be positive and finite")
         if queue_limit is not None and queue_limit < 0:
             raise ConfigError(f"queue_limit must be >= 0, got {queue_limit}")
-        if slo_s is not None and slo_s <= 0:
-            raise ConfigError("slo_s must be positive")
+        if slo_s is not None and not 0 < slo_s < math.inf:
+            raise ConfigError("slo_s must be positive and finite")
         self.servers = servers
         self.service_time = service_time_s
         self.seed = seed
         self.queue_limit = queue_limit
         self.slo_s = slo_s
-        self._run_fallbacks = 0
 
     @staticmethod
     def from_colocation(result: ColocationResult, freq_ghz: float = 2.0,
@@ -259,15 +390,8 @@ class ServingSimulator:
         """Saturation throughput: servers / service time."""
         return self.servers / self.service_time
 
-    # ------------------------------------------------------------------ #
-    # per-run hooks (subclasses refine; the event loop is shared)
-    # ------------------------------------------------------------------ #
-    def _begin_run(self) -> None:
-        """Reset per-run state before the event loop starts."""
-        self._run_fallbacks = 0
-
-    def _service_time_for(self, index: int, busy_others: int) -> float:
-        """Service time of request ``index`` given current occupancy."""
+    def _service_for_occupancy(self, busy_others: int) -> float:
+        """Service time while ``busy_others`` other replicas are serving."""
         return self.service_time
 
     def _arrivals(
@@ -283,13 +407,10 @@ class ServingSimulator:
                 faults.mark_injected("serving.burst")
         return np.cumsum(gaps)
 
-    # ------------------------------------------------------------------ #
-    # the event loop
-    # ------------------------------------------------------------------ #
     def run(self, arrival_rate_rps: float, n_requests: int = 2000) -> ServingStats:
         """Simulate ``n_requests`` Poisson arrivals at the given rate."""
-        if arrival_rate_rps <= 0:
-            raise ConfigError("arrival_rate_rps must be positive")
+        if not 0 < arrival_rate_rps < math.inf:
+            raise ConfigError("arrival_rate_rps must be positive and finite")
         if n_requests < 1:
             raise ConfigError("n_requests must be >= 1")
         with obs.span(
@@ -298,32 +419,15 @@ class ServingSimulator:
         ):
             rng = make_rng(self.seed)
             arrivals = self._arrivals(rng, arrival_rate_rps, n_requests)
-            self._begin_run()
-            # min-heap of server-free times
-            free_at = [0.0] * self.servers
-            heapq.heapify(free_at)
-            records: list[RequestRecord] = []
-            shed: list[float] = []
-            starts: list[float] = []  # nondecreasing under FCFS
-            for i, arrival in enumerate(arrivals):
-                arrival = float(arrival)
-                if self.queue_limit is not None:
-                    waiting = len(starts) - bisect_right(starts, arrival)
-                    if waiting >= self.queue_limit:
-                        shed.append(arrival)
-                        continue
-                earliest = heapq.heappop(free_at)
-                start = max(arrival, earliest)
-                busy_others = sum(1 for t in free_at if t > start)
-                finish = start + self._service_time_for(i, busy_others)
-                heapq.heappush(free_at, finish)
-                starts.append(start)
-                records.append(RequestRecord(arrival, start, finish))
-            horizon = max((r.finish for r in records), default=0.0)
-            stats = ServingStats(
-                records=records, horizon=horizon, servers=self.servers,
-                service_time=self.service_time, shed_arrivals=shed,
-                fallbacks=self._run_fallbacks, slo_s=self.slo_s,
+            pool: Dispatch[int] = fcfs_pool(
+                self.servers, lambda _, busy: self._service_for_occupancy(busy)
+            )
+            records, shed = serve_arrivals(
+                zip(arrivals.tolist(), range(n_requests)), pool,
+                queue_limit=self.queue_limit,
+            )
+            stats = ServingStats.collect(
+                records, self.servers, [a for a, _ in shed], self.slo_s
             )
             _record_serving_obs(stats)
             return stats
@@ -358,9 +462,10 @@ class ContentionAwareSimulator(ServingSimulator):
         queue_limit: int | None = None,
         slo_s: float | None = None,
     ) -> None:
-        if service_time_contended_s < service_time_alone_s:
+        if not service_time_alone_s <= service_time_contended_s < math.inf:
             raise ConfigError(
-                "contended service time must be >= the solo service time"
+                "contended service time must be finite and >= the solo "
+                "service time"
             )
         super().__init__(
             servers, service_time_alone_s, seed=seed,
@@ -375,89 +480,3 @@ class ContentionAwareSimulator(ServingSimulator):
         return self.service_time + frac * (
             self.service_contended - self.service_time
         )
-
-    def _service_time_for(self, index: int, busy_others: int) -> float:
-        return self._service_for_occupancy(busy_others)
-
-
-class ResilientServingSimulator(ServingSimulator):
-    """Admission control + predictor-driven service with a safe fallback.
-
-    Models a replica whose per-request service time comes from the
-    algorithm-selection predictor (``selector(i) -> seconds``).  When the
-    selector raises — or is absent — the request is served in **degraded
-    mode** at ``fallback_service_time_s``, the service time of a
-    configurable safe algorithm (e.g. ``im2col_gemm6``, applicable to
-    every layer).  After ``max_selector_failures`` *consecutive* failures
-    the circuit breaker opens and the rest of the run stays degraded
-    (counted once under ``serving.circuit_opened``).
-
-    An active :mod:`repro.faults` plan with ``serving.predictor_error``
-    injects deterministic per-request selector failures.
-    """
-
-    def __init__(
-        self,
-        servers: int,
-        service_time_s: float,
-        seed: int | None = None,
-        queue_limit: int | None = None,
-        slo_s: float | None = None,
-        selector: Callable[[int], float] | None = None,
-        fallback_service_time_s: float | None = None,
-        max_selector_failures: int = 3,
-    ) -> None:
-        super().__init__(
-            servers, service_time_s, seed=seed,
-            queue_limit=queue_limit, slo_s=slo_s,
-        )
-        fallback = (
-            service_time_s if fallback_service_time_s is None
-            else fallback_service_time_s
-        )
-        if fallback <= 0:
-            raise ConfigError("fallback_service_time_s must be positive")
-        if max_selector_failures < 1:
-            raise ConfigError(
-                f"max_selector_failures must be >= 1, got {max_selector_failures}"
-            )
-        self.selector = selector
-        self.fallback_service_time = fallback
-        self.max_selector_failures = max_selector_failures
-        self._consecutive_failures = 0
-        self._circuit_open = False
-
-    def _begin_run(self) -> None:
-        super()._begin_run()
-        self._consecutive_failures = 0
-        self._circuit_open = False
-
-    def _fallback(self) -> float:
-        self._run_fallbacks += 1
-        obs.count("serving.fallbacks")
-        return self.fallback_service_time
-
-    def _service_time_for(self, index: int, busy_others: int) -> float:
-        if self.selector is None or self._circuit_open:
-            return self._fallback()
-        plan = faults.active_plan()
-        try:
-            if plan is not None and plan.predictor_fails(index):
-                faults.mark_injected("serving.predictor_error")
-                raise InjectedFaultError(
-                    f"injected predictor failure for request {index}"
-                )
-            service = float(self.selector(index))
-            if service <= 0:
-                raise ConfigError(
-                    f"selector returned non-positive service time {service}"
-                )
-        except Exception:
-            self._consecutive_failures += 1
-            if (self._consecutive_failures >= self.max_selector_failures
-                    and not self._circuit_open):
-                self._circuit_open = True
-                obs.count("serving.circuit_opened")
-            return self._fallback()
-        self._consecutive_failures = 0
-        return service

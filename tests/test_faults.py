@@ -18,14 +18,14 @@ class TestSpecGrammar:
     def test_parse_every_key(self):
         plan = parse_fault_spec(
             "seed=42,hang.seconds=5,cell.error=0.2,"
-            "serving.burst=3,serving.predictor_error=0.15,"
+            "serving.burst=3,"
             "replica.crash=0.01,replica.hang=0.02,replica.slow=0.03,"
             "probe.drop=0.04"
         )
         assert plan.seed == 42
         assert plan.hang_seconds == 5.0
         assert plan.cell_error == 0.2
-        assert plan.serving_burst == 3.0 and plan.predictor_error == 0.15
+        assert plan.serving_burst == 3.0
         assert plan.replica_crash == 0.01 and plan.replica_hang == 0.02
         assert plan.replica_slow == 0.03 and plan.probe_drop == 0.04
 
@@ -38,8 +38,7 @@ class TestSpecGrammar:
         )
 
     def test_round_trip_exact(self):
-        spec = ("seed=42,hang.seconds=5,cell.error=0.1,serving.burst=2,"
-                "serving.predictor_error=0.25")
+        spec = "seed=42,hang.seconds=5,cell.error=0.1,serving.burst=2"
         plan = parse_fault_spec(spec)
         assert parse_fault_spec(plan.to_spec()) == plan
 
@@ -73,7 +72,11 @@ class TestSpecGrammar:
         "cell.error=1.5",             # rate out of range
         "cell.error=-0.1",
         "serving.burst=0.5",          # burst below 1
+        "serving.burst=nan",          # non-finite burst or hang
+        "serving.burst=inf",
+        "hang.seconds=inf",
         "hang.seconds=0",             # non-positive hang
+        "serving.predictor_error=0.1",  # no serving predictor to fail
         "replica.crash=1.5",          # replica rates validate eagerly
         "replica.hang=-0.1",
         "replica.slow=nope",

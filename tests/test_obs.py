@@ -274,6 +274,31 @@ class TestInstrumentation:
         assert rec.counters.get("engine.cache.misses") == 4
         assert rec.counters.get("engine.cache.memory_hits") == 4
 
+    def test_key_derivation_runs_inside_the_evaluate_many_span(
+        self, monkeypatch
+    ):
+        """A profile attributes key derivation to ``engine.evaluate_many``."""
+        from repro.engine import EvaluationEngine, executor
+        from repro.nn.models import vgg16_conv_specs
+        from repro.simulator.hwconfig import HardwareConfig
+
+        resolved_key = executor._resolved_key
+
+        def spied(*args):
+            with obs.span("test.resolved_key"):
+                return resolved_key(*args)
+
+        monkeypatch.setattr(executor, "_resolved_key", spied)
+        rec = obs.enable()
+        EvaluationEngine().sweep(
+            vgg16_conv_specs()[:2], [HardwareConfig.paper2_rvv(512, 1.0)],
+            ("direct", "winograd"),
+        )
+        (outer,) = [s for s in rec.spans if s.name == "engine.evaluate_many"]
+        keys = [s for s in rec.spans if s.name == "test.resolved_key"]
+        assert len(keys) == 4
+        assert all(s.parent_id == outer.span_id for s in keys)
+
     def test_timing_replay_records_phases(self):
         from repro.isa import VectorMachine
         from repro.nn.layer import ConvSpec

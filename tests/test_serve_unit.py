@@ -190,7 +190,6 @@ class TestServingLedger:
         assert stats.offered == 3
         assert stats.n_requests == 2 and stats.shed == 1
         assert stats.slo_breaches == 1
-        assert stats.fallbacks == 0  # only the simulators fall back
         assert stats.servers == 2
 
     def test_non_causal_timeline_is_an_error(self):
@@ -199,14 +198,6 @@ class TestServingLedger:
             ledger.record(1.0, 0.5, 2.0)  # start before arrival
         with pytest.raises(ServeError, match="non-causal"):
             ledger.record(0.0, 1.0, 0.5)  # finish before start
-
-    def test_waiting_at_counts_admitted_unstarted(self):
-        ledger = ServingLedger()
-        ledger.record(0.0, 1.0, 2.0)
-        ledger.record(0.0, 3.0, 4.0)
-        assert ledger.waiting_at(0.5) == 2   # neither started yet
-        assert ledger.waiting_at(1.0) == 1   # first started exactly at 1.0
-        assert ledger.waiting_at(3.5) == 0
 
     def test_rejects_nonpositive_slo(self):
         with pytest.raises(ServeError):
@@ -222,11 +213,42 @@ def test_serving_stats_collect_empty_run():
 def test_serving_stats_collect_matches_manual_aggregate():
     records = [RequestRecord(0.0, 0.0, 1.0), RequestRecord(0.5, 1.0, 3.0)]
     stats = ServingStats.collect(records, servers=1, shed_arrivals=[0.7],
-                                 fallbacks=2, slo_s=2.0)
+                                 slo_s=2.0)
     assert stats.horizon == 3.0
-    assert stats.service_time == pytest.approx(1.5)
-    assert stats.offered == 3 and stats.fallbacks == 2
+    assert stats.utilization == pytest.approx(1.0)  # 3 busy s over 3 s
+    assert stats.offered == 3
     assert stats.slo_breaches == 1  # the 2.5 s latency
+
+
+def test_live_timelines_start_at_the_app_start():
+    """``/v1/stats`` rates divide by serving time, not by clock uptime."""
+    clock = VirtualClock(start=39_076.0)  # a host that has been up 11 h
+
+    async def scenario():
+        app = ServeApp(
+            PredictionService(EvaluationEngine()), max_batch=4,
+            max_wait_s=10.0, clock=clock,
+        )
+        answers = []
+        for i in range(4):  # the fourth arrival fills the batch
+            answers.append(asyncio.ensure_future(
+                app.submit(ServeRequest(spec=SPEC, hw=HW, id=f"u-{i}"))
+            ))
+            await asyncio.sleep(0)
+            clock.advance(0.0025)
+        await asyncio.gather(*answers)
+        return app
+
+    app = asyncio.run(scenario())
+    stats = app.stats()
+    assert [r.arrival for r in stats.records] == pytest.approx(
+        [0.0, 0.0025, 0.005, 0.0075]
+    )
+    assert stats.horizon == pytest.approx(0.0075)
+    assert stats.throughput_rps == pytest.approx(4 / 0.0075)
+    serving = app.snapshot()["serving"]
+    assert serving["throughput_rps"] == pytest.approx(4 / 0.0075)
+    assert "fallbacks" not in serving
 
 
 # ---------------------------------------------------------------------- #
@@ -308,6 +330,11 @@ class TestMicroBatcher:
         with pytest.raises(ServeError):
             MicroBatcher(lambda reqs: [], max_wait_s=-1.0)
 
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf")])
+    def test_non_finite_wait_rejected(self, wait):
+        with pytest.raises(ServeError):
+            MicroBatcher(lambda reqs: [], max_wait_s=wait)
+
 
 # ---------------------------------------------------------------------- #
 # load generation
@@ -364,6 +391,18 @@ class TestLoadGen:
         dict(diurnal_period_s=0.0),
     ])
     def test_spec_validation(self, bad):
+        with pytest.raises(ServeError):
+            TraceSpec(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(rate_rps=float("nan")),
+        dict(rate_rps=float("inf")),  # drew all-zero arrivals
+        dict(burst_factor=float("nan")),  # was silently ignored
+        dict(burst_factor=float("inf")),
+        dict(pattern="diurnal", diurnal_period_s=float("nan")),
+        dict(pattern="diurnal", diurnal_period_s=float("inf")),
+    ])
+    def test_non_finite_spec_rejected(self, bad):
         with pytest.raises(ServeError):
             TraceSpec(**bad)
 

@@ -22,6 +22,21 @@ class TestSimulatorBasics:
         with pytest.raises(ConfigError):
             sim.run(arrival_rate_rps=1.0, n_requests=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_inputs_rejected(self, value):
+        from repro.serving.simulator import ContentionAwareSimulator
+
+        with pytest.raises(ConfigError):
+            ServingSimulator(1, value)
+        with pytest.raises(ConfigError):
+            ServingSimulator(1, 0.1, slo_s=value)
+        with pytest.raises(ConfigError):
+            ServingSimulator(1, 0.1).run(value, 10)
+        with pytest.raises(ConfigError):
+            ContentionAwareSimulator(2, 0.01, value)
+        with pytest.raises(ConfigError):
+            ContentionAwareSimulator(2, value, 0.02)
+
     def test_capacity(self):
         sim = ServingSimulator(servers=4, service_time_s=0.5)
         assert sim.capacity_rps == 8.0
