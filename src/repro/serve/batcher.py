@@ -1,13 +1,22 @@
 """Asyncio micro-batcher: coalesce concurrent requests into engine batches.
 
-Requests submitted within ``max_wait_s`` of the batch opening (or until
-``max_batch`` fills, whichever is first) are handed to the service as
-**one** ``handle_batch`` call — one ``evaluate_many`` over every
-request's candidates — and each submitter gets its own response back
-through a future.  The virtual-clock loop
-:func:`repro.serving.simulator.serve_arrivals` runs the same size-or-age
-flush policy for the load-test harness (:func:`repro.serve.loadgen.replay`),
-so assertions made on the virtual clock transfer to the live server.
+Submitted requests are handed to the service as **one** ``handle_batch``
+call — one ``evaluate_many`` over every request's candidates — and each
+submitter gets its own response back through a future.  A batch flushes
+as soon as it holds ``max_batch`` requests; otherwise its first
+submission schedules the flush:
+
+* ``max_wait_s == 0`` (the default): on the event loop's next turn
+  (``loop.call_soon``), so the batch is every request submitted during
+  the current turn.  Under load that is whatever queued while the
+  previous batch computed; a lone request flushes at once, with no timer;
+* ``max_wait_s > 0``: ``max_wait_s`` after the batch opened (size or
+  age, whichever comes first).
+
+The virtual-clock loop :func:`repro.serving.simulator.serve_arrivals`
+runs the same size-or-age policy for the load-test harness
+(:func:`repro.serve.loadgen.replay`); at ``max_wait_s == 0`` it batches
+the arrivals of one instant, as the live batcher batches one loop turn.
 (``routed_replay`` keeps one batch per router shard; a live router-backed
 app batches across shards here.)
 """
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Awaitable, Callable
+from typing import Callable
 
 from repro import obs
 from repro.errors import ServeError
@@ -36,20 +45,20 @@ def validate_batch_params(max_batch: int, max_wait_s: float) -> None:
 
 
 class MicroBatcher:
-    """Accumulate submissions; flush on size or age, never both late."""
+    """Accumulate submissions; flush on size, or on the next turn or age."""
 
     def __init__(
         self,
         handler: BatchHandler,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = 0.0,
     ) -> None:
         validate_batch_params(max_batch, max_wait_s)
         self.handler = handler
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self._pending: list[tuple[ServeRequest, asyncio.Future]] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
+        self._flush_handle: asyncio.Handle | None = None
         self.batches_flushed = 0
 
     @property
@@ -58,7 +67,7 @@ class MicroBatcher:
         return len(self._pending)
 
     # ------------------------------------------------------------------ #
-    def submit(self, request: ServeRequest) -> "Awaitable[ServeResponse]":
+    def submit(self, request: ServeRequest) -> asyncio.Future[ServeResponse]:
         """Enqueue one request; the returned future resolves at flush."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -67,9 +76,12 @@ class MicroBatcher:
             self._cancel_timer()
             self._flush()
         elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.max_wait_s, self._timer_flush
-            )
+            if self.max_wait_s > 0:
+                self._flush_handle = loop.call_later(
+                    self.max_wait_s, self._timer_flush
+                )
+            else:
+                self._flush_handle = loop.call_soon(self._timer_flush)
         return future
 
     async def drain(self) -> None:

@@ -34,7 +34,7 @@ integration suite pins.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import ProtocolError
@@ -143,7 +143,18 @@ class ServeResponse:
     attempts: int = 0  # router: dispatch attempts (>1 = failover retries)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict(self)``, without its per-field deep copy."""
+        return {
+            "id": self.id,
+            "status": self.status,
+            "algorithm": self.algorithm,
+            "cycles": self.cycles,
+            "seconds": self.seconds,
+            "dram_bytes": self.dram_bytes,
+            "error": self.error,
+            "replica": self.replica,
+            "attempts": self.attempts,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -38,6 +38,7 @@ bit-reproducible.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -226,7 +227,12 @@ class ReplicaRouter:
             for name in names
         }
         self._free_at: dict[str, float] = {name: 0.0 for name in names}
-        self._inflight: dict[str, list[float]] = {name: [] for name in names}
+        # priced mode: each replica's unfinished finish instants, ascending
+        # (a replica starts no earlier than its free_at), pruned from the
+        # left as the dispatch instant advances
+        self._inflight: dict[str, deque[float]] = {
+            name: deque() for name in names
+        }
         self._dispatch_seq: dict[str, int] = {name: 0 for name in names}
         self._probe_seq: dict[str, int] = {name: 0 for name in names}
         first = probe_interval_s if probe_interval_s is not None else 0.0
@@ -363,12 +369,14 @@ class ReplicaRouter:
 
     def backlog(self, now: float) -> int:
         """Priced-mode queue depth: requests dispatched but unfinished."""
-        total = 0
-        for name, finishes in self._inflight.items():
-            kept = [f for f in finishes if f > now]
-            self._inflight[name] = kept
-            total += len(kept)
-        return total
+        self._prune(now)
+        return sum(len(finishes) for finishes in self._inflight.values())
+
+    def _prune(self, now: float) -> None:
+        """Forget the finishes at or before ``now`` (instants never rewind)."""
+        for finishes in self._inflight.values():
+            while finishes and finishes[0] <= now:
+                finishes.popleft()
 
     # ------------------------------------------------------------------ #
     # the dispatch core (shared by both modes)
@@ -480,6 +488,7 @@ class ReplicaRouter:
         """
         if not batch:
             return []
+        self._prune(at)
         preferred = self.preferred(batch[0][1])
         outcomes = self._route_group(batch, preferred, at, priced=True)
         for outcome in outcomes:

@@ -10,9 +10,11 @@ The transport sniffs the first line of each connection:
   ``GET /v1/stats``) gets a one-shot ``HTTP/1.1`` response;
 * anything else is treated as newline-delimited JSON — one
   :mod:`repro.serve.protocol` request per line, one response line each,
-  pipelined (responses carry the request ``id``; lines on one
-  connection are batched together when they arrive inside the
-  micro-batch window).
+  pipelined (responses carry the request ``id``).  The connection's
+  read loop parses, admits and submits each line as it reads it, so
+  the lines of one read share a micro-batch; a connection's answers are
+  written once per event-loop turn, and the loop reads no further while
+  the client leaves its answers unread (``drain`` backpressure).
 
 ``main()`` is the ``repro-serve`` console entry point.
 """
@@ -83,7 +85,7 @@ class ServeApp:
         queue_limit: int | None = None,
         slo_s: float | None = None,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = 0.0,
         clock: Clock | None = None,
     ) -> None:
         self.service = service
@@ -115,14 +117,20 @@ class ServeApp:
                                max(arrival, finish))
         return responses
 
-    async def submit(self, request: ServeRequest) -> ServeResponse:
-        """Admission-checked entry: shed immediately or await the batch."""
+    def submit(self, request: ServeRequest) -> asyncio.Future[ServeResponse]:
+        """Admission-checked entry: the batch's future, or a done one if shed.
+
+        A plain method, so a transport admits every line of a read in one
+        loop turn; ``await app.submit(request)`` gives the response.
+        """
         now = self.clock.now()
         if not self.admission.admit():
             self.ledger.record_shed(now - self._epoch)
-            return shed_response(request)
+            shed = asyncio.get_running_loop().create_future()
+            shed.set_result(shed_response(request))
+            return shed
         self._arrivals.append(now)
-        return await self.batcher.submit(request)
+        return self.batcher.submit(request)
 
     def stats(self) -> ServingStats:
         servers = (
@@ -237,43 +245,60 @@ class AsyncServeServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()  # a task leaves once answered
+        """Answer NDJSON lines until EOF.
+
+        Each line is parsed, admitted and submitted as the loop reads it,
+        with no task per line.  An answer goes to the connection's outbox
+        when its batch completes, and the outbox is written with one
+        ``write`` per loop turn.  The loop awaits ``drain`` before it
+        reads on, so a client that stops reading its answers stops the
+        server reading its lines.  If a batch's handler raises, the
+        connection ends with that error after its other answers.
+        """
+        loop = asyncio.get_running_loop()
+        outbox: list[bytes] = []
+        unanswered: set[asyncio.Future] = set()
         failures: list[BaseException] = []
 
-        async def answer(line: bytes) -> None:
-            response = await self._answer_line(line)
-            async with lock:
-                writer.write(response.to_json().encode() + b"\n")
-                await writer.drain()
+        def write_outbox() -> None:
+            if outbox:
+                writer.write(b"".join(outbox))
+                outbox.clear()
 
-        def finished(task: asyncio.Task) -> None:
-            inflight.discard(task)
-            exc = None if task.cancelled() else task.exception()
-            if exc is not None and not failures:
+        def post(response: ServeResponse) -> None:
+            if not outbox:
+                loop.call_soon(write_outbox)
+            outbox.append(response.to_json().encode() + b"\n")
+
+        def answered(future: asyncio.Future) -> None:
+            unanswered.discard(future)
+            exc = future.exception()
+            if exc is None:
+                post(future.result())
+            elif not failures:
                 failures.append(exc)
 
         try:
             line = first
             while line:
                 if line.strip():
-                    task = asyncio.ensure_future(answer(line))
-                    task.add_done_callback(finished)
-                    inflight.add(task)
-                    del task  # only ``inflight`` holds an unanswered task
+                    try:
+                        request = ServeRequest.from_json(line.decode())
+                    except (ProtocolError, UnicodeDecodeError) as exc:
+                        post(error_response("", str(exc)))
+                    else:
+                        future = self.app.submit(request)
+                        unanswered.add(future)
+                        future.add_done_callback(answered)
+                        del future  # only ``unanswered`` holds it
+                await writer.drain()
                 line = await reader.readline()
         finally:
-            if inflight:
-                await asyncio.wait(inflight)
+            if unanswered:
+                await asyncio.wait(unanswered)
+            write_outbox()
         if failures:
             raise failures[0]
-
-    async def _answer_line(self, line: bytes) -> ServeResponse:
-        try:
-            request = ServeRequest.from_json(line.decode())
-        except (ProtocolError, UnicodeDecodeError) as exc:
-            return error_response("", str(exc))
-        return await self.app.submit(request)
 
     # ------------------------------------------------------------------ #
     # minimal HTTP/1.1
@@ -465,7 +490,11 @@ def _parser() -> argparse.ArgumentParser:
         help="latency SLO for breach accounting (milliseconds)",
     )
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--batch-wait-ms", type=float, default=2.0)
+    parser.add_argument(
+        "--batch-wait-ms", type=float, default=0.0, metavar="MS",
+        help="hold a micro-batch open up to MS for companions (0 = flush "
+        "on the event loop's next turn)",
+    )
     parser.add_argument(
         "--replicas", type=int, default=1, metavar="N",
         help="run N service replicas behind the health-aware router "

@@ -51,11 +51,11 @@ class PredictionService:
 
     def _best(
         self, pairs: list[tuple[ConvSpec, HardwareConfig]]
-    ) -> list[tuple[str, LayerCycles | CellError]]:
-        """``(algorithm, record)`` of the fastest candidate of each pair.
+    ) -> list[tuple[str, LayerCycles, float] | CellError]:
+        """``(algorithm, record, cycles)`` of the fastest candidate of each pair.
 
         A pair with a failed candidate gets that candidate's
-        :class:`CellError` instead of a record.
+        :class:`CellError` instead.
         """
         candidates = [
             [n for n in ALGORITHM_NAMES if get_algorithm(n).applicable(spec)]
@@ -71,16 +71,20 @@ class PredictionService:
                 on_error="record",
             )
         )
-        out: list[tuple[str, LayerCycles | CellError]] = []
+        out: list[tuple[str, LayerCycles, float] | CellError] = []
         for names in candidates:
             priced = [(name, next(records)) for name in names]
             failed = [r for _, r in priced if isinstance(r, CellError)]
             if failed:
-                out.append((failed[0].algorithm, failed[0]))
+                out.append(failed[0])
                 continue
-            ok = [(n, r) for n, r in priced if isinstance(r, LayerCycles)]
+            # ``cycles`` sums the phases on every read: read it once;
             # min keeps the first of equal keys: legend-order ties
-            out.append(min(ok, key=lambda p: p[1].cycles))
+            ok = [
+                (n, r, r.cycles) for n, r in priced
+                if isinstance(r, LayerCycles)
+            ]
+            out.append(min(ok, key=lambda p: p[2]))
         return out
 
     def handle_batch(
@@ -92,19 +96,21 @@ class PredictionService:
         with obs.span("serve.batch", cat="serve", requests=len(requests)):
             responses: list[ServeResponse] = []
             best = self._best([(req.spec, req.hw) for req in requests])
-            for req, (algo, record) in zip(requests, best):
-                if isinstance(record, CellError):
+            for req, pick in zip(requests, best):
+                if isinstance(pick, CellError):
                     responses.append(
                         ServeResponse(
-                            id=req.id, status="error", error=record.describe()
+                            id=req.id, status="error", error=pick.describe()
                         )
                     )
                 else:
+                    algo, record, cycles = pick
                     responses.append(
                         ServeResponse(
                             id=req.id, status="ok", algorithm=algo,
-                            cycles=record.cycles,
-                            seconds=record.seconds(req.hw.freq_ghz),
+                            cycles=cycles,
+                            # LayerCycles.seconds, on the cycles read above
+                            seconds=cycles / (req.hw.freq_ghz * 1e9),
                             dram_bytes=record.dram_bytes,
                         )
                     )
@@ -125,10 +131,10 @@ class PredictionService:
         health failure.
         """
         try:
-            [(_, record)] = self._best([(_PROBE_SPEC, _PROBE_HW)])
+            [pick] = self._best([(_PROBE_SPEC, _PROBE_HW)])
         except Exception:
             return False
-        return not isinstance(record, CellError)
+        return not isinstance(pick, CellError)
 
     def snapshot(self) -> dict:
         """Health/stats payload (the ``GET /v1/stats`` body)."""

@@ -394,6 +394,30 @@ class TestDispatch:
         with pytest.raises(ServeError):
             stub_router(2)[0].drain("nope")
 
+    def test_long_replay_keeps_only_unfinished_requests(self):
+        """The router forgets a finish once the dispatch instant passes it."""
+        router, _ = stub_router(3, seed=1)
+        instants: list[float] = []
+        route = router.route_priced
+
+        def recording(batch, at):
+            instants.append(at)
+            return route(batch, at)
+
+        router.route_priced = recording
+        trace = generate_trace(
+            TraceSpec(pattern="uniform", n_requests=3000, rate_rps=100.0,
+                      seed=3),
+            router_workload(),
+        )
+        result = routed_replay(router, trace, max_batch=8)
+        assert len(result.responses) == 3000
+        held = sum(len(finishes) for finishes in router._inflight.values())
+        # what the router still holds is what is in flight at its last
+        # dispatch: a few requests, not one finish per routed request
+        assert held == router.backlog(instants[-1])
+        assert held <= 3 * 8
+
 
 # ---------------------------------------------------------------------- #
 # the live transport: router-backed app over a unix socket

@@ -9,6 +9,7 @@ integration suite can focus on the assembled service.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import json
 import os
@@ -112,6 +113,22 @@ class TestProtocol:
         )
         again = ServeResponse.from_json(response.to_json())
         assert again == response  # == on floats: bit-identical round trip
+
+    @pytest.mark.parametrize("response", [
+        ServeResponse(id="o", status="ok", algorithm="winograd",
+                      cycles=1.1e8 / 3.0, seconds=6.17e-05,
+                      dram_bytes=98304.0),
+        shed_response(ServeRequest(spec=SPEC, hw=HW, id="s")),
+        error_response("e", "boom"),
+        ServeResponse(id="r", status="ok", algorithm="direct", cycles=7.0,
+                      seconds=1e-9, replica="replica-2", attempts=3),
+    ], ids=["ok", "shed", "error", "routed"])
+    def test_to_dict_equals_asdict(self, response):
+        assert response.to_dict() == dataclasses.asdict(response)
+        assert list(response.to_dict()) == list(dataclasses.asdict(response))
+        assert response.to_json() == json.dumps(
+            dataclasses.asdict(response), sort_keys=True
+        )
 
     def test_helpers(self):
         request = ServeRequest(spec=SPEC, hw=HW, id="h")
@@ -254,6 +271,15 @@ def test_live_timelines_start_at_the_app_start():
 # ---------------------------------------------------------------------- #
 # micro-batcher (asyncio)
 # ---------------------------------------------------------------------- #
+async def _turns_until_done(future, limit: int = 2) -> int | None:
+    """Event-loop turns until ``future`` is done; None past ``limit``."""
+    for turns in range(1, limit + 1):
+        await asyncio.sleep(0)
+        if future.done():
+            return turns
+    return None
+
+
 class TestMicroBatcher:
     REQ = ServeRequest(spec=SPEC, hw=HW, id="b")
 
@@ -287,6 +313,43 @@ class TestMicroBatcher:
 
         response = asyncio.run(scenario())
         assert calls == [1] and response.id == "b"
+
+    def test_default_flushes_a_lone_request_on_the_next_turn(self):
+        calls: list[int] = []
+
+        async def scenario():
+            batcher = MicroBatcher(self._echo_handler(calls))
+            future = batcher.submit(self.REQ)
+            return await _turns_until_done(future), future
+
+        turns, future = asyncio.run(scenario())
+        assert turns is not None  # no 2 ms timer: done within two turns
+        assert calls == [1] and future.result().id == "b"
+
+    def test_default_batch_is_one_loop_turn_of_submissions(self):
+        calls: list[int] = []
+
+        async def scenario():
+            batcher = MicroBatcher(self._echo_handler(calls), max_batch=4)
+            first = [batcher.submit(self.REQ) for _ in range(6)]
+            await asyncio.sleep(0)  # 4 flushed at the size, 2 at the turn
+            later = batcher.submit(self.REQ)  # a later turn's own batch
+            await asyncio.gather(*first, later)
+
+        asyncio.run(scenario())
+        assert calls == [4, 2, 1]
+
+    def test_lone_request_through_a_default_app_needs_no_timer(self):
+        async def scenario():
+            app = ServeApp(PredictionService(EvaluationEngine()))
+            future = asyncio.ensure_future(
+                app.submit(ServeRequest(spec=SPEC, hw=HW, id="lone"))
+            )
+            return await _turns_until_done(future), future
+
+        turns, future = asyncio.run(scenario())
+        assert turns is not None
+        assert future.result().status == "ok" and future.result().id == "lone"
 
     def test_handler_failure_propagates_to_every_future(self):
         async def scenario():
@@ -638,22 +701,44 @@ def _connect(path: Path) -> socket.socket:
     return conn
 
 
+@pytest.fixture
+def answer_writes(monkeypatch) -> list[int]:
+    """Answer lines per ``StreamWriter.write`` call that carries answers."""
+    writes: list[int] = []
+    write = asyncio.StreamWriter.write
+
+    def counting(self, data):
+        if b'"status"' in data:  # answers carry a status; requests do not
+            writes.append(data.count(b"\n"))
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting)
+    return writes
+
+
 class TestTransport:
     def _boot(self, tmp_path, **app_kwargs):
         app = ServeApp(PredictionService(EvaluationEngine()),
                        queue_limit=64, max_wait_s=0.002, **app_kwargs)
         return AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
 
-    def test_ndjson_connection_keeps_no_answered_tasks(self, tmp_path):
+    def test_ndjson_connection_keeps_no_answered_futures(self, tmp_path):
         n = 20
 
-        def answered_tasks() -> int:
+        def retained() -> int:
+            """Answered futures and unwritten answer bytes still held."""
             gc.collect()
-            return sum(
-                1 for o in gc.get_objects()
-                if isinstance(o, asyncio.Task) and o.done()
-                and "_serve_ndjson" in o.get_coro().__qualname__
-            )
+            held = 0
+            for o in gc.get_objects():
+                if (isinstance(o, asyncio.Future) and o.done()
+                        and not o.cancelled() and o.exception() is None
+                        and isinstance(o.result(), ServeResponse)):
+                    held += 1
+                elif isinstance(o, list) and any(
+                    isinstance(x, bytes) and b'"status"' in x for x in o
+                ):
+                    held += 1
+            return held
 
         async def scenario():
             server = self._boot(tmp_path, max_batch=8)
@@ -666,14 +751,126 @@ class TestTransport:
                     writer.write(_line(f"g-{i}"))
                     await writer.drain()
                     assert json.loads(await reader.readline())["id"] == f"g-{i}"
-                await asyncio.sleep(0.01)  # the last answer's task finishes
-                retained = answered_tasks()  # connection still open
+                await asyncio.sleep(0.01)  # the last answer is written
+                held = retained()  # connection still open
                 writer.close()
-                return retained
+                return held
             finally:
                 await server.stop()
 
         assert asyncio.run(scenario()) == 0
+
+    def test_pipelined_lines_are_answered_one_write_per_batch(
+        self, tmp_path, answer_writes
+    ):
+        n = 24
+
+        async def scenario():
+            app = ServeApp(PredictionService(EvaluationEngine()), max_batch=8)
+            server = AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                # one client write: the server reads the lines together
+                writer.write(b"".join(_line(f"p-{i}") for i in range(n)))
+                writer.write_eof()
+                ids = []
+                while line := await asyncio.wait_for(reader.readline(), 30):
+                    ids.append(json.loads(line)["id"])
+                writer.close()
+                return ids, app.batcher.batches_flushed
+            finally:
+                await server.stop()
+
+        ids, flushed = asyncio.run(scenario())
+        assert sorted(ids) == sorted(f"p-{i}" for i in range(n))
+        assert sum(answer_writes) == n
+        assert len(answer_writes) <= flushed < n  # not one write per answer
+
+    def test_failed_batch_ends_the_connection_after_its_other_answers(
+        self, tmp_path
+    ):
+        class Flaky(PredictionService):
+            def handle_batch(self, requests):
+                if any(r.id == "boom" for r in requests):
+                    raise RuntimeError("handler exploded")
+                return super().handle_batch(requests)
+
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context.get("exception"))
+            )
+            app = ServeApp(Flaky(EvaluationEngine()), max_batch=1)
+            server = AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                writer.write(_line("a") + _line("boom") + _line("c"))
+                writer.write_eof()
+                ids = []
+                while line := await asyncio.wait_for(reader.readline(), 30):
+                    ids.append(json.loads(line)["id"])
+                writer.close()
+                await asyncio.sleep(0.05)  # the handler task ends
+                return ids
+            finally:
+                await server.stop()
+
+        assert asyncio.run(scenario()) == ["a", "c"]
+        assert [str(e) for e in errors] == ["handler exploded"]
+
+    def test_unread_answers_stop_the_server_reading(
+        self, tmp_path, answer_writes
+    ):
+        """A client that sends 20k lines and reads none of its answers.
+
+        The server awaits ``drain`` before it reads on, so once its
+        transport is over the high-water mark it takes no more lines:
+        what it holds for the connection is bounded by its buffers, not
+        by what the client sends, and every line it took is answered.
+        Once the client reads, every id is answered exactly once.
+        """
+        n = 20_000
+
+        async def scenario():
+            app = ServeApp(PredictionService(EvaluationEngine()))
+            server = AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    str(tmp_path / "serve.sock")
+                )
+                writer.write(b"".join(_line(f"f-{i}") for i in range(n)))
+                taken, steady = -1, 0
+                deadline = time.monotonic() + 60.0
+                while steady < 10:  # no line taken for 0.5 s
+                    assert time.monotonic() < deadline, "server kept reading"
+                    await asyncio.sleep(0.05)
+                    now = app.admission.admitted
+                    steady = steady + 1 if now == taken else 0
+                    taken = now
+                answered = sum(answer_writes)
+                unsent = writer.transport.get_write_buffer_size()
+                writer.write_eof()
+                ids = []
+                while line := await asyncio.wait_for(reader.readline(), 30):
+                    ids.append(json.loads(line)["id"])
+                writer.close()
+                return taken, answered, unsent, ids
+            finally:
+                await server.stop()
+
+        taken, answered, unsent, ids = asyncio.run(scenario())
+        assert unsent > 0  # the backpressure reached the client
+        assert answered == taken  # no request left waiting on the server
+        assert taken <= n // 4
+        assert len(ids) == n and set(ids) == {f"f-{i}" for i in range(n)}
 
     def test_stop_awaits_handlers_still_closing_their_writer(self, tmp_path):
         errors = []
