@@ -272,8 +272,11 @@ def test_winograd_transform_generation(benchmark):
 def test_engine_cold_vs_warm_full_grid(benchmark):
     """Full VGG-16 + YOLOv3 grid (28 layers x 16 configs x 4 algorithms)
     through the memoized engine: the warm-cache pass must be >= 5x faster
-    than the cold pass, with identical totals."""
+    than the cold pass, with identical totals.  The warm pass sends fresh
+    objects equal to the cold pass's, as ``repro-serve`` does (it parses a
+    new ``ConvSpec``/``HardwareConfig`` per request)."""
     import time
+    from dataclasses import replace
 
     from repro.engine import EvaluationEngine
     from repro.experiments.configs import grid
@@ -284,17 +287,21 @@ def test_engine_cold_vs_warm_full_grid(benchmark):
     engine = EvaluationEngine()
     algorithms = ("direct", "im2col_gemm3", "im2col_gemm6", "winograd")
 
-    def full_grid() -> float:
+    def full_grid(specs, configs) -> float:
         records = engine.sweep(specs, configs, algorithms)
         return sum(r.cycles for r in records.values())
 
+    def fresh_copies():
+        return ([replace(s) for s in specs], [replace(c) for c in configs]), {}
+
     start = time.perf_counter()
-    cold_total = full_grid()
+    cold_total = full_grid(specs, configs)
     cold_s = time.perf_counter() - start
 
-    warm_total = benchmark(full_grid)
+    warm_total = benchmark.pedantic(full_grid, setup=fresh_copies, rounds=10)
+    args, _ = fresh_copies()
     start = time.perf_counter()
-    full_grid()
+    full_grid(*args)
     warm_s = time.perf_counter() - start
 
     assert warm_total == cold_total

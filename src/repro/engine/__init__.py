@@ -4,8 +4,8 @@ The figure harnesses, the campaign runner and the selection dataset all
 evaluate cells of the same (layer, algorithm, hardware) grid; this package
 gives them a shared substrate:
 
-* :mod:`repro.engine.keys` — content-addressed cache keys (SHA-256 over a
-  canonical encoding of spec + config + algorithm + calibration version);
+* :mod:`repro.engine.keys` — content-addressed keys (canonical JSON of spec
+  and config, algorithm, calibration fingerprint; ``cache_key`` hashes them);
 * :mod:`repro.engine.cache` — the in-memory LRU the records live in;
 * :mod:`repro.engine.executor` — the :class:`EvaluationEngine` facade:
   cache lookup, one tensorized grid call over the cold cells, LRU insert.

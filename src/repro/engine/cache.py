@@ -1,14 +1,15 @@
 """In-memory LRU memo cache for analytical-model records.
 
 One tier: an :class:`~collections.OrderedDict` bounded by ``capacity``,
-keyed by the content-addressed keys of :mod:`repro.engine.keys`.  A cold
-full Paper II grid recomputes in well under a second, so nothing is
-persisted across processes.
+keyed by the engine's ``(algorithm, spec JSON, hw JSON, calibration)``
+tuples (:mod:`repro.engine.keys`).  A cold full Paper II grid recomputes
+in well under a second, so nothing is persisted across processes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.errors import EngineError
@@ -54,15 +55,15 @@ class MemoCache:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise EngineError(f"cache capacity must be >= 1, got {self.capacity}")
-        self._memory: OrderedDict[str, LayerCycles] = OrderedDict()
+        self._memory: OrderedDict[Hashable, LayerCycles] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._memory)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._memory
 
-    def get(self, key: str) -> LayerCycles | None:
+    def get(self, key: Hashable) -> LayerCycles | None:
         """Cached record for ``key``, or None (accounted as a miss)."""
         record = self._memory.get(key)
         if record is None:
@@ -72,7 +73,7 @@ class MemoCache:
         self.stats.hits += 1
         return record
 
-    def put(self, key: str, record: LayerCycles) -> None:
+    def put(self, key: Hashable, record: LayerCycles) -> None:
         """Store a record, evicting the least recently used past capacity."""
         self.stats.stores += 1
         if key in self._memory:  # a new key is inserted at the end already

@@ -11,9 +11,10 @@ It guarantees:
   task-submission order;
 * **dedup** — a batch containing the same cell twice computes it once.
 
-Every batch takes one serial, in-memory path: cache lookup, then one
-tensorized grid call over the cold cells (:func:`_compute_grid`), then
-the LRU (:class:`~repro.engine.cache.MemoCache`).
+Every batch takes one serial, in-memory path: keys (each distinct spec
+and config object encoded once), cache lookup, then one tensorized grid
+call over the cold cells (:func:`_compute_grid`), then the LRU
+(:class:`~repro.engine.cache.MemoCache`).
 
 Failures are isolated per cell: a cell whose schedule construction raises
 yields a structured :class:`CellError` naming the cell instead of
@@ -29,14 +30,13 @@ from __future__ import annotations
 import importlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NoReturn, Sequence, cast
 
 from repro import faults, obs
 from repro.algorithms.base import ConvAlgorithm
 from repro.algorithms.registry import effective_algorithm, get_algorithm
 from repro.engine.cache import MemoCache
-from repro.engine.keys import cache_key
+from repro.engine.keys import cache_key, calibration_fingerprint, canonical_json
 from repro.errors import EngineError, InjectedFaultError
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
@@ -48,16 +48,17 @@ from repro.simulator.analytical.grid import (
 from repro.simulator.analytical.model import LayerCycles
 from repro.simulator.hwconfig import HardwareConfig
 
-#: Bound of the process-wide task -> (resolved name, cache key) memo.
-_KEY_MEMO_SIZE = 16384
-
 #: Bound of each engine's schedule memo; the paper grid needs 412 entries
 #: (28 layers x 4 algorithms x 4 vector lengths, less the layers Winograd
 #: does not apply to).
 _SCHEDULE_MEMO_SIZE = 4096
 
-#: A cell is one (algorithm, spec, hardware) tuple of a batch.
-_Cell = tuple[str, ConvSpec, HardwareConfig]
+#: A cell's key: (resolved algorithm, spec JSON, hw JSON, calibration
+#: fingerprint); :func:`~repro.engine.keys.cache_key` is its SHA-256.
+_Key = tuple[str, str, str, str]
+
+#: A cell is one (key, spec, hardware) tuple of a batch.
+_Cell = tuple[_Key, ConvSpec, HardwareConfig]
 
 
 @dataclass(frozen=True)
@@ -125,31 +126,12 @@ def _cell_token(name: str, spec: ConvSpec, hw: HardwareConfig) -> str:
     return f"{name}:{spec.index}:{hw.vlen_bits}:{hw.l2_mib:g}"
 
 
-@lru_cache(maxsize=_KEY_MEMO_SIZE)
-def _resolved_key(
-    algorithm: str,
-    spec: ConvSpec,
-    hw: HardwareConfig,
-    fallback: bool,
-    calibration: Calibration | None,
-) -> tuple[str, str]:
-    """A task's algorithm after Winograd* fallback, and its cache key.
-
-    One memo lookup per task on the warm path; a miss derives the key
-    with :func:`~repro.engine.keys.cache_key`.  Process-wide, like that
-    derivation: both are functions of the arguments alone (the registry
-    maps a name to one algorithm for the life of the process).
-    """
-    if fallback:
-        algorithm = effective_algorithm(algorithm, spec).name
-    return algorithm, cache_key(algorithm, spec, hw, calibration)
-
-
 class ScheduleMemo:
     """Bounded LRU of schedules and their PhaseTable rows, per engine.
 
-    An entry is keyed on the algorithm instance, the layer, and the values
-    of the hardware fields the algorithm declares its schedule reads
+    An entry is keyed on the algorithm instance, the layer's canonical
+    JSON (:func:`~repro.engine.keys.canonical_json`), and the values of
+    the hardware fields the algorithm declares its schedule reads
     (:attr:`~repro.algorithms.base.ConvAlgorithm.schedule_reads`), and
     holds each candidate schedule's :class:`PhaseRows` (and the candidates
     themselves when the algorithm chooses between several).  Cells
@@ -171,11 +153,12 @@ class ScheduleMemo:
         return len(self._entries)
 
     def rows(
-        self, algo: ConvAlgorithm, spec: ConvSpec, hw: HardwareConfig
+        self, algo: ConvAlgorithm, spec: ConvSpec, spec_json: str, hw: HardwareConfig
     ) -> PhaseRows:
         """The PhaseTable rows of ``algo.schedule(spec, hw)``.
 
-        Raises what ``algo.check_applicable(spec)`` raises.  A memoized
+        ``spec_json`` is ``canonical_json(spec)``.  Raises what
+        ``algo.check_applicable(spec)`` raises.  A memoized
         algorithm is checked only when its entry is built: applicability
         reads the spec alone, and an entry exists only for an (algorithm,
         spec) pair that passed the check.
@@ -184,7 +167,7 @@ class ScheduleMemo:
         if reads is None:  # undeclared: never memoized
             algo.check_applicable(spec)
             return PhaseRows.from_phases(algo.schedule(spec, hw))
-        key = (algo, spec, *[getattr(hw, name) for name in reads])
+        key = (algo, spec_json, *[getattr(hw, name) for name in reads])
         # pop + re-insert touches the entry with one key comparison
         entry = self._entries.pop(key, None)
         if entry is None:
@@ -229,7 +212,7 @@ def _compute_grid(
     grid_cells = []  # (algorithm, rows, hw) for cells whose schedule built
     grid_slots: list[int] = []  # position in `out` to fill with the record
     with obs.span("engine.schedule", cat="engine", cells=len(items)):
-        for name, spec, hw in items:
+        for (name, spec_json, _, _), spec, hw in items:
             with (
                 obs.span("engine.point", cat="engine", algorithm=name,
                          layer=spec.index)
@@ -247,7 +230,7 @@ def _compute_grid(
                     algo = algos.get(name)
                     if algo is None:
                         algo = algos[name] = get_algorithm(name)
-                    rows = schedules.rows(algo, spec, hw)
+                    rows = schedules.rows(algo, spec, spec_json, hw)
                 except Exception as exc:  # per-cell isolation (not BaseException)
                     out.append(CellError.from_exception(name, spec, hw, exc))
                 else:
@@ -293,11 +276,13 @@ class EvaluationEngine:
 
         Keyed after Winograd* fallback, so equal resolved cells share one
         cache entry (a ``winograd`` fallback cell aliases the direct
-        ``im2col_gemm6`` cell).
+        ``im2col_gemm6`` cell).  The SHA-256 of the LRU's key tuple: two
+        tasks' keys are equal exactly when they share an LRU entry.
         """
-        return _resolved_key(
-            task.algorithm, task.spec, task.hw, task.fallback, self.calibration
-        )[1]
+        algorithm = task.algorithm
+        if task.fallback:
+            algorithm = effective_algorithm(algorithm, task.spec).name
+        return cache_key(algorithm, task.spec, task.hw, self.calibration)
 
     def evaluate(
         self,
@@ -368,12 +353,21 @@ class EvaluationEngine:
             raise EngineError(f"on_error must be 'raise' or 'record', got {on_error!r}")
         cal = self.calibration
         with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
-            # one memo lookup per task: (resolved algorithm name, cache key)
-            resolved = [_resolved_key(a, s, h, f, cal) for a, s, h, f in tasks]
+            fingerprint = calibration_fingerprint(cal)
+            encoded: dict[int, str] = {}  # id(spec or hw) -> its canonical JSON
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
-            missing: dict[str, list[int]] = {}  # key -> task indices needing it
+            missing: dict[_Key, list[int]] = {}  # key -> task indices needing it
             use_cache, get, put = self.use_cache, self.cache.get, self.cache.put
-            for i, (_, key) in enumerate(resolved):
+            for i, (algorithm, spec, hw, fallback) in enumerate(tasks):
+                spec_json = encoded.get(id(spec))
+                if spec_json is None:
+                    spec_json = encoded[id(spec)] = canonical_json(spec)
+                hw_json = encoded.get(id(hw))
+                if hw_json is None:
+                    hw_json = encoded[id(hw)] = canonical_json(hw)
+                if fallback:
+                    algorithm = effective_algorithm(algorithm, spec).name
+                key = (algorithm, spec_json, hw_json, fingerprint)
                 record = get(key) if use_cache else None
                 if record is None:
                     missing.setdefault(key, []).append(i)
@@ -388,8 +382,8 @@ class EvaluationEngine:
             if missing:
                 # one representative cell per distinct key, in first-seen order
                 cells = [
-                    (resolved[i][0], tasks[i][1], tasks[i][2])
-                    for i in (indices[0] for indices in missing.values())
+                    (key, tasks[indices[0]][1], tasks[indices[0]][2])
+                    for key, indices in missing.items()
                 ]
                 computed = _compute_grid(cells, cal, self.schedules)
                 for (key, indices), record in zip(missing.items(), computed):

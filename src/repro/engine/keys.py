@@ -11,17 +11,18 @@ model reads when timing one grid cell:
   Calibration` constants, so editing any calibration value invalidates
   every cached record automatically.
 
-Keys are SHA-256 over a canonical (sorted-keys, fixed-separator) JSON
-encoding — stable across processes, interpreter hash seeds, and the
-insertion order of payload dicts.  Field values are canonicalized by their
-annotated type, so equal dataclasses always encode equally
-(``paper2_rvv(512, 1)`` and ``paper2_rvv(512, 1.0)`` share one key).
+Each dataclass is encoded as canonical (sorted-keys, fixed-separator)
+JSON by :func:`canonical_json` — stable across processes, interpreter
+hash seeds, and the insertion order of payload dicts.  Field values are
+canonicalized by their annotated type, so equal dataclasses always encode
+equally (``paper2_rvv(512, 1)`` and ``paper2_rvv(512, 1.0)``, or a NumPy
+scalar and its Python value, share one encoding).
 
-:func:`cache_key` derives that encoding from precomputed pieces — the
-default calibration's fingerprint (computed at import), the canonical JSON
-of each ``ConvSpec`` and ``HardwareConfig`` once per value — spliced in
-the byte order ``json.dumps(sort_keys=True)`` produces, so the key is byte
-for byte :func:`key_from_payload` of the full payload.
+The engine keys its LRU on the tuple ``(resolved algorithm, spec JSON,
+hw JSON, calibration fingerprint)``; :func:`cache_key` is the portable
+SHA-256 of the same pieces, spliced in the byte order
+``json.dumps(sort_keys=True)`` produces, so it is byte for byte
+:func:`key_from_payload` of the full payload.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from enum import Enum
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.simulator.hwconfig import HardwareConfig
@@ -40,9 +43,9 @@ from repro.simulator.hwconfig import HardwareConfig
 #: Part of every key payload: bumping it gives every cell a new key.
 SCHEMA_VERSION = 1
 
-#: Canonical JSON fragments kept (distinct ``ConvSpec``/``HardwareConfig``
-#: values; the paper grid has 28 + 16).
-_FRAGMENT_MEMO_SIZE = 256
+#: Canonical encodings kept (distinct dataclass values; the paper grid has
+#: 28 layers + 16 configs).
+_ENCODING_MEMO_SIZE = 256
 
 #: Annotated field types whose values are canonicalized (annotations are
 #: strings under ``from __future__ import annotations``).
@@ -56,11 +59,14 @@ def _canonical(value, annotation):
     spelling (``1`` in a ``float`` field encodes as ``1.0``, ``1`` in a
     ``bool`` field as ``true``) and ``-0.0`` encodes as ``0.0``: equal
     values always encode equally, so a key never depends on which of two
-    equal configs a memo saw first.  Values that already have their
-    annotated type keep their encoding, so their keys do not change.
+    equal configs a memo saw first; a NumPy scalar takes its Python value.
+    Values that already have their annotated type keep their encoding, so
+    their keys do not change.
     """
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        value = value.item()
     cast = _CASTS.get(annotation)
     if cast is not None and isinstance(value, (int, float)) and type(value) is not cast:
         try:
@@ -79,11 +85,18 @@ def dataclass_payload(obj) -> dict:
     return {f.name: _canonical(getattr(obj, f.name), f.type) for f in fields(obj)}
 
 
+@lru_cache(maxsize=_ENCODING_MEMO_SIZE)
+def canonical_json(obj: ConvSpec | HardwareConfig | Calibration) -> str:
+    """The canonical JSON of one dataclass, memoized by value: equal objects
+    get the very same ``str`` (hashed once, compared by identity)."""
+    return json.dumps(dataclass_payload(obj), sort_keys=True, separators=(",", ":"))
+
+
 def calibration_fingerprint(calibration: Calibration | None = None) -> str:
     """Short stable digest of the calibration constants (key component)."""
-    cal = calibration or DEFAULT_CALIBRATION
-    blob = json.dumps(dataclass_payload(cal), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    if calibration is None:
+        return CALIBRATION_VERSION
+    return hashlib.sha256(canonical_json(calibration).encode()).hexdigest()[:16]
 
 
 #: Fingerprint of the shipped constants — the "calibration version".
@@ -99,12 +112,6 @@ def key_from_payload(payload: dict) -> str:
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@lru_cache(maxsize=_FRAGMENT_MEMO_SIZE)
-def _fragment(obj: ConvSpec | HardwareConfig) -> str:
-    """The canonical JSON of one dataclass, once per value."""
-    return json.dumps(dataclass_payload(obj), sort_keys=True, separators=(",", ":"))
 
 
 def cache_key(
@@ -123,14 +130,10 @@ def cache_key(
     separators, and the algorithm name is escaped by the encoder
     ``json.dumps`` uses for strings.
     """
-    fingerprint = (
-        CALIBRATION_VERSION
-        if calibration is None
-        else calibration_fingerprint(calibration)
-    )
     blob = (
         f'{{"algorithm":{encode_basestring_ascii(algorithm)},'
-        f'"calibration":"{fingerprint}","hw":{_fragment(hw)},'
-        f'"schema":{SCHEMA_VERSION:d},"spec":{_fragment(spec)}}}'
+        f'"calibration":"{calibration_fingerprint(calibration)}",'
+        f'"hw":{canonical_json(hw)},'
+        f'"schema":{SCHEMA_VERSION:d},"spec":{canonical_json(spec)}}}'
     )
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import faults, obs
@@ -20,7 +23,7 @@ from repro.engine import (
     cache_key,
     calibration_fingerprint,
 )
-from repro.engine.keys import dataclass_payload
+from repro.engine.keys import canonical_json, dataclass_payload
 from repro.nn.layer import ConvSpec
 from repro.simulator.analytical.calibration import Calibration
 from repro.simulator.hwconfig import HardwareConfig
@@ -208,6 +211,121 @@ class TestEvaluationEngine:
 
         with pytest.raises(EngineError):
             EvaluationEngine().evaluate_many([], on_error="ignore")
+
+
+class TestLruKeys:
+    """The LRU's key tuple aliases exactly what ``cache_key`` aliases."""
+
+    @staticmethod
+    def hit_on_second_spelling(engine, first, second) -> None:
+        """``second`` is served from ``first``'s entry, bit for bit."""
+        record = engine.evaluate(*first)
+        hits = engine.cache.stats.hits
+        assert records_identical(engine.evaluate(*second), record)
+        assert engine.cache.stats.hits == hits + 1
+        assert len(engine.cache) == 1
+
+    def test_equal_configs_share_one_entry(self, spec):
+        self.hit_on_second_spelling(
+            EvaluationEngine(),
+            ("direct", spec, HardwareConfig.paper2_rvv(512, 1)),
+            ("direct", spec, HardwareConfig.paper2_rvv(512, 1.0)),
+        )
+
+    def test_int_and_bool_spellings_share_one_entry(self, spec, hw):
+        self.hit_on_second_spelling(
+            EvaluationEngine(),
+            ("direct", ConvSpec(**{**spec.__dict__, "batch_normalize": 1}), hw),
+            ("direct", ConvSpec(**{**spec.__dict__, "batch_normalize": True}), hw),
+        )
+
+    @pytest.mark.parametrize(
+        "first, second", [(-0.0, 0.0), (float("nan"), float("nan"))],
+        ids=["signed-zero", "nan"],
+    )
+    def test_equal_calibration_spellings_share_one_entry(
+        self, spec, hw, first, second
+    ):
+        cache = MemoCache()
+        one = EvaluationEngine(cache, Calibration(decoupled_deadtime=first))
+        other = EvaluationEngine(cache, Calibration(decoupled_deadtime=second))
+        record = one.evaluate("direct", spec, hw)
+        assert records_identical(other.evaluate("direct", spec, hw), record)
+        assert cache.stats.hits == 1 and len(cache) == 1
+
+    def test_winograd_fallback_shares_the_gemm6_entry(self, hw):
+        one_by_one = ConvSpec(ic=8, oc=8, ih=14, iw=14, kh=1, kw=1, index=5)
+        self.hit_on_second_spelling(
+            EvaluationEngine(),
+            ("winograd", one_by_one, hw),
+            ("im2col_gemm6", one_by_one, hw, False),
+        )
+
+    def test_calibrations_sharing_a_cache_never_alias(self, spec, hw):
+        cache = MemoCache()
+        tweaked = Calibration(dram_efficiency=0.71)
+        shipped = EvaluationEngine(cache)
+        custom = EvaluationEngine(cache, tweaked)
+        for _ in range(2):  # cold, then warm
+            assert records_identical(
+                shipped.evaluate("direct", spec, hw), layer_cycles("direct", spec, hw)
+            )
+            assert records_identical(
+                custom.evaluate("direct", spec, hw),
+                layer_cycles("direct", spec, hw, calibration=tweaked),
+            )
+        assert (cache.stats.misses, cache.stats.hits) == (2, 2)
+        assert len(cache) == 2
+
+    @pytest.mark.parametrize(
+        "numpy_fields, numpy_l2, python_fields",
+        [
+            ({"ic": np.int64(16)}, 1.0, {}),
+            ({}, np.float32(1.0), {}),
+            ({"batch_normalize": np.bool_(True)}, 1.0, {"batch_normalize": True}),
+        ],
+        ids=["int64-field", "float32-field", "bool_-field"],
+    )
+    def test_numpy_scalar_fields_share_the_python_entry(
+        self, numpy_fields, numpy_l2, python_fields
+    ):
+        """A NumPy scalar field encodes as its Python value, even in a
+        process that never encoded the Python spelling first."""
+        layer = dict(ic=16, oc=32, ih=28, iw=28)
+        spec = ConvSpec(**{**layer, **numpy_fields})
+        hw = HardwareConfig.paper2_rvv(512, numpy_l2)
+        canonical_json.cache_clear()  # no equal value encoded before
+        engine = EvaluationEngine()
+        record = engine.evaluate("direct", spec, hw)
+        assert records_identical(record, layer_cycles("direct", spec, hw))
+        self.hit_on_second_spelling(
+            engine,
+            ("direct", spec, hw),
+            (
+                "direct",
+                ConvSpec(**{**layer, **python_fields}),
+                HardwareConfig.paper2_rvv(512, 1.0),
+            ),
+        )
+
+    def test_a_dropped_engine_keeps_no_configs_alive(self, spec):
+        """Only the bounded value memo of encodings may still hold any of
+        the configs a dropped engine evaluated."""
+        engine = EvaluationEngine(cache=MemoCache(capacity=64))
+        refs = []
+        for start in range(0, 2000, 100):
+            configs = [
+                HardwareConfig.paper2_rvv(512, 1.0 + i / 64)
+                for i in range(start, start + 100)
+            ]
+            refs += [weakref.ref(c) for c in configs]
+            engine.evaluate_many(
+                [EvalTask(name, spec, c) for c in configs for name in ALGORITHM_NAMES]
+            )
+        del engine, configs
+        gc.collect()
+        alive = sum(ref() is not None for ref in refs)
+        assert alive <= canonical_json.cache_info().maxsize == 256
 
 
 class TestCellErrorHandling:

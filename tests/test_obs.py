@@ -277,27 +277,28 @@ class TestInstrumentation:
     def test_key_derivation_runs_inside_the_evaluate_many_span(
         self, monkeypatch
     ):
-        """A profile attributes key derivation to ``engine.evaluate_many``."""
+        """A profile attributes key derivation to ``engine.evaluate_many``,
+        and a batch encodes each distinct spec and config object once."""
         from repro.engine import EvaluationEngine, executor
         from repro.nn.models import vgg16_conv_specs
         from repro.simulator.hwconfig import HardwareConfig
 
-        resolved_key = executor._resolved_key
+        canonical_json = executor.canonical_json
 
-        def spied(*args):
-            with obs.span("test.resolved_key"):
-                return resolved_key(*args)
+        def spied(obj):
+            with obs.span("test.canonical_json"):
+                return canonical_json(obj)
 
-        monkeypatch.setattr(executor, "_resolved_key", spied)
+        monkeypatch.setattr(executor, "canonical_json", spied)
         rec = obs.enable()
         EvaluationEngine().sweep(
             vgg16_conv_specs()[:2], [HardwareConfig.paper2_rvv(512, 1.0)],
             ("direct", "winograd"),
         )
         (outer,) = [s for s in rec.spans if s.name == "engine.evaluate_many"]
-        keys = [s for s in rec.spans if s.name == "test.resolved_key"]
-        assert len(keys) == 4
-        assert all(s.parent_id == outer.span_id for s in keys)
+        encodings = [s for s in rec.spans if s.name == "test.canonical_json"]
+        assert len(encodings) == 3  # 2 specs + 1 config, for 4 tasks
+        assert all(s.parent_id == outer.span_id for s in encodings)
 
     def test_timing_replay_records_phases(self):
         from repro.isa import VectorMachine

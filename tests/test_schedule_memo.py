@@ -20,6 +20,7 @@ from repro import obs
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm, layer_cycles
 from repro.engine import EvalTask, EvaluationEngine, executor
 from repro.engine.executor import ScheduleMemo
+from repro.engine.keys import canonical_json
 from repro.nn.layer import ConvSpec
 from repro.nn.models import vgg16_conv_specs, yolov3_conv_specs
 from repro.simulator.analytical.cachemodel import stream_dram_bytes
@@ -225,12 +226,14 @@ def test_memo_is_a_bounded_lru(monkeypatch):
     algo = get_algorithm("im2col_gemm3")
     spec = SPECS[0]
     hws = [HardwareConfig.paper2_rvv(v, 1.0) for v in (512, 1024, 2048)]
+    spec_json = canonical_json(spec)
     for hw in hws + hws[-1:]:
         assert rows_equal(
-            memo.rows(algo, spec, hw), PhaseRows.from_phases(algo.schedule(spec, hw))
+            memo.rows(algo, spec, spec_json, hw),
+            PhaseRows.from_phases(algo.schedule(spec, hw)),
         )
     assert len(memo) == 2 and (memo.misses, memo.hits) == (3, 1)
-    memo.rows(algo, spec, hws[0])  # evicted first: a miss again
+    memo.rows(algo, spec, spec_json, hws[0])  # evicted first: a miss again
     assert memo.misses == 4
 
 
