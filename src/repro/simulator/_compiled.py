@@ -22,7 +22,8 @@ Bit-identical semantics are a hard contract, not an aspiration:
 * :func:`replay_sets_kernel` is the literal per-access algorithm of the
   reference cache walk in ``tests/trace_oracle.py`` (first matching way,
   first invalid way, first-minimum LRU way, tick =
-  ``tick0 + 1 + position``) — integer state, so equality is exact;
+  ``tick0 + 1 + k`` for access ``k``) — integer state, so equality is
+  exact;
 * the cost folds replicate the NumPy backend's expressions in
   :mod:`repro.simulator.replay_backend` operation for operation in the
   same order, so every IEEE-754 intermediate — and therefore the final
@@ -68,7 +69,6 @@ def replay_sets_kernel(
     sets: np.ndarray,
     lines: np.ndarray,
     stores: np.ndarray,
-    positions: np.ndarray,
     tick0: int,
     hits: np.ndarray,
     writebacks: np.ndarray,
@@ -77,9 +77,8 @@ def replay_sets_kernel(
     """Sequential true-LRU replay of one access stream, compiled.
 
     ``sets[k]`` is the row of ``tags``/``dirty``/``lru`` access ``k``
-    maps to (the set index, already masked by the caller) and
-    ``positions[k]`` its stream position, which fixes the LRU tick at
-    ``tick0 + 1 + positions[k]`` exactly as the per-access path does.
+    maps to (the set index, already masked by the caller); its LRU tick
+    is ``tick0 + 1 + k``, exactly as the per-access path bumps it.
     Mutates the state arrays and the preallocated output arrays in
     place.
     """
@@ -115,7 +114,7 @@ def replay_sets_kernel(
                 victims[k] = tags[s, way]
             tags[s, way] = addr
             dirty[s, way] = st
-        lru[s, way] = tick0 + 1 + positions[k]
+        lru[s, way] = tick0 + 1 + k
 
 
 @_jit

@@ -43,11 +43,16 @@ def _check_alignment(cache: SetAssociativeCache, lines: np.ndarray) -> None:
 
     The message carries the total count and the first few offending
     addresses (not just the first), so a bad address generator is
-    diagnosable from one failure.
+    diagnosable from one failure.  With 1-byte lines, address -1 is
+    aligned but is the tag that marks a way invalid, so it is refused too.
     """
-    misaligned = lines % cache.line_bytes != 0
+    misaligned = (lines & (cache.line_bytes - 1)) != 0
     bad_count = int(np.count_nonzero(misaligned))
     if not bad_count:
+        if cache.line_bytes == 1 and (lines == -1).any():
+            raise SimulationError(
+                f"{cache.name}: line address -1 is the invalid-way tag"
+            )
         return
     examples = ", ".join(
         f"{int(addr):#x}" for addr in lines[misaligned][:_MISALIGNED_EXAMPLES]
@@ -90,11 +95,11 @@ def simulate_cache_stream(
             np.full(0, -1, dtype=np.int64),
         )
     _check_alignment(cache, lines)
-    sets = (lines // cache.line_bytes) & (cache.num_sets - 1)
+    line_shift = cache.line_bytes.bit_length() - 1
+    sets = (lines >> line_shift) & (cache.num_sets - 1)
     tick0 = cache._tick
     hits, writebacks, victims = resolve_backend(backend).replay_sets(
-        cache._tags, cache._dirty, cache._lru,
-        sets, lines, stores, np.arange(n, dtype=np.int64), tick0,
+        cache._tags, cache._dirty, cache._lru, sets, lines, stores, tick0
     )
     cache._tick = tick0 + n
     stats = cache.stats

@@ -53,10 +53,11 @@ class MemoryCostParams(NamedTuple):
 class ReplayBackend:
     """One interchangeable implementation of the replay hot loops.
 
-    ``replay_sets(tags, dirty, lru, sets, lines, stores, positions,
-    tick0)`` mutates the cache state arrays in place and returns
-    per-access ``(hits, writebacks, victims)``; the fold callables
-    return the strict left-to-right accumulated cycle totals.
+    ``replay_sets(tags, dirty, lru, sets, lines, stores, tick0)``
+    mutates the cache state arrays in place, giving access ``k`` the
+    LRU tick ``tick0 + 1 + k``, and returns per-access
+    ``(hits, writebacks, victims)``; the fold callables return the
+    strict left-to-right accumulated cycle totals.
     """
 
     name: str
@@ -80,6 +81,11 @@ def exact_sum(costs: np.ndarray) -> float:
 # --------------------------------------------------------------------- #
 # numpy backend — the set-partitioned / vectorized engines
 # --------------------------------------------------------------------- #
+#: Subtracted from the LRU key of the way holding the accessed line, so a
+#: hit is the row minimum (a multiple of every associativity).
+_HIT_KEY = np.int64(1 << 62)
+
+
 def _replay_sets_numpy(
     tags: np.ndarray,
     dirty: np.ndarray,
@@ -87,7 +93,6 @@ def _replay_sets_numpy(
     sets: np.ndarray,
     lines: np.ndarray,
     stores: np.ndarray,
-    positions: np.ndarray,
     tick0: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set-partitioned true-LRU replay: all touched sets advance per step.
@@ -98,69 +103,111 @@ def _replay_sets_numpy(
     An access to the line its set touched last hits the MRU way and only
     ORs in its store flag and refreshes the tick, so each run of them is
     folded into the run's head before stepping: the head carries the OR of
-    the run's store flags and the stream position of its last access.
+    the run's store flags and the tick of the run's last access.
+
+    Every step reads and writes slices, not gathers:
+
+    * the run heads are laid out step-major — touched sets are ranked by
+      head count, so the sets still active at step ``t`` are a prefix of
+      the ranking and step ``t``'s inputs (line, store flag, tick) and
+      outputs (old tag, old dirty bit) are one contiguous slice each,
+      scattered back to stream order once after the loop;
+    * the touched sets' tag/dirty/LRU rows are gathered way-major in rank
+      order once, so a step works on ``[:, :k]`` views, and written back
+      once at the end;
+    * the LRU rows hold keys ``tick << s | way`` (``s`` = log2 assoc) and
+      invalid ways ``way - assoc``, so "first invalid way, else the first
+      least-recent way" is the key minimum over the ways; subtracting
+      ``2**62`` from the way that holds the line makes a hit the minimum
+      instead, so one reduction per step yields the way (its low bits)
+      and whether it hit (below ``-assoc``).  A tick from ``2**(61 - s)``
+      on would not fit and raises :class:`SimulationError` instead.
     """
     n = lines.size
-    hits = np.zeros(n, dtype=bool)
+    hits = np.ones(n, dtype=bool)  # a run's folded accesses all hit
     writebacks = np.zeros(n, dtype=bool)
     victims = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return hits, writebacks, victims
-    order = np.argsort(sets, kind="stable")
+    num_sets, assoc = tags.shape
+    shift = (assoc - 1).bit_length()
+    if (tick0 + n) >> (61 - shift):
+        raise SimulationError(
+            f"LRU tick {tick0 + n} does not fit the NumPy replay's keys "
+            f"(limit 2**{61 - shift})"
+        )
+    # stable partition by set: a radix sort for up to 2**16 sets
+    order = np.argsort(
+        sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable"
+    )
     by_set = lines[order]
     head = np.ones(n, dtype=bool)
     np.not_equal(by_set[1:], by_set[:-1], out=head[1:])
-    hits[order[~head]] = True
-    heads = np.nonzero(head)[0]
-    ends = np.append(heads[1:], n) - 1  # each run's last access
-    order_h = order[heads]  # original stream positions of the run heads
-    lines_h = by_set[heads]
-    stores_h = np.logical_or.reduceat(stores[order], heads)
-    # a per-access walk bumps the tick before each access, so the access at
-    # global stream position p lands tick0 + p + 1; a run ends on its last
-    ticks_h = tick0 + 1 + positions[order[ends]]
-    uniq, starts, counts = np.unique(
-        sets[order_h], return_index=True, return_counts=True
-    )
-    # order touched sets by access count so the sets still active at any
-    # time step are a shrinking prefix
+    heads = np.flatnonzero(head)
+    m = heads.size
+    first = order[heads]  # stream positions of the run heads
+    last = order[np.append(heads[1:], n) - 1]  # and of each run's last access
+    per_set = np.bincount(sets[first], minlength=num_sets)
+    touched = np.flatnonzero(per_set)  # ascending, as the heads are sorted
+    counts = per_set[touched]
     by_count = np.argsort(-counts, kind="stable")
-    uniq, starts, counts = uniq[by_count], starts[by_count], counts[by_count]
-    k = uniq.size
-    row_ids = np.arange(k)
-    for t in range(int(counts[0])):
-        while counts[k - 1] <= t:
-            k -= 1
-        rows = uniq[:k]
-        h = starts[:k] + t  # run heads, one per set
-        g = order_h[h]  # their original stream positions
-        addr = lines_h[h]
-        st = stores_h[h]
-        tg = tags[rows]  # (k, assoc) gather
-        match = tg == addr[:, None]
-        hit = match.any(axis=1)
-        invalid = tg == -1
-        # victim way on a miss: first invalid way if any, else true LRU
-        # (argmax/argmin both take the first way on ties, as a per-access
-        # np.nonzero(...)[0] / np.argmin walk does)
-        way = np.where(
-            hit,
-            match.argmax(axis=1),
-            np.where(
-                invalid.any(axis=1),
-                invalid.argmax(axis=1),
-                lru[rows].argmin(axis=1),
-            ),
+    rows = touched[by_count]  # touched sets, most heads first
+    u = rows.size
+    # step t advances the sets with more than t heads: a prefix of rows
+    active = u - np.cumsum(np.bincount(counts))[:-1]
+    bounds = np.zeros(active.size + 1, dtype=np.int64)
+    np.cumsum(active, out=bounds[1:])
+    # head j of the set ranked r goes to slot bounds[j] + r
+    rank = np.empty(u, dtype=np.int64)
+    rank[by_count] = np.arange(u)
+    step = np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)
+    dest = bounds[step] + np.repeat(rank, counts)
+    pos = np.empty(m, dtype=np.int64)
+    pos[dest] = first
+    addr = np.empty(m, dtype=np.int64)
+    addr[dest] = by_set[heads]
+    store = np.empty(m, dtype=bool)
+    store[dest] = np.logical_or.reduceat(stores[order], heads)
+    tick = np.empty(m, dtype=np.int64)
+    tick[dest] = (last + (tick0 + 1)) << shift
+
+    tg = np.ascontiguousarray(tags[rows].T)
+    dt = np.ascontiguousarray(dirty[rows].T)
+    lr = np.ascontiguousarray(lru[rows].T)
+    way = np.arange(assoc)[:, None]
+    key = np.where(tg == -1, way - assoc, (lr << shift) | way)
+    tags_f, dirty_f, key_f = tg.ravel(), dt.ravel(), key.ravel()
+    old_tag = np.empty(m, dtype=np.int64)
+    old_dirty = np.empty(m, dtype=bool)
+    row = np.arange(u)
+    edges = bounds.tolist()
+    for t, k in enumerate(active.tolist()):
+        a, b = edges[t], edges[t + 1]
+        line = addr[a:b]
+        best = np.minimum.reduce(
+            key[:, :k] - (tg[:, :k] == line) * _HIT_KEY, axis=0
         )
-        old_tag = tg[row_ids[:k], way]
-        old_dirty = dirty[rows, way]
-        wb = ~hit & (old_tag != -1) & old_dirty
-        hits[g] = hit
-        writebacks[g] = wb
-        victims[g[wb]] = old_tag[wb]
-        tags[rows, way] = addr
-        dirty[rows, way] = np.where(hit, old_dirty | st, st)
-        lru[rows, way] = ticks_h[h]
+        w = best & (assoc - 1)
+        slot = w * u
+        slot += row[:k]
+        od = dirty_f[slot]
+        old_dirty[a:b] = od
+        old_tag[a:b] = tags_f[slot]
+        tags_f[slot] = line
+        od &= best < -assoc  # a hit keeps its dirty bit
+        od |= store[a:b]
+        dirty_f[slot] = od
+        key_f[slot] = tick[a:b] | w
+    tags[rows] = tg.T
+    dirty[rows] = dt.T
+    # ways still invalid were never written and keep their LRU values
+    lru[rows] = np.where(tg == -1, lr, key >> shift).T
+
+    hit = old_tag == addr  # a miss evicts some other line
+    wb = ~hit & (old_tag != -1) & old_dirty
+    hits[pos] = hit
+    writebacks[pos] = wb
+    victims[pos[wb]] = old_tag[wb]
     return hits, writebacks, victims
 
 
@@ -207,16 +254,14 @@ def _memory_cost_fold_numpy(
 # --------------------------------------------------------------------- #
 # compiled backend — thin wrappers over the njit kernels
 # --------------------------------------------------------------------- #
-def _replay_sets_compiled(
-    tags, dirty, lru, sets, lines, stores, positions, tick0
-):
+def _replay_sets_compiled(tags, dirty, lru, sets, lines, stores, tick0):
     n = lines.size
     hits = np.zeros(n, dtype=bool)
     writebacks = np.zeros(n, dtype=bool)
     victims = np.full(n, -1, dtype=np.int64)
     if n:
         _compiled.replay_sets_kernel(
-            tags, dirty, lru, sets, lines, stores, positions, tick0,
+            tags, dirty, lru, sets, lines, stores, tick0,
             hits, writebacks, victims,
         )
     return hits, writebacks, victims

@@ -5,7 +5,9 @@ evictions are frequent) must produce identical hits, misses, writebacks and
 victim streams — and leave identical cache state behind — whether replayed
 access by access through the reference walk in ``tests/trace_oracle.py``
 or in one batch through :mod:`repro.simulator.cache_fast`.  Both hierarchy
-modes are covered.
+modes are covered, associativity runs up to 8 (the paper configs' L2), and
+skewed streams put most accesses on one or two sets, as Winograd's
+transform scratch rows do, so the busiest sets step long after the rest.
 """
 
 from __future__ import annotations
@@ -53,9 +55,33 @@ run_stream_strategy = st.lists(
     ).map(lambda runs: [(lid, s) for lid, stores in runs for s in stores])
 )
 
-geometry_strategy = st.tuples(
-    st.sampled_from([1, 2, 4]),  # associativity
-    st.sampled_from([1, 2, 4, 8]),  # sets
+# one or two hot residues mod 8: every line id of a residue maps to one set
+# in every geometry drawn here, L2s included
+hot_residues_strategy = st.lists(
+    st.integers(0, 7), min_size=1, max_size=2, unique=True
+)
+
+# the hot sets take ~80 % of the accesses, over 12 ids each (more than 8
+# ways hold); the rest is spread over ids 0..95.  At least 40 accesses, so
+# the hot sets fill and evict.
+hot_set_stream_strategy = hot_residues_strategy.flatmap(
+    lambda hot: st.lists(
+        st.tuples(
+            st.integers(0, 9),  # < 8: a hot line
+            st.sampled_from(hot),
+            st.integers(0, 11),
+            st.integers(0, 95),
+            st.booleans(),
+        ).map(lambda a: (a[1] + 8 * a[2] if a[0] < 8 else a[3], a[4])),
+        min_size=40,
+        max_size=250,
+    )
+)
+
+# (associativity, sets): every geometry holds fewer lines than the 48
+# distinct ids of stream_strategy, so 8-way sets fill and evict too
+geometry_strategy = st.sampled_from(
+    [(a, s) for a in (1, 2, 4, 8) for s in (1, 2, 4, 8) if a * s < 48]
 )
 
 
@@ -77,10 +103,12 @@ def _assert_cache_state_equal(a: SetAssociativeCache, b: SetAssociativeCache):
 
 @pytest.mark.parametrize("replay_kwargs", REPLAY_VARIANTS)
 @given(
-    stream=st.one_of(stream_strategy, run_stream_strategy),
+    stream=st.one_of(
+        stream_strategy, run_stream_strategy, hot_set_stream_strategy
+    ),
     geometry=geometry_strategy,
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_single_level_stream_equivalence(replay_kwargs, stream, geometry):
     ref, fast = _caches(*geometry)
     lines = np.array([lid * LINE for lid, _ in stream], dtype=np.int64)
@@ -99,7 +127,10 @@ def test_single_level_stream_equivalence(replay_kwargs, stream, geometry):
     _assert_cache_state_equal(ref, fast)
 
 
-@given(stream=stream_strategy, geometry=geometry_strategy)
+@given(
+    stream=st.one_of(stream_strategy, hot_set_stream_strategy),
+    geometry=geometry_strategy,
+)
 @settings(max_examples=60, deadline=None)
 def test_kernel_source_matches_sequential(stream, geometry):
     """The compiled backend's *Python source* replays exactly.
@@ -112,11 +143,9 @@ def test_kernel_source_matches_sequential(stream, geometry):
     lines = np.array([lid * LINE for lid, _ in stream], dtype=np.int64)
     stores = np.array([s for _, s in stream], dtype=bool)
     expected = [cache_access(ref, int(a), bool(s)) for a, s in zip(lines, stores)]
-    n = lines.size
     sets = (lines // LINE) & (fast.num_sets - 1)
     hits, wbs, victims = rb._replay_sets_compiled(
-        fast._tags, fast._dirty, fast._lru, sets, lines, stores,
-        np.arange(n, dtype=np.int64), fast._tick,
+        fast._tags, fast._dirty, fast._lru, sets, lines, stores, fast._tick
     )
     for (ref_hit, ref_victim), hit, wb, victim in zip(
         expected, hits, wbs, victims
@@ -133,7 +162,7 @@ def test_kernel_source_matches_sequential(stream, geometry):
 
 
 @given(
-    stream=stream_strategy,
+    stream=st.one_of(stream_strategy, hot_set_stream_strategy),
     geometry=geometry_strategy,
     split=st.integers(0, 250),
 )
@@ -162,18 +191,41 @@ memop_strategy = st.tuples(
 )
 
 
-def _hierarchy(vector_at_l2: bool) -> CacheHierarchy:
+# mostly short unit-stride loads and stores, each within one line of a hot
+# residue, shuffled among a few random memory ops
+hot_memops_strategy = hot_residues_strategy.flatmap(
+    lambda hot: st.tuples(
+        st.lists(
+            st.tuples(
+                st.sampled_from(hot), st.integers(0, 11), st.integers(1, 8),
+                st.booleans(),
+            ).map(lambda a: (a[0] + 8 * a[1], a[2], 4, a[3], False)),
+            max_size=60,
+        ),
+        st.lists(memop_strategy, max_size=3),
+    ).flatmap(lambda ops: st.permutations(ops[0] + ops[1]))
+)
+
+# (associativity, sets) of the L2; the 8-way ones hold 16 and 32 lines
+l2_geometry_strategy = st.sampled_from([(4, 8), (8, 2), (8, 4)])
+
+
+def _hierarchy(vector_at_l2: bool, l2_geometry) -> CacheHierarchy:
+    assoc, sets = l2_geometry
     l1 = SetAssociativeCache("L1", 4 * 2 * LINE, 2, LINE)
-    l2 = SetAssociativeCache("L2", 8 * 4 * LINE, 4, LINE)
+    l2 = SetAssociativeCache("L2", sets * assoc * LINE, assoc, LINE)
     return CacheHierarchy(l1, l2, vector_at_l2=vector_at_l2)
 
 
 @given(
-    ops=st.lists(memop_strategy, min_size=0, max_size=40),
+    ops=st.one_of(
+        st.lists(memop_strategy, min_size=0, max_size=40), hot_memops_strategy
+    ),
     vector_at_l2=st.booleans(),
+    l2_geometry=l2_geometry_strategy,
 )
-@settings(max_examples=80, deadline=None)
-def test_hierarchy_memop_replay_equivalence(ops, vector_at_l2):
+@settings(max_examples=100, deadline=None)
+def test_hierarchy_memop_replay_equivalence(ops, vector_at_l2, l2_geometry):
     trace = InstructionTrace()
     rng = np.random.default_rng(len(ops))
     for base_id, vl, stride, is_store, indexed in ops:
@@ -188,8 +240,8 @@ def test_hierarchy_memop_replay_equivalence(ops, vector_at_l2):
         trace.emit_memory(
             name, base_id * LINE + 4, 4, vl, stride, is_store, indices=indices
         )
-    ref = _hierarchy(vector_at_l2)
-    fast = _hierarchy(vector_at_l2)
+    ref = _hierarchy(vector_at_l2, l2_geometry)
+    fast = _hierarchy(vector_at_l2, l2_geometry)
     mem_ops = list(trace)
     expected = [hierarchy_access_memop(ref, op) for op in mem_ops]
     mem = trace.memory_columns()

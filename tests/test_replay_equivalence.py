@@ -362,3 +362,42 @@ def test_misaligned_error_without_truncation():
     with pytest.raises(SimulationError, match="1 of 2 accesses") as excinfo:
         simulate_cache_stream(cache, lines, np.zeros(2, dtype=bool))
     assert "..." not in str(excinfo.value)
+
+
+def test_line_address_of_the_invalid_tag_is_refused():
+    # with 1-byte lines every address is aligned, but -1 marks invalid ways
+    cache = SetAssociativeCache("L1", 4 * 2, 2, 1)
+    lines = np.array([5, -1, 3], dtype=np.int64)
+    with pytest.raises(SimulationError, match="-1 is the invalid-way tag"):
+        simulate_cache_stream(cache, lines, np.zeros(3, dtype=bool))
+    assert cache.stats.accesses == 0 and cache._tick == 0
+    # other negative line addresses replay like any other line
+    hits, _, _ = simulate_cache_stream(
+        cache, np.array([-2, -2, 7], dtype=np.int64), np.zeros(3, dtype=bool)
+    )
+    assert hits.tolist() == [False, True, False]
+
+
+def test_numpy_replay_ticks_up_to_the_limit_of_its_lru_keys():
+    # the NumPy replay packs tick << log2(assoc) | way into int64 keys:
+    # the last tick that fits replays like the per-access walk ...
+    ref = SetAssociativeCache("L1", 2 * 2 * 64, 2, 64)
+    fast = SetAssociativeCache("L1", 2 * 2 * 64, 2, 64)
+    ref._tick = fast._tick = (1 << 60) - 6
+    lines = np.array([0, 128, 0, 256, 128], dtype=np.int64)
+    stores = np.array([True, False, False, True, False])
+    expected = [cache_access(ref, int(a), bool(s)) for a, s in zip(lines, stores)]
+    hits, wbs, victims = simulate_cache_stream(
+        fast, lines, stores, backend="numpy"
+    )
+    assert [(bool(h), int(v) if w else None) for h, w, v in zip(
+        hits, wbs, victims
+    )] == expected
+    assert np.array_equal(ref._lru, fast._lru)
+    assert np.array_equal(ref._tags, fast._tags)
+    # ... and one more is refused before any state changes
+    with pytest.raises(SimulationError, match=r"limit 2\*\*60"):
+        simulate_cache_stream(
+            fast, lines[:1], stores[:1], backend="numpy"
+        )
+    assert fast.stats.accesses == 5 and fast._tick == (1 << 60) - 1
