@@ -287,24 +287,27 @@ def test_engine_cold_vs_warm_full_grid(benchmark):
     engine = EvaluationEngine()
     algorithms = ("direct", "im2col_gemm3", "im2col_gemm6", "winograd")
 
-    def full_grid(specs, configs) -> float:
-        records = engine.sweep(specs, configs, algorithms)
+    def full_grid(specs, configs):
+        return engine.sweep(specs, configs, algorithms)
+
+    def total(records) -> float:
         return sum(r.cycles for r in records.values())
 
     def fresh_copies():
         return ([replace(s) for s in specs], [replace(c) for c in configs]), {}
 
+    # only the sweeps are timed; the totals are compared afterwards
     start = time.perf_counter()
-    cold_total = full_grid(specs, configs)
+    cold = full_grid(specs, configs)
     cold_s = time.perf_counter() - start
 
-    warm_total = benchmark.pedantic(full_grid, setup=fresh_copies, rounds=10)
+    warm = benchmark.pedantic(full_grid, setup=fresh_copies, rounds=10)
     args, _ = fresh_copies()
     start = time.perf_counter()
     full_grid(*args)
     warm_s = time.perf_counter() - start
 
-    assert warm_total == cold_total
+    assert total(warm) == total(cold)
     assert engine.cache.stats.hits > 0
     speedup = cold_s / warm_s
     print(f"\nengine grid: cold {cold_s * 1e3:.1f} ms, warm "

@@ -28,6 +28,7 @@ from repro import obs
 from repro.algorithms.base import ConvAlgorithm
 from repro.errors import ConfigError
 from repro.isa.machine import VectorMachine
+from repro.isa.trace import KIND_MEMORY, KIND_SCALAR, LoopRow
 from repro.nn.layer import DTYPE_BYTES, ConvSpec
 from repro.nn.reference import pad_input
 from repro.simulator.analytical.cachemodel import (
@@ -104,14 +105,16 @@ class DirectConv(ConvAlgorithm):
 
         Produces the exact observable behaviour of a one-call-per-
         instruction kernel (the reference in ``tests/trace_oracle.py``) —
-        bit-identical outputs, identical per-category instruction counts,
-        and the same ordered memory-op address stream — but computes the
-        accumulators with whole-plane NumPy FMAs (one per kernel tap,
-        preserving the per-op accumulation order elementwise) and emits
-        the trace in batched columnar writes.
+        bit-identical outputs, identical instruction counts, and the same
+        ordered memory rows — but computes the accumulators with
+        whole-plane NumPy FMAs (one per kernel tap, preserving the per-op
+        accumulation order elementwise) and traces each OC group in three
+        calls: one :meth:`~repro.isa.trace.InstructionTrace.emit_loop` over
+        the output rows for the memory rows and loop scalars, and one
+        ``emit_vector`` each for the broadcasts and the FMAs.
         Vector-register *contents* after the call are unspecified; nothing
-        the cache/timing simulators consume differs.  With
-        ``trace="counts"`` this path handles real VGG-16 layer shapes.
+        the cache/timing simulators consume differs.  The trace of a
+        full-size VGG-16 layer fits in memory and replays.
         """
         spec.validate_input(x.shape)
         with obs.span("direct.pack", cat="kernel"):
@@ -138,7 +141,10 @@ class DirectConv(ConvAlgorithm):
                         window = xc[dh : dh + s * oh : s, dw : dw + s * ow : s]
                         acc += window[:, :, None] * w_host[dh, dw, c][None, None, :]
             out.array[:] = acc.reshape(-1)
-        # -- trace emission: batched, same counts and address stream ------ #
+        # -- trace emission: per OC group, one loop over the output rows -- #
+        # Per ow-block of u points a row issues the loop scalars, ntaps
+        # weight loads and u accumulator stores; the u broadcasts and
+        # u * ntaps FMAs of a block are counted per group.
         with obs.span("direct.emit", cat="kernel"):
             elem = out.array.itemsize
             # weight-load element offsets in tap order (constant per OC group)
@@ -146,26 +152,33 @@ class DirectConv(ConvAlgorithm):
             c_grid = np.repeat(np.arange(ic, dtype=np.int64), kh * kw)
             woffs = (hw_grid * ic + c_grid) * oc
             ntaps = woffs.size
-            trace = machine.trace
             uw = _unroll_ow(ow, self.unroll_ow)
+            blocks = [min(uw, ow - ox0) for ox0 in range(0, ow, uw)]
+            is_store = np.concatenate(
+                [np.repeat([False, True], [ntaps, u]) for u in blocks]
+            )
+            pixels = np.arange(oh * ow, dtype=np.int64).reshape(oh, ow) * oc
+            bases = np.empty((oh, is_store.size), dtype=np.int64)
+            trace = machine.trace
             for oc0 in range(0, oc, machine.vlmax()):
                 gvl = machine.vsetvl(oc - oc0)
-                w_bases = w_hwio.base + (woffs + oc0) * elem
-                for oy in range(oh):
-                    for ox0 in range(0, ow, uw):
-                        u = min(uw, ow - ox0)
-                        trace.emit_scalar("loop_owb", 3)
-                        trace.emit_vector("vfmv", gvl, 32, u)
-                        trace.emit_scalar("loop_k", 2 * ntaps)
-                        trace.emit_scalar("x_load", u * ntaps)
-                        trace.emit_memory_rows("vle", w_bases, elem, gvl, elem, False)
-                        trace.emit_vector("vfmacc.vf", gvl, 32, u * ntaps)
-                        store_offs = (
-                            oy * ow + ox0 + np.arange(u, dtype=np.int64)
-                        ) * oc + oc0
-                        trace.emit_memory_rows(
-                            "vse", out.base + store_offs * elem, elem, gvl, elem, True
-                        )
+                load = LoopRow(KIND_MEMORY, "vle", gvl, elem, elem)
+                store = LoopRow(KIND_MEMORY, "vse", gvl, elem, elem, True)
+                body: list[LoopRow] = []
+                for u in blocks:
+                    body += (
+                        LoopRow(KIND_SCALAR, "loop_owb", 3),
+                        LoopRow(KIND_SCALAR, "loop_k", 2 * ntaps),
+                        LoopRow(KIND_SCALAR, "x_load", u * ntaps),
+                    )
+                    body += [load] * ntaps + [store] * u
+                bases[:, ~is_store] = np.tile(
+                    w_hwio.base + (woffs + oc0) * elem, len(blocks)
+                )
+                bases[:, is_store] = out.base + (pixels + oc0) * elem
+                trace.emit_loop(tuple(body), bases)
+                trace.emit_vector("vfmv", gvl, 32, oh * ow)
+                trace.emit_vector("vfmacc.vf", gvl, 32, oh * ow * ntaps)
         with obs.span("direct.unpack", cat="kernel"):
             result = out.array.reshape(oh, ow, oc)
             return np.ascontiguousarray(result.transpose(2, 0, 1))

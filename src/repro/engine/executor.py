@@ -355,6 +355,8 @@ class EvaluationEngine:
         with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
             fingerprint = calibration_fingerprint(cal)
             encoded: dict[int, str] = {}  # id(spec or hw) -> its canonical JSON
+            # (algorithm, spec JSON) -> the algorithm Winograd* runs there
+            resolved: dict[tuple[str, str], str] = {}
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
             missing: dict[_Key, list[int]] = {}  # key -> task indices needing it
             use_cache, get, put = self.use_cache, self.cache.get, self.cache.put
@@ -366,7 +368,12 @@ class EvaluationEngine:
                 if hw_json is None:
                     hw_json = encoded[id(hw)] = canonical_json(hw)
                 if fallback:
-                    algorithm = effective_algorithm(algorithm, spec).name
+                    pair = (algorithm, spec_json)
+                    name = resolved.get(pair)
+                    if name is None:
+                        name = effective_algorithm(algorithm, spec).name
+                        resolved[pair] = name
+                    algorithm = name
                 key = (algorithm, spec_json, hw_json, fingerprint)
                 record = get(key) if use_cache else None
                 if record is None:

@@ -9,10 +9,11 @@ The analytical estimate is shown alongside so the two engines can be
 cross-checked layer by layer (``tests/test_model_validation.py`` asserts
 their orderings agree on small kernels).
 
-Feasible on real layers only because of the columnar trace fast path
-(``docs/PERF.md``) and the set-partitioned replay engine
+Feasible on real layers only because of the trace fast path
+(``docs/PERF.md``: memory rows stored, vector and scalar instructions
+counted) and the set-partitioned replay engine
 (:mod:`repro.simulator.cache_fast`): a VGG-16 conv1_1 trace holds ~6M
-events and replays in a couple of seconds.  Exposed as
+events and generates and replays in well under a second.  Exposed as
 ``repro-experiments trace-report`` and via ``repro-experiments
 --trace-timing <model>:<layer>``.
 """

@@ -80,10 +80,10 @@ class VectorMachine:
         Hardware maximum vector length (power of two, <= 16384).
     trace:
         ``"full"`` (or ``True``, the default) records every instruction in
-        ``self.trace`` for cache/timing replay.  ``"counts"`` (or ``False``)
-        skips event storage entirely while keeping the instruction-count
-        statistics exact — the mode for full-size layers, where a recorded
-        trace would hold 10^8+ events.
+        ``self.trace`` for cache/timing replay: memory instructions as rows,
+        vector and scalar instructions as counts.  ``"counts"`` (or
+        ``False``) skips the memory rows while keeping the counts and
+        statistics exact — for runs whose statistics alone are wanted.
     """
 
     def __init__(self, vlen_bits: int, trace: bool | str = True) -> None:
@@ -442,14 +442,14 @@ class VectorMachine:
     # batched intrinsics (fast path)
     # ------------------------------------------------------------------ #
     # Each method below is semantically a run of the per-op intrinsics
-    # above it — same register effects, same trace rows in the same order,
-    # same element-wise fp rounding — issued as ONE Python call: a register
-    # block (vload_seq/vstore_seq), a whole micro-kernel k-loop
-    # (vfmacc_vf_kloop), or every row of a strip-mined copy (vcopy_strips).
-    # They compute with NumPy on the register file and buffers and write
-    # their trace rows as one columnar block, which is what lets the kernels
-    # in repro.algorithms.{im2col,gemm_kernels} amortize interpreter and
-    # event-allocation overhead.
+    # above it — same register effects, same memory rows in the same order
+    # and the same instruction counts, same element-wise fp rounding —
+    # issued as ONE Python call: a register block (vload_seq/vstore_seq), a
+    # whole micro-kernel k-loop (vfmacc_vf_kloop), or every row of a
+    # strip-mined copy (vcopy_strips).  They compute with NumPy on the
+    # register file and buffers and write their memory rows as one columnar
+    # block, which is what lets the kernels in
+    # repro.algorithms.{im2col,gemm_kernels} amortize interpreter overhead.
 
     def _seq_block(self, reg0: int, count: int) -> np.ndarray | None:
         """2-D (count, VLMAX) view for a register run, or None if the
@@ -464,7 +464,7 @@ class VectorMachine:
         """Unit-stride loads ``buf[offsets[i]] -> v(vd0+i)`` for each i.
 
         Equivalent to ``len(offsets)`` successive :meth:`vload` calls (the
-        recorded memory ops carry the same addresses in the same order).
+        recorded memory rows carry the same addresses in the same order).
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         n = self._active(vl)
@@ -634,11 +634,11 @@ class VectorMachine:
                     machine.vstore(vreg, dst_buf, d0 + j)
                     j += gvl
 
-        Same data movement, same trace rows in the same order (per row: the
-        ``loop`` scalars, one ``vsetvl`` scalar row counting the strips, then
-        load/store memory ops interleaved per strip), same end state for
-        ``vl`` and register ``vreg``.  Destination rows must not overlap each
-        other or the source rows.
+        Same data movement, same trace (per row: the ``loop`` scalars, one
+        ``vsetvl`` scalar row counting the strips, then load/store memory
+        rows interleaved per strip), same end state for ``vl`` and register
+        ``vreg``.  Destination rows must not overlap each other or the
+        source rows.
         """
         src_off = np.atleast_1d(np.asarray(src_off, dtype=np.int64))
         dst_off = np.atleast_1d(np.asarray(dst_off, dtype=np.int64))

@@ -2,8 +2,8 @@
 
 The search scores candidates with the analytical/PhaseTable model (fast,
 whole-grid).  This module is the *second opinion*: it executes a
-candidate's traced kernel under ``trace="counts"`` — no event storage,
-full-size layers are fine — and returns the aggregate
+candidate's traced kernel under ``trace="counts"`` — no memory rows
+stored — and returns the aggregate
 :class:`~repro.isa.trace.TraceStats`.  Two uses:
 
 * the identity check — a default-parameter variant must reproduce the

@@ -4,7 +4,7 @@ Two timing engines share one :class:`~repro.simulator.hwconfig.HardwareConfig`:
 
 * :mod:`repro.simulator.timing` replays instruction traces from the
   functional machine against a set-associative LRU cache hierarchy —
-  cycle-approximate, used on small kernels;
+  cycle-approximate, on scaled or full-size layers;
 * :mod:`repro.simulator.analytical` evaluates algorithm *schedules*
   (loop-nest + data-stream descriptions) in closed form — used on full
   convolutional layers, where per-instruction simulation is infeasible.

@@ -5,9 +5,9 @@ Two Python-level loops survive the columnar replay rewrite:
 * the per-step true-LRU set update inside
   :func:`repro.simulator.cache_fast.simulate_cache_stream` — the NumPy
   set-partitioned engine still pays one Python iteration per time step;
-* the left-to-right chime/cost fold in :mod:`repro.simulator.timing` —
-  NumPy evaluates it as ~10 full-length temporaries before the
-  ``np.add.accumulate``.
+* the left-to-right per-memory-op cost fold in
+  :mod:`repro.simulator.timing` — NumPy evaluates it as ~10 full-length
+  temporaries before the ``np.add.accumulate``.
 
 This module holds single-pass replacements for both, written as plain
 Python functions over NumPy arrays and JIT-compiled with
@@ -24,7 +24,7 @@ Bit-identical semantics are a hard contract, not an aspiration:
   first invalid way, first-minimum LRU way, tick =
   ``tick0 + 1 + k`` for access ``k``) — integer state, so equality is
   exact;
-* the cost folds replicate the NumPy backend's expressions in
+* the cost fold replicates the NumPy backend's expressions in
   :mod:`repro.simulator.replay_backend` operation for operation in the
   same order, so every IEEE-754 intermediate — and therefore the final
   accumulated float — is bit-identical.  Locked by
@@ -54,7 +54,7 @@ def _jit(func):
     ``cache=True`` persists the compiled machine code next to the module
     so repeated runs skip recompilation;
     ``fastmath`` stays off — reassociation would break the bit-identical
-    contract with the NumPy folds.
+    contract with the NumPy fold.
     """
     if numba is None:
         return func
@@ -115,32 +115,6 @@ def replay_sets_kernel(
             tags[s, way] = addr
             dirty[s, way] = st
         lru[s, way] = tick0 + 1 + k
-
-
-@_jit
-def vector_cost_fold_kernel(
-    vl: np.ndarray,
-    sew_bits: np.ndarray,
-    datapath: float,
-    issue_cycles: float,
-) -> float:
-    """Fused chime computation + left-to-right fold for vector rows.
-
-    Replicates ``max(issue, ceil(vl / max(1, datapath*32/sew)))``
-    accumulated strictly left to right — the exact op sequence of the
-    NumPy fold (``np.maximum``/``np.ceil``/``np.add.accumulate``).
-    """
-    scale = datapath * 32.0
-    acc = 0.0
-    for i in range(vl.shape[0]):
-        denom = scale / sew_bits[i]
-        if denom < 1.0:
-            denom = 1.0
-        cost = np.ceil(vl[i] / denom)
-        if cost < issue_cycles:
-            cost = issue_cycles
-        acc = acc + cost
-    return acc
 
 
 @_jit

@@ -1,7 +1,7 @@
 """Replay backend registry: NumPy always, Numba-compiled when installed.
 
-The trace-replay hot spots (the true-LRU set update and the chime/cost
-folds) have two interchangeable implementations:
+The trace-replay hot spots (the true-LRU set update and the per-memory-op
+cost fold) have two interchangeable implementations:
 
 * ``numpy`` — the set-partitioned / vectorized engines, always available;
 * ``compiled`` — the single-pass Numba kernels in
@@ -15,9 +15,8 @@ backend.  Selection is observable: :mod:`repro.simulator.timing` bumps a
 ``timing.replay_backend.<name>`` counter for the backend that actually
 ran, so profiles are self-describing.
 
-The registry is deliberately tiny: a backend is three callables sharing
-fixed signatures (`replay_sets`, `vector_cost_fold`, `memory_cost_fold`)
-plus a name.
+The registry is deliberately tiny: a backend is two callables sharing
+fixed signatures (`replay_sets`, `memory_cost_fold`) plus a name.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ class ReplayBackend:
     ``replay_sets(tags, dirty, lru, sets, lines, stores, tick0)``
     mutates the cache state arrays in place, giving access ``k`` the
     LRU tick ``tick0 + 1 + k``, and returns per-access
-    ``(hits, writebacks, victims)``; the fold callables return the
-    strict left-to-right accumulated cycle totals.
+    ``(hits, writebacks, victims)``; ``memory_cost_fold`` returns the
+    strict left-to-right accumulated cycle total of the memory ops.
     """
 
     name: str
     replay_sets: Callable
-    vector_cost_fold: Callable
     memory_cost_fold: Callable
 
 
@@ -211,15 +209,6 @@ def _replay_sets_numpy(
     return hits, writebacks, victims
 
 
-def _vector_cost_fold_numpy(
-    vl: np.ndarray, sew_bits: np.ndarray, datapath: float, issue_cycles: float
-) -> float:
-    """Vector chimes as one reduction over the vl/sew columns."""
-    denom = np.maximum(1.0, (datapath * 32) / sew_bits)
-    cost = np.maximum(issue_cycles, np.ceil(vl / denom))
-    return exact_sum(cost)
-
-
 def _memory_cost_fold_numpy(
     vl: np.ndarray,
     elem_bytes: np.ndarray,
@@ -267,19 +256,6 @@ def _replay_sets_compiled(tags, dirty, lru, sets, lines, stores, tick0):
     return hits, writebacks, victims
 
 
-def _vector_cost_fold_compiled(vl, sew_bits, datapath, issue_cycles):
-    if vl.size == 0:
-        return 0.0
-    return float(
-        _compiled.vector_cost_fold_kernel(
-            np.ascontiguousarray(vl, dtype=np.int64),
-            np.ascontiguousarray(sew_bits, dtype=np.int64),
-            float(datapath),
-            float(issue_cycles),
-        )
-    )
-
-
 def _memory_cost_fold_compiled(
     vl, elem_bytes, stride, indexed, l1_misses, l2_misses,
     params: MemoryCostParams,
@@ -314,7 +290,6 @@ def _memory_cost_fold_compiled(
 NUMPY_BACKEND = ReplayBackend(
     "numpy",
     _replay_sets_numpy,
-    _vector_cost_fold_numpy,
     _memory_cost_fold_numpy,
 )
 
@@ -324,7 +299,6 @@ if _compiled.HAVE_NUMBA:
     _REGISTRY["compiled"] = ReplayBackend(
         "compiled",
         _replay_sets_compiled,
-        _vector_cost_fold_compiled,
         _memory_cost_fold_compiled,
     )
 

@@ -1,7 +1,7 @@
 """Trace-driven timing: replay an instruction trace on a hardware config.
 
-This is the cycle-approximate engine used for small kernels.  It mirrors the
-structure of the paper's gem5 setup:
+This is the cycle-approximate engine; it traces scaled and full-size paper
+layers alike.  It mirrors the structure of the paper's gem5 setup:
 
 * an in-order scalar pipeline issuing one instruction per cycle;
 * a vector unit executing each vector instruction in
@@ -12,21 +12,24 @@ structure of the paper's gem5 setup:
   from the two-level LRU cache hierarchy (misses overlap up to the DRAM
   model's MLP; prefetching hides most of the DRAM latency when enabled).
 
-Replay consumes the columnar trace without decoding events: the
-compute/scalar/vector cycle terms are reductions over the
-kind/vl/sew/stride columns, accumulated left to right exactly as a
-per-event ``+=`` loop would, and the cache walk runs through the
-set-partitioned engine in :mod:`repro.simulator.cache_fast`.  The per-event
-reference (``tests/trace_oracle.py``) must produce bit-identical
+Replay reads the trace's counts and memory columns without decoding
+events.  A vector instruction costs ``max(issue, ceil(vl / denom))``
+cycles, an integer, so compute cycles are one sum of count x cost over the
+trace's distinct ``(vl, SEW)`` keys, and scalar cycles are the scalar
+instruction count; both equal a per-instruction ``+=`` fold bit for bit.
+Memory ops are priced per op, folded left to right in trace order, after
+their line stream runs through the set-partitioned cache walk in
+:mod:`repro.simulator.cache_fast`.  The one-op-at-a-time reference
+(``tests/trace_oracle.py``) must produce bit-identical
 :class:`TimingResult` fields and cache state
 (``tests/test_replay_equivalence.py``).
 
-The hot loops dispatch through the backend registry
-(:mod:`repro.simulator.replay_backend`): ``numpy`` always, ``compiled``
-(the Numba kernels of the ``[compiled]`` extra) when installed, and
-``auto`` (default) the fastest registered — all bit-identical.  Every run
-bumps a ``timing.replay_backend.<name>`` obs counter naming the backend
-that ran.
+The cache walk and the memory-cost fold dispatch through the backend
+registry (:mod:`repro.simulator.replay_backend`): ``numpy`` always,
+``compiled`` (the Numba kernels of the ``[compiled]`` extra) when
+installed, and ``auto`` (default) the fastest registered — all
+bit-identical.  Every run bumps a ``timing.replay_backend.<name>`` obs
+counter naming the backend that ran.
 
 Absolute cycles are not expected to match gem5; orderings and scaling trends
 are (and are what the tests assert).
@@ -34,13 +37,12 @@ are (and are what the tests assert).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.isa.trace import KIND_SCALAR, KIND_VECTOR, InstructionTrace
+from repro.isa.trace import InstructionTrace
 from repro.simulator.cache import CacheHierarchy
 from repro.simulator.cache_fast import replay_line_stream
 from repro.simulator.hwconfig import HardwareConfig
@@ -130,31 +132,29 @@ class TraceTimingModel:
         datapath = cfg.datapath_f32_per_cycle
         prefetch = cfg.software_prefetch or cfg.hardware_prefetch
         res = TimingResult()
-        cols = trace.columns()
 
-        # vector instructions: the chime as one fused fold over vl/sew
+        # vector instructions: count x chime per distinct (vl, SEW); every
+        # term is an integer, so the sum is exact in any order
         with obs.span("timing.vector", cat="timing"):
-            vec = cols.kind == KIND_VECTOR
-            res.vector_instrs = int(np.count_nonzero(vec))
-            if res.vector_instrs:
-                res.compute_cycles = impl.vector_cost_fold(
-                    cols.vl[vec], cols.aux[vec], datapath, VECTOR_ISSUE_CYCLES
-                )
-
-            # scalar instructions: each row accounts ``count`` one-cycle ops
-            scalar_counts = cols.vl[cols.kind == KIND_SCALAR]
-            res.scalar_instrs = int(scalar_counts.sum())
+            compute = 0
+            for (_, vl, sew_bits), count in trace.vector_counts.items():
+                chime = math.ceil(vl / max(1.0, datapath * 32 / sew_bits))
+                compute += count * max(VECTOR_ISSUE_CYCLES, chime)
+                res.vector_instrs += count
+            res.compute_cycles = float(compute)
+            # scalar instructions: one cycle each
+            res.scalar_instrs = sum(trace.scalar_counts.values())
             res.scalar_cycles = float(res.scalar_instrs)
 
         # memory instructions: expand to the line stream once, replay both
         # cache levels set-partitioned, then price every op in one pass
-        mem = trace.memory_columns()
-        num_ops = mem.rows.size
+        mem = trace.columns()
+        num_ops = mem.vl.size
         res.memory_instrs = num_ops
         if num_ops:
             with obs.span("timing.memory", cat="timing", ops=num_ops):
                 lines, op_ids = trace.memory_line_stream(
-                    self.hierarchy.line_bytes, rows=mem.rows
+                    self.hierarchy.line_bytes
                 )
                 l1_m, l2_m = replay_line_stream(
                     self.hierarchy, lines, mem.is_store[op_ids], op_ids,

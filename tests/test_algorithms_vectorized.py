@@ -14,6 +14,7 @@ from repro.algorithms.im2col import im2col, im2col_vectorized
 from repro.isa import VectorMachine
 from repro.nn.layer import ConvSpec
 from repro.nn.reference import conv2d_reference
+from tests.trace_oracle import memory_ops
 
 
 def random_case(rng, **dims):
@@ -92,7 +93,7 @@ class TestIm2colVectorized:
         spec, x, _ = random_case(rng, ic=1, oc=1, ih=8, iw=8, kh=3, kw=3, stride=2)
         machine = VectorMachine(512, trace=True)
         im2col_vectorized(spec, x, machine)
-        names = {e.name for e in machine.trace if hasattr(e, "is_store")}
+        names = {op.name for op in memory_ops(machine.trace)}
         assert "vlse" in names
 
 

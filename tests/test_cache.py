@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
-from repro.isa.trace import MemoryOp
 from repro.simulator.cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from repro.simulator.cache_fast import simulate_cache_stream
 from repro.simulator.hwconfig import HardwareConfig
 from tests.trace_oracle import (
+    MemoryOp,
     cache_access,
     cache_lookup,
     hierarchy_access_line,

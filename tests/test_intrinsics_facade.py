@@ -55,5 +55,7 @@ class TestFacadeCompleteness:
         epi.vsetvl_e32(8)
         epi.vload(0, src, 0)
         epi.vredsum(0)
-        names = [type(e).__name__ for e in epi.m.trace]
-        assert "MemoryOp" in names and "VectorOp" in names
+        trace = epi.m.trace
+        assert [trace.op_names[op] for op in trace.columns().op] == ["vle"]
+        assert trace.vector_counts == {("vredsum", 8, 32): 1}
+        assert trace.scalar_counts == {"vsetvl": 1}

@@ -13,14 +13,18 @@ from repro.isa import (
     E64,
     EpiIntrinsics,
     InstructionTrace,
-    MemoryOp,
-    ScalarOp,
     VectorMachine,
-    VectorOp,
     VectorRegisterFile,
 )
 from repro.isa.types import element_type_for_bits, grant_vl, validate_vlen_bits
-from tests.trace_oracle import emit, line_addresses
+from tests.trace_oracle import (
+    MemoryOp,
+    ScalarOp,
+    VectorOp,
+    emit,
+    line_addresses,
+    memory_ops,
+)
 
 
 class TestTypes:
@@ -212,7 +216,7 @@ class TestMachine:
         assert m.trace.stats.memory_instrs == 0
         # extra offsets past vl are ignored, as before
         m.vgather(1, buf, np.array([7, 0, 6, 1, 99]))
-        assert m.trace.events[-1].indices == (28, 0, 24, 4)
+        assert memory_ops(m.trace)[-1].indices == (28, 0, 24, 4)
 
     def test_strided_ops_check_their_range(self):
         """Every strided element must lie inside the buffer: a negative
@@ -237,7 +241,7 @@ class TestMachine:
         # a negative stride that stays inside is fine
         m.vload_strided(1, buf, 7, -2)
         np.testing.assert_array_equal(m.reg_values(1), [7, 5, 3, 1])
-        op = m.trace.events[-1]
+        op = memory_ops(m.trace)[-1]
         assert (op.base, op.stride) == (buf.addr(7), -8)
 
     def test_memory_ops_need_sew_wide_buffers(self):
@@ -275,7 +279,7 @@ class TestMachine:
         m.vsetvl(4, E64)
         m.vload(1, wide, 2)
         np.testing.assert_array_equal(m.reg_values(1), [2, 3, 4, 5])
-        op = m.trace.events[-1]
+        op = memory_ops(m.trace)[-1]
         assert (op.base, op.elem_bytes, op.stride) == (wide.base + 16, 8, 8)
         with pytest.raises(IsaError, match="vload at SEW=64 on buffer 'narrow'"):
             m.vload(1, narrow, 0)

@@ -22,7 +22,7 @@ from repro.simulator import replay_backend as rb
 from repro.simulator._compiled import HAVE_NUMBA
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
 from repro.simulator.cache_fast import replay_line_stream, simulate_cache_stream
-from tests.trace_oracle import cache_access, hierarchy_access_memop
+from tests.trace_oracle import cache_access, hierarchy_access_memop, memory_ops
 
 LINE = 64
 
@@ -242,12 +242,11 @@ def test_hierarchy_memop_replay_equivalence(ops, vector_at_l2, l2_geometry):
         )
     ref = _hierarchy(vector_at_l2, l2_geometry)
     fast = _hierarchy(vector_at_l2, l2_geometry)
-    mem_ops = list(trace)
+    mem_ops = memory_ops(trace)
     expected = [hierarchy_access_memop(ref, op) for op in mem_ops]
-    mem = trace.memory_columns()
-    lines, op_ids = trace.memory_line_stream(fast.line_bytes, rows=mem.rows)
+    lines, op_ids = trace.memory_line_stream(fast.line_bytes)
     l1_m, l2_m = replay_line_stream(
-        fast, lines, mem.is_store[op_ids], op_ids, len(mem_ops)
+        fast, lines, trace.columns().is_store[op_ids], op_ids, len(mem_ops)
     )
     assert [(int(a), int(b)) for a, b in zip(l1_m, l2_m)] == expected
     _assert_cache_state_equal(ref.l1, fast.l1)
@@ -270,25 +269,8 @@ def test_empty_stream_is_a_noop(replay_kwargs):
 
 
 # --------------------------------------------------------------------- #
-# fold kernels: compiled source == numpy backend, bit for bit
+# memory-cost fold kernel: compiled source == numpy backend, bit for bit
 # --------------------------------------------------------------------- #
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 3000), st.sampled_from([8, 16, 32, 64])),
-        min_size=0,
-        max_size=60,
-    ),
-    datapath=st.sampled_from([2.0, 8.0, 16.0, 64.0]),
-)
-@settings(max_examples=80, deadline=None)
-def test_vector_fold_kernel_matches_numpy(rows, datapath):
-    vl = np.array([v for v, _ in rows], dtype=np.int64)
-    sew = np.array([s for _, s in rows], dtype=np.int64)
-    a = rb._vector_cost_fold_numpy(vl, sew, datapath, 1.0)
-    b = rb._vector_cost_fold_compiled(vl, sew, datapath, 1.0)
-    assert a == b  # bit-exact float equality, not approx
-
-
 @given(
     rows=st.lists(
         st.tuples(

@@ -23,7 +23,7 @@ from repro.algorithms.im2col_gemm import Im2colGemm3
 from repro.algorithms.winograd import WinogradConv
 from repro.errors import SimulationError
 from repro.isa.machine import VectorMachine
-from repro.isa.trace import InstructionTrace, MemoryOp
+from repro.isa.trace import InstructionTrace
 from repro.nn.layer import ConvSpec
 from repro.simulator._compiled import HAVE_NUMBA
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
@@ -32,10 +32,12 @@ from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.replay_backend import available_backends, resolve_backend
 from repro.simulator.timing import TraceTimingModel
 from tests.trace_oracle import (
+    MemoryOp,
     cache_access,
     emit,
     hierarchy_access_memop,
     line_addresses,
+    memory_ops,
     sequential_replay,
 )
 
@@ -135,14 +137,14 @@ def test_lmul_trace_replay_matches(lmul, cfg):
 @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=lambda c: c.name)
 def test_per_op_miss_attribution_matches(cfg, backend):
     trace = _kernel_trace(WinogradConv(), 256)  # includes indexed gathers
-    ops = [e for e in trace if isinstance(e, MemoryOp)]
+    ops = memory_ops(trace)
     h_ref = CacheHierarchy.from_config(cfg)
     ref = [hierarchy_access_memop(h_ref, op) for op in ops]
     h_fast = CacheHierarchy.from_config(cfg)
-    mem = trace.memory_columns()
-    lines, op_ids = trace.memory_line_stream(h_fast.line_bytes, rows=mem.rows)
+    lines, op_ids = trace.memory_line_stream(h_fast.line_bytes)
     l1_m, l2_m = replay_line_stream(
-        h_fast, lines, mem.is_store[op_ids], op_ids, len(ops), backend=backend
+        h_fast, lines, trace.columns().is_store[op_ids], op_ids, len(ops),
+        backend=backend,
     )
     assert [(int(a), int(b)) for a, b in zip(l1_m, l2_m)] == ref
     _assert_hierarchy_equal(h_ref, h_fast)
@@ -214,7 +216,7 @@ def test_memory_line_stream_matches_per_op_expansion():
     trace = _kernel_trace(WinogradConv(), 256)
     line_bytes = 64
     lines, op_ids = trace.memory_line_stream(line_bytes)
-    ops = [e for e in trace if isinstance(e, MemoryOp)]
+    ops = memory_ops(trace)
     expected = [line_addresses(op, line_bytes) for op in ops]
     assert np.array_equal(lines, np.concatenate(expected))
     expected_ids = np.repeat(np.arange(len(ops)), [e.size for e in expected])
@@ -225,7 +227,7 @@ def test_memory_line_stream_matches_per_op_expansion():
 def _line_stream_cases(draw):
     """A trace of random memory ops (strides around the line size, unaligned
     bases, indexed ops whose offset count differs from ``vl``) between other
-    rows, the line size, and a random subset of its memory rows (or None)."""
+    rows, and the line size."""
     line = draw(st.sampled_from([16, 64, 256]))
     trace = InstructionTrace()
     for _ in range(draw(st.integers(0, 24))):
@@ -245,21 +247,16 @@ def _line_stream_cases(draw):
             draw(st.integers(0, 1 << 16)), elem, draw(st.integers(0, 64)),
             stride, draw(st.booleans()), indices,
         ))
-    rows = trace.memory_columns().rows
-    subset = draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size))
-    rows = draw(st.sampled_from([None, rows[np.array(subset, dtype=bool)]]))
-    return trace, line, rows
+    return trace, line
 
 
 @given(case=_line_stream_cases())
 @settings(max_examples=120, deadline=None)
 def test_memory_line_stream_matches_line_addresses(case):
     """The closed-form line expansion equals the per-element one, op by op."""
-    trace, line, rows = case
-    lines, op_ids = trace.memory_line_stream(line, rows=rows)
-    if rows is None:
-        rows = trace.memory_columns().rows
-    expected = [line_addresses(trace.events[int(r)], line) for r in rows]
+    trace, line = case
+    lines, op_ids = trace.memory_line_stream(line)
+    expected = [line_addresses(op, line) for op in memory_ops(trace)]
     assert np.array_equal(lines, np.concatenate([np.empty(0, np.int64), *expected]))
     expected_ids = np.repeat(np.arange(len(expected)), [e.size for e in expected])
     assert np.array_equal(op_ids, expected_ids)
@@ -268,7 +265,7 @@ def test_memory_line_stream_matches_line_addresses(case):
 def test_columns_are_read_only_views():
     trace = _kernel_trace(DirectConv(), 128)
     cols = trace.columns()
-    assert len(cols.kind) == len(trace)
+    assert len(cols.vl) == trace.stats.memory_instrs > 0
     with pytest.raises(ValueError):
         cols.vl[0] = 99
 
@@ -276,7 +273,7 @@ def test_columns_are_read_only_views():
 def test_batched_engine_rejects_foreign_events():
     """Replay takes an :class:`InstructionTrace` and nothing else: only
     ``emit`` writes trace rows, and raw events or event lists are refused."""
-    assert not hasattr(InstructionTrace().events, "append")
+    assert not hasattr(InstructionTrace(), "append")
     model = TraceTimingModel(HardwareConfig.paper2_rvv(512, 1.0))
     op = MemoryOp("vle", 0, 4, 16, 4, False)
     for not_a_trace in ([], ["bogus"], [op], op, "trace", None):

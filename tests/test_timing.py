@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.isa import VectorMachine
-from repro.isa.trace import InstructionTrace, MemoryOp, ScalarOp, VectorOp
+from repro.isa.trace import InstructionTrace
 from repro.simulator.hwconfig import HardwareConfig
 from repro.simulator.timing import TraceTimingModel
-from tests.trace_oracle import emit
+from tests.trace_oracle import MemoryOp, ScalarOp, emit
 
 
 def saxpy_trace(vlen_bits: int, n: int = 4096) -> InstructionTrace:

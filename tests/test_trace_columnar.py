@@ -1,10 +1,9 @@
-"""Property tests: columnar ``InstructionTrace`` vs a list-of-dataclasses
-reference.
+"""Property tests: ``InstructionTrace`` vs a list-of-dataclasses reference.
 
-The columnar storage must be observationally a ``list[TraceEvent]`` plus a
-running :class:`TraceStats`: random event sequences pushed through
-``tests.trace_oracle.emit`` must round-trip through ``len``/iteration/
-indexing identically, and the statistics must match a straightforward
+Random event sequences pushed through ``tests.trace_oracle.emit`` must come
+back as what the trace keeps of them: the memory ops in order, and the
+vector and scalar instruction counts; ``len`` must count one row per event
+and the running :class:`TraceStats` must match a straightforward
 recomputation — including across the geometric-growth boundaries of the
 backing arrays, which the tests force by shrinking the initial capacity to
 a single row.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa.trace import (
@@ -23,23 +22,28 @@ from repro.isa.trace import (
     KIND_VECTOR,
     InstructionTrace,
     LoopRow,
+    TraceStats,
+)
+from tests.trace_oracle import (
     MemoryOp,
     ScalarOp,
-    TraceStats,
     VectorOp,
+    emit,
+    events_view,
+    memory_ops,
+    trace_view,
 )
-from tests.trace_oracle import emit
 
 names = st.sampled_from(["vle", "vse", "vfmacc.vf", "vfmv", "vsetvl", "op_x"])
 
-vector_ops = st.builds(
+vector_events = st.builds(
     VectorOp,
     name=names,
     vl=st.integers(0, 256),
     sew_bits=st.sampled_from([8, 16, 32, 64]),
 )
-scalar_ops = st.builds(ScalarOp, name=names, count=st.integers(0, 1000))
-memory_ops = st.builds(
+scalar_events = st.builds(ScalarOp, name=names, count=st.integers(0, 1000))
+memory_events = st.builds(
     MemoryOp,
     name=names,
     base=st.integers(0, 1 << 40),
@@ -53,7 +57,7 @@ memory_ops = st.builds(
     ),
 )
 event_lists = st.lists(
-    st.one_of(vector_ops, scalar_ops, memory_ops), max_size=120
+    st.one_of(vector_events, scalar_events, memory_events), max_size=120
 )
 
 
@@ -87,19 +91,12 @@ def tiny_trace(mode: str = "full", capacity: int = 1) -> InstructionTrace:
 
 
 @given(event_lists)
-def test_emit_round_trips_like_a_list(events):
+def test_emit_round_trips_memory_rows_and_counts(events):
     t = tiny_trace()
     for e in events:
         emit(t, e)
     assert len(t) == len(events)
-    assert list(t) == events
-    assert list(t.events) == events
-    assert len(t.events) == len(events)
-    assert [t.events[i] for i in range(len(events))] == events
-    # negative indexing and slices behave like a list's
-    assert [t.events[i - len(events)] for i in range(len(events))] == events
-    assert t.events[: len(events) // 2] == events[: len(events) // 2]
-    assert t.events[1::2] == events[1::2]
+    assert trace_view(t) == events_view(events)
     assert t.stats == reference_stats(events)
 
 
@@ -109,7 +106,8 @@ def test_counts_mode_same_stats_no_storage(events):
     for e in events:
         emit(t, e)
     assert len(t) == 0
-    assert list(t) == []
+    assert memory_ops(t) == []
+    assert trace_view(t)[1:] == events_view(events)[1:]
     assert t.stats == reference_stats(events)
 
 
@@ -125,7 +123,8 @@ def test_emit_vector_batched_equals_singles(name, vl, sew_bits, count):
     singles = tiny_trace()
     for _ in range(count):
         singles.emit_vector(name, vl, sew_bits)
-    assert list(batched) == list(singles)
+    assert trace_view(batched) == trace_view(singles)
+    assert len(batched) == len(singles) == count
     assert batched.stats == singles.stats
 
 
@@ -145,7 +144,8 @@ def test_emit_memory_rows_equals_singles(name, bases, vl, stride, is_store, elem
     singles = tiny_trace()
     for base in bases:
         singles.emit_memory(name, base, elem_bytes, vl, stride, is_store)
-    assert list(batched) == list(singles)
+    assert trace_view(batched) == trace_view(singles)
+    assert len(batched) == len(singles) == len(bases)
     assert batched.stats == singles.stats
     # counts mode sees the identical statistics
     counted = tiny_trace(mode="counts")
@@ -158,15 +158,16 @@ def test_emit_memory_rows_equals_singles(name, bases, vl, stride, is_store, elem
 
 @given(names, st.integers(0, 1000))
 def test_emit_scalar_coalesces_counts(name, count):
-    """One ``emit_scalar(name, n)`` equals n singles in *statistics* (the
-    event stream records one coalesced ScalarOp — the documented contract)."""
+    """One ``emit_scalar(name, n)`` equals n singles in statistics and
+    counts, and is one row (the documented contract)."""
     batched = tiny_trace()
     batched.emit_scalar(name, count)
     singles = tiny_trace()
     for _ in range(count):
         singles.emit_scalar(name)
     assert batched.stats == singles.stats
-    assert list(batched) == [ScalarOp(name, count)]
+    assert batched.scalar_counts == {name: count}
+    assert len(batched) == 1
 
 
 loop_rows = st.builds(
@@ -187,8 +188,9 @@ loop_rows = st.builds(
     st.randoms(use_true_random=False),
 )
 def test_emit_loop_equals_singles(body, reps, rnd):
-    """``emit_loop`` records the same rows, raw columns, gather offsets and
-    statistics as the matching per-row emits, in both modes."""
+    """``emit_loop`` records the same memory rows, raw columns, gather
+    offsets, counts and statistics as the matching per-row emits, in both
+    modes."""
     n_mem = sum(row.kind == KIND_MEMORY for row in body)
     n_idx = sum(row.vl for row in body if row.kind == KIND_MEMORY and row.indexed)
     bases = np.array(
@@ -219,16 +221,17 @@ def test_emit_loop_equals_singles(body, reps, rnd):
                 )
             else:
                 singles.emit_scalar(row.name, row.vl)
-    assert list(batched) == list(singles)
+    assert trace_view(batched) == trace_view(singles)
+    assert len(batched) == len(singles) == reps * len(body)
     assert batched.stats == singles.stats
     for a, b in zip(batched.columns(), singles.columns()):
         assert a.tobytes() == b.tobytes()
-    assert np.array_equal(
-        batched.memory_columns().indexed, singles.memory_columns().indexed
-    )
+    for a, b in zip(batched._gather_table(), singles._gather_table()):
+        assert a.tobytes() == b.tobytes()
     counted = tiny_trace(mode="counts")
     counted.emit_loop(body, bases, indices)
     assert counted.stats == singles.stats
+    assert trace_view(counted)[1:] == trace_view(singles)[1:]
     assert len(counted) == 0
 
 
@@ -241,15 +244,16 @@ def test_emit_loop_rejects_misshapen_indices(mode):
         trace.emit_loop(body, np.zeros((2, 1), dtype=np.int64), np.zeros((2, 3)))
     assert len(trace) == 0
     assert trace.stats == TraceStats()
+    assert trace.vector_counts == {} and trace.scalar_counts == {}
 
 
 @given(event_lists, st.sampled_from([1, 2, 3, 1024]))
 def test_growth_preserves_prefix(events, capacity):
-    """Whatever the starting capacity, the decoded sequence is the same."""
+    """Whatever the starting capacity, the decoded memory ops are the same."""
     t = tiny_trace(capacity=capacity)
     for e in events:
         emit(t, e)
-    assert list(t) == events
+    assert memory_ops(t) == [e for e in events if isinstance(e, MemoryOp)]
 
 
 @given(event_lists)
@@ -259,12 +263,12 @@ def test_clear_resets(events):
         emit(t, e)
     t.clear()
     assert len(t) == 0
-    assert list(t) == []
+    assert trace_view(t) == ([], [], [])
     assert t.stats == TraceStats()
     # trace remains usable after clear
     for e in events:
         emit(t, e)
-    assert list(t) == events
+    assert trace_view(t) == events_view(events)
 
 
 def test_emit_rejects_unknown_event_type():

@@ -2,13 +2,13 @@
 
 The batched kernels (``run_vectorized``, ``gemm*_vectorized``,
 ``im2col_vectorized``) must be *observationally identical* to their per-op
-references in ``tests/trace_oracle.py``: bit-identical outputs, identical per-category instruction
-counts (the full :class:`TraceStats`), and the same ordered memory-op
-address stream — the three things the cache/timing simulators and the
-experiment harnesses consume.  How many ``ScalarOp`` rows a given count is
-split across may differ from the per-op reference; against the recorded
-digests below, the decoded rows of every traced kernel must not change at
-all (the repository benchmark pins each cell's event count).
+references in ``tests/trace_oracle.py``: bit-identical outputs, identical
+:class:`TraceStats`, identical vector and scalar instruction counts, and
+the same memory ops in the same order — what the cache/timing simulators
+and the experiment harnesses consume.  How many scalar rows a given count
+is split across may differ from the per-op reference; against the
+recorded digests below, what the trace keeps of every traced kernel must
+not change at all (the repository benchmark pins each cell's event count).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from tests.trace_oracle import (
     gemm6_vectorized_perop,
     im2col_gemm_perop,
     im2col_vectorized_perop,
+    memory_ops,
+    trace_view,
     winograd_perop,
 )
 
@@ -53,14 +55,6 @@ def _tensors(spec: ConvSpec, seed: int = 0):
     return x, w
 
 
-def _memory_stream(machine: VectorMachine):
-    return [
-        (e.name, e.base, e.vl, e.stride, e.is_store, e.indices)
-        for e in machine.trace
-        if hasattr(e, "is_store")
-    ]
-
-
 def _assert_equivalent(vlen: int, run_perop, run_fast):
     """Run both paths on fresh machines and diff everything observable."""
     m_ref = VectorMachine(vlen)
@@ -72,16 +66,19 @@ def _assert_equivalent(vlen: int, run_perop, run_fast):
     assert np.array_equal(y_ref, y_fast)
     # identical per-category instruction counts (full TraceStats equality)
     assert m_ref.trace.stats == m_fast.trace.stats
-    # identical ordered memory-op address stream
-    assert _memory_stream(m_ref) == _memory_stream(m_fast)
+    # the same memory ops in order, vector counts and scalar counts
+    assert trace_view(m_ref.trace) == trace_view(m_fast.trace)
     # the same vector configuration (SEW, LMUL, vl) afterwards
     assert m_ref.vtype == m_fast.vtype
-    # counts mode: same outputs and statistics, no stored events
+    # counts mode: same outputs, statistics and counts, no stored rows
     m_counts = VectorMachine(vlen, trace="counts")
     y_counts = run_fast(m_counts)
     assert np.array_equal(y_ref, y_counts)
     assert m_counts.trace.stats == m_ref.trace.stats
+    assert m_counts.trace.vector_counts == m_ref.trace.vector_counts
+    assert m_counts.trace.scalar_counts == m_ref.trace.scalar_counts
     assert len(m_counts.trace) == 0
+    assert memory_ops(m_counts.trace) == []
 
 
 # --------------------------------------------------------------------- #
@@ -262,7 +259,8 @@ def test_seq_intrinsics_match_perop_under_lmul(vlen, lmul):
 
     assert np.array_equal(o1.array, o2.array)
     assert m1.trace.stats == m2.trace.stats
-    assert list(m1.trace) == list(m2.trace)
+    assert trace_view(m1.trace) == trace_view(m2.trace)
+    assert len(m1.trace) == len(m2.trace)
     n = m1.vl
     for reg in [0] + [8 + it * step for it in range(count)]:
         assert np.array_equal(m1.reg_values(reg, n), m2.reg_values(reg, n))
@@ -306,7 +304,7 @@ def test_vcopy_strips_matches_perop_under_lmul(vlen, lmul, stride):
 
     assert np.array_equal(d1.array, d2.array)
     assert m1.trace.stats == m2.trace.stats
-    assert _memory_stream(m1) == _memory_stream(m2)
+    assert trace_view(m1.trace) == trace_view(m2.trace)
     assert m1.vl == m2.vl
     n = m1.vl
     assert np.array_equal(m1.reg_values(0, n), m2.reg_values(0, n))
@@ -326,7 +324,7 @@ def test_direct_unique_buffer_names_no_collisions():
 
 
 # --------------------------------------------------------------------- #
-# decoded rows and raw columns of every traced kernel
+# what the trace keeps, and its raw columns, for every traced kernel
 # --------------------------------------------------------------------- #
 #: (spec, VLEN) pairs: a strided layer at a short vector length (several
 #: strips per row), and one whose 6-loop GEMM crosses all three block
@@ -360,24 +358,28 @@ TRACED_KERNELS = {
     ),
 }
 
-#: (rows, first 16 hex digits of the sha256 of each decoded event's
-#: ``repr``, one per line).  A batching change must leave these alone;
-#: only an intended change of the instruction stream may re-record them,
-#: together with ``perfbench/trace_reference.json``.
+#: (rows, first 16 hex digits of the sha256 of the trace's view): the view
+#: is :func:`tests.trace_oracle.trace_view` — each memory op's ``repr`` in
+#: trace order, then the sorted vector counts and scalar counts — one item
+#: per line.  The digests were recorded by projecting the decoded rows of
+#: the earlier one-row-per-instruction trace the same way, so they pin the
+#: same instruction streams as before.  A batching change must leave these
+#: alone; only an intended change of the instruction stream may re-record
+#: them, together with ``perfbench/trace_reference.json``.
 ROW_DIGESTS = {
-    ("s2", "direct"): (2672, "b2e7385ef6b9d171"),
-    ("s2", "im2col"): (1080, "d6d0e431810e50c9"),
-    ("s2", "im2col_gemm3"): (3784, "4193665b5927f613"),
-    ("s2", "im2col_gemm6"): (4552, "30fe3d0a228d3649"),
-    ("s2", "winograd"): (12064, "63a0ec7edf9b4fa3"),
-    ("blocks", "direct"): (175250, "74bbecff1273e7a4"),
-    ("blocks", "im2col"): (20736, "49651eb98fcd8794"),
-    ("blocks", "im2col_gemm3"): (157068, "8b426f83277f8120"),
-    ("blocks", "im2col_gemm6"): (170512, "5393355649362a07"),
-    ("blocks", "winograd"): (88000, "cfde48ee167a130d"),
-    ("ragged", "winograd"): (25920, "e4693fb21dc425bd"),
-    ("few_ch", "winograd"): (21888, "fcc2c1e5590096ae"),
-    ("one_strip", "winograd"): (4716, "71f40de730abb4ca"),
+    ("s2", "direct"): (2672, "d4d865bb4dba47c4"),
+    ("s2", "im2col"): (1080, "2c6b0a68c9d7943c"),
+    ("s2", "im2col_gemm3"): (3784, "d1d233dc9d33a1c5"),
+    ("s2", "im2col_gemm6"): (4552, "01dc1cf519186f02"),
+    ("s2", "winograd"): (12064, "26ca3f10d3debedd"),
+    ("blocks", "direct"): (175250, "a3d618ff7ed5c476"),
+    ("blocks", "im2col"): (20736, "8c1c7413563036bf"),
+    ("blocks", "im2col_gemm3"): (157068, "f58730950dc9a08e"),
+    ("blocks", "im2col_gemm6"): (170512, "20062b0099a24a28"),
+    ("blocks", "winograd"): (88000, "dd9aa00707d604aa"),
+    ("ragged", "winograd"): (25920, "c96aebc478a96c68"),
+    ("few_ch", "winograd"): (21888, "d0305f3792181f56"),
+    ("one_strip", "winograd"): (4716, "3e02158ea300bd12"),
 }
 
 
@@ -391,19 +393,21 @@ def _traced_run(spec_id: str, kernel: str) -> VectorMachine:
 
 @pytest.mark.parametrize("spec_id,kernel", sorted(ROW_DIGESTS))
 def test_decoded_rows_match_recorded_digest(spec_id, kernel):
-    """Kind, op name, vl, width, base, stride, store flag and gather
-    indices of every row, in order, are unchanged."""
+    """Op name, vl, width, base, stride, store flag and gather indices of
+    every memory row, in order, and every vector and scalar count are
+    unchanged."""
     trace = _traced_run(spec_id, kernel).trace
+    memory, vector, scalar = trace_view(trace)
     digest = hashlib.sha256()
-    for event in trace:
-        digest.update(repr(event).encode() + b"\n")
+    for item in (*memory, *vector, *scalar):
+        digest.update(repr(item).encode() + b"\n")
     assert (len(trace), digest.hexdigest()[:16]) == ROW_DIGESTS[spec_id, kernel]
 
 
 @pytest.mark.parametrize("kernel", sorted(TRACED_KERNELS))
 def test_columns_identical_across_runs(kernel):
-    """Raw columns hold no uninitialised memory: columns a row's kind does
-    not use read 0, so two runs give byte-identical columns."""
+    """Raw memory columns hold no uninitialised memory, so two runs give
+    byte-identical columns."""
     first = _traced_run("s2", kernel).trace.columns()
     second = _traced_run("s2", kernel).trace.columns()
     for name, a, b in zip(first._fields, first, second):

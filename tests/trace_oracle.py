@@ -9,14 +9,19 @@ one-step-at-a-time versions the fast paths are diffed against:
   write-back, true LRU with a logical clock) — what
   :mod:`repro.simulator.cache_fast` must reproduce access for access,
   LRU tick values included;
-* :func:`sequential_replay` — trace timing that decodes one event at a
-  time, which ``TraceTimingModel.run`` must match bit for bit;
+* :func:`sequential_replay` — trace timing that walks the decoded memory
+  ops one at a time and adds the vector and scalar counts one instruction
+  at a time, which ``TraceTimingModel.run`` must match bit for bit;
 * per-op kernels — the convolution, im2col and GEMM kernels written with
   one machine call per RVV instruction, the instruction-level
   specification the batched ``run_vectorized`` / ``*_vectorized`` kernels
   must reproduce;
-* :func:`emit` — records one dataclass event, for tests that build traces
-  event by event;
+* the event dataclasses :class:`VectorOp`, :class:`MemoryOp` and
+  :class:`ScalarOp`, :func:`emit` (records one of them, for tests that
+  build traces event by event), :func:`memory_ops` (decodes a trace's
+  memory rows back into :class:`MemoryOp` events, in order) and
+  :func:`trace_view` (everything a trace keeps: memory ops, vector and
+  scalar counts);
 * :func:`line_addresses` — the cache lines of one memory op, element by
   element, which ``InstructionTrace.memory_line_stream`` must reproduce
   op by op.
@@ -28,6 +33,8 @@ Besides the equivalence tests, four benchmark gates import these (three in
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -53,13 +60,7 @@ from repro.algorithms.winograd import (
 )
 from repro.errors import SimulationError
 from repro.isa.machine import Buffer, VectorMachine
-from repro.isa.trace import (
-    InstructionTrace,
-    MemoryOp,
-    ScalarOp,
-    TraceEvent,
-    VectorOp,
-)
+from repro.isa.trace import InstructionTrace
 from repro.nn.layer import ConvSpec
 from repro.nn.reference import pad_input
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
@@ -73,8 +74,41 @@ from repro.simulator.timing import (
 
 
 # --------------------------------------------------------------------- #
-# event-by-event trace construction
+# events: trace construction and decoding
 # --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class VectorOp:
+    """A non-memory vector instruction."""
+
+    name: str  # e.g. "vfmacc", "vfadd", "vfmv" (broadcast), "vslide"
+    vl: int  # active elements
+    sew_bits: int
+
+
+@dataclass(frozen=True)
+class MemoryOp:
+    """A vector memory instruction (unit-stride, strided or indexed)."""
+
+    name: str  # "vle", "vse", "vlse", "vsse", "vluxei", "vsuxei"
+    base: int  # starting byte address
+    elem_bytes: int
+    vl: int  # active elements
+    stride: int  # byte stride between consecutive elements
+    is_store: bool
+    indices: tuple[int, ...] | None = None  # byte offsets for indexed ops
+
+
+@dataclass(frozen=True)
+class ScalarOp:
+    """A batch of ``count`` scalar instructions (loop/address bookkeeping)."""
+
+    name: str
+    count: int
+
+
+TraceEvent = Union[VectorOp, MemoryOp, ScalarOp]
+
+
 def emit(trace: InstructionTrace, event: TraceEvent) -> None:
     """Record one dataclass event (statistics update in counts mode too)."""
     if isinstance(event, VectorOp):
@@ -93,6 +127,53 @@ def emit(trace: InstructionTrace, event: TraceEvent) -> None:
         trace.emit_scalar(event.name, event.count)
     else:
         raise TypeError(f"unknown trace event {event!r}")
+
+
+def memory_ops(trace: InstructionTrace) -> list[MemoryOp]:
+    """The trace's memory rows, decoded one by one, in trace order."""
+    cols = trace.columns()
+    names = trace.op_names
+    g_row, g_start, g_len, offsets = trace._gather_table()
+    indices = {
+        int(row): tuple(offsets[start : start + length].tolist())
+        for row, start, length in zip(g_row, g_start, g_len)
+    }
+    rows = zip(
+        cols.op.tolist(), cols.base.tolist(), cols.elem_bytes.tolist(),
+        cols.vl.tolist(), cols.stride.tolist(), cols.is_store.tolist(),
+    )
+    return [
+        MemoryOp(names[op], base, elem, vl, stride, store, indices.get(i))
+        for i, (op, base, elem, vl, stride, store) in enumerate(rows)
+    ]
+
+
+def trace_view(trace: InstructionTrace) -> tuple[list[MemoryOp], list, list]:
+    """Everything a trace keeps, in plain Python values: its memory ops in
+    order, and its vector and scalar counts sorted by key."""
+    vector = sorted(
+        (str(name), int(vl), int(sew), int(n))
+        for (name, vl, sew), n in trace.vector_counts.items()
+    )
+    scalar = sorted((str(name), int(n)) for name, n in trace.scalar_counts.items())
+    return memory_ops(trace), vector, scalar
+
+
+def events_view(events) -> tuple[list[MemoryOp], list, list]:
+    """:func:`trace_view` of the trace ``events`` would record."""
+    vector: dict[tuple[str, int, int], int] = {}
+    scalar: dict[str, int] = {}
+    for e in events:
+        if isinstance(e, VectorOp):
+            key = (e.name, e.vl, e.sew_bits)
+            vector[key] = vector.get(key, 0) + 1
+        elif isinstance(e, ScalarOp):
+            scalar[e.name] = scalar.get(e.name, 0) + e.count
+    return (
+        [e for e in events if isinstance(e, MemoryOp)],
+        sorted((*key, n) for key, n in vector.items()),
+        sorted(scalar.items()),
+    )
 
 
 def line_addresses(op: MemoryOp, line_bytes: int) -> np.ndarray:
@@ -220,7 +301,9 @@ def hierarchy_access_memop(h: CacheHierarchy, op: MemoryOp) -> tuple[int, int]:
 def sequential_replay(
     model: TraceTimingModel, trace: InstructionTrace, flush: bool = False
 ) -> TimingResult:
-    """Time ``trace`` on ``model``'s hierarchy one decoded event at a time."""
+    """Time ``trace`` on ``model``'s hierarchy one instruction at a time:
+    each decoded memory op in trace order, then every counted vector and
+    scalar instruction."""
     if flush:
         model.hierarchy.flush()
     cfg = model.config
@@ -228,35 +311,34 @@ def sequential_replay(
     datapath = cfg.datapath_f32_per_cycle
     prefetch = cfg.software_prefetch or cfg.hardware_prefetch
     res = TimingResult()
-    for event in trace:
-        if isinstance(event, VectorOp):
-            # datapath is in f32 elements/cycle; wider SEW processes
-            # proportionally fewer elements per cycle
-            chime = math.ceil(event.vl / max(1.0, datapath * 32 / event.sew_bits))
+    for event in memory_ops(trace):
+        unit = event.indices is None and abs(event.stride) == event.elem_bytes
+        eff_dp = datapath if unit else datapath / NONUNIT_CHIME_FACTOR
+        chime = math.ceil(event.vl / max(1.0, eff_dp))
+        l1_m, l2_m = hierarchy_access_memop(model.hierarchy, event)
+        res.l1_misses += l1_m
+        res.l2_misses += l2_m
+        penalty = l1_m * cfg.l2_latency / dram.mlp
+        penalty += dram.miss_penalty_cycles(l2_m, prefetch)
+        if model.hierarchy.vector_at_l2:
+            # decoupled VPU: every vector access pays the L2 round
+            # trip (hit or miss), partially pipelined
+            lines = max(1.0, event.vl * event.elem_bytes / cfg.line_bytes)
+            penalty += lines * cfg.l2_latency / dram.mlp
+        # line fills also consume DRAM bandwidth
+        penalty = max(penalty, dram.transfer_cycles(l2_m * cfg.line_bytes))
+        res.memory_cycles += VMEM_STARTUP_CYCLES + chime + penalty
+        res.memory_instrs += 1
+    for (_, vl, sew_bits), count in trace.vector_counts.items():
+        # datapath is in f32 elements/cycle; wider SEW processes
+        # proportionally fewer elements per cycle
+        chime = math.ceil(vl / max(1.0, datapath * 32 / sew_bits))
+        for _ in range(count):
             res.compute_cycles += max(VECTOR_ISSUE_CYCLES, chime)
             res.vector_instrs += 1
-        elif isinstance(event, MemoryOp):
-            unit = event.indices is None and abs(event.stride) == event.elem_bytes
-            eff_dp = datapath if unit else datapath / NONUNIT_CHIME_FACTOR
-            chime = math.ceil(event.vl / max(1.0, eff_dp))
-            l1_m, l2_m = hierarchy_access_memop(model.hierarchy, event)
-            res.l1_misses += l1_m
-            res.l2_misses += l2_m
-            penalty = l1_m * cfg.l2_latency / dram.mlp
-            penalty += dram.miss_penalty_cycles(l2_m, prefetch)
-            if model.hierarchy.vector_at_l2:
-                # decoupled VPU: every vector access pays the L2 round
-                # trip (hit or miss), partially pipelined
-                lines = max(1.0, event.vl * event.elem_bytes / cfg.line_bytes)
-                penalty += lines * cfg.l2_latency / dram.mlp
-            # line fills also consume DRAM bandwidth
-            penalty = max(penalty, dram.transfer_cycles(l2_m * cfg.line_bytes))
-            res.memory_cycles += VMEM_STARTUP_CYCLES + chime + penalty
-            res.memory_instrs += 1
-        else:
-            assert isinstance(event, ScalarOp), event
-            res.scalar_cycles += event.count
-            res.scalar_instrs += event.count
+    for count in trace.scalar_counts.values():
+        res.scalar_cycles += count
+        res.scalar_instrs += count
     overlap = 0.6 if cfg.out_of_order else 1.0
     res.cycles = overlap * (res.compute_cycles + res.memory_cycles + res.scalar_cycles)
     return res
