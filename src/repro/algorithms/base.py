@@ -90,6 +90,21 @@ class ConvAlgorithm(abc.ABC):
         """Index of the candidate :meth:`schedule` returns on ``hw``."""
         return 0
 
+    def choose_candidates(
+        self,
+        candidates: Sequence[Sequence[list[Phase]]],
+        configs: Sequence[HardwareConfig],
+        entry: np.ndarray,
+        config: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`choose_candidate` for many cells at once.
+
+        Cell ``i`` chooses among ``candidates[entry[i]]`` on
+        ``configs[config[i]]``; the result holds each cell's index (int64),
+        equal to what :meth:`choose_candidate` returns for it.
+        """
+        return np.zeros(len(entry), dtype=np.int64)
+
     # ------------------------------------------------------------------ #
     def conv_fn(self):
         """Adapter matching :data:`repro.nn.network.ConvFn`."""

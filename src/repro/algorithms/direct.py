@@ -20,6 +20,7 @@ Micro-kernel structure (as in oneDNN-style NHWC direct convolution):
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +37,12 @@ from repro.simulator.analytical.cachemodel import (
     stream_dram_bytes_at,
 )
 from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION
+from repro.simulator.analytical.grid import fold
 from repro.simulator.analytical.phases import DataStream, Phase
 from repro.simulator.hwconfig import HardwareConfig
+
+#: The stream fields Direct's tiling choice reads, residency's first.
+_CHOICE_FIELDS = operator.attrgetter("reuse_ws", "bytes", "passes", "resident_source")
 
 #: Register budget for output accumulators (32 regs minus weight/scratch).
 _ACC_REGS = 24
@@ -332,3 +337,60 @@ class DirectConv(ConvAlgorithm):
                 cost += stream_dram_bytes_at(stream, cache, DEFAULT_CALIBRATION)
             costs.append(cost)
         return min(range(len(costs)), key=costs.__getitem__)
+
+    def choose_candidates(
+        self,
+        candidates: Sequence[Sequence[list[Phase]]],
+        configs: Sequence[HardwareConfig],
+        entry: np.ndarray,
+        config: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`choose_candidate` as columns over the cells.
+
+        Each term is the elementwise image of ``stream_dram_bytes_at``
+        (Python's ``min`` and its ``<= 0`` test included), the streams of a
+        tiling fold left to right, and a later tiling wins only when it
+        costs strictly less, as ``min`` keeps the first of equal costs.
+        """
+        cache = np.array([effective_l2_bytes(hw) for hw in configs])[config]
+        # (field, streams, tilings, cells) over each tiling's own streams
+        # (every entry has the same tilings of the same streams); residency
+        # reads the first two fields, so one pass does both
+        own = [
+            stream
+            for entry_candidates in candidates
+            for candidate in entry_candidates
+            for stream in candidate[-1].streams[:-1]
+        ]
+        fields = (
+            np.array(list(map(_CHOICE_FIELDS, own)), dtype=np.float64)
+            .reshape(len(candidates), len(candidates[0]), -1, 4)
+            .T.take(entry, 3)
+        )
+        res, res_src = _residency(fields[:2], cache)
+        b, passes, resident = fields[1:]
+        compulsory = b
+        if DEFAULT_CALIBRATION.enable_resident_source:
+            compulsory = np.where(resident, b * (1.0 - res_src), b)
+        traffic = compulsory + b * (passes - 1.0) * (1.0 - res)
+        costs = fold(traffic)  # (tilings, cells)
+        pick = np.zeros(len(entry), dtype=np.int64)
+        best = costs[0]
+        for k in range(1, len(costs)):
+            cheaper = costs[k] < best
+            pick[cheaper] = k
+            best = np.where(cheaper, costs[k], best)
+        return pick
+
+
+def _residency(reuse_ws: np.ndarray, cache_bytes: np.ndarray) -> np.ndarray:
+    """:func:`~repro.simulator.analytical.cachemodel.residency`, elementwise
+    (``cache_bytes`` broadcasts to the shape of ``reuse_ws``):
+    ``min(1.0, cache / ws)`` is below 1.0 exactly where ``cache < ws``, and
+    1.0 wherever ``ws <= 0``."""
+    return np.divide(
+        cache_bytes,
+        reuse_ws,
+        out=np.ones_like(reuse_ws),
+        where=cache_bytes < reuse_ws,
+    )

@@ -6,9 +6,10 @@ gives them a shared substrate:
 
 * :mod:`repro.engine.keys` — content-addressed keys (canonical JSON of spec
   and config, algorithm, calibration fingerprint; ``cache_key`` hashes them);
-* :mod:`repro.engine.cache` — the in-memory LRU the records live in;
+* :mod:`repro.engine.cache` — the in-memory LRUs: the records
+  (:class:`MemoCache`) and the schedules they are computed from;
 * :mod:`repro.engine.executor` — the :class:`EvaluationEngine` facade:
-  cache lookup, one tensorized grid call over the cold cells, LRU insert.
+  cache lookup, one array program over the cold cells, LRU insert.
 
 A process-wide default engine backs the adapters in
 :mod:`repro.experiments.common`; ``repro-experiments --no-cache``

@@ -11,10 +11,14 @@ It guarantees:
   task-submission order;
 * **dedup** — a batch containing the same cell twice computes it once.
 
-Every batch takes one serial, in-memory path: keys (each distinct spec
-and config object encoded once), cache lookup, then one tensorized grid
-call over the cold cells (:func:`_compute_grid`), then the LRU
-(:class:`~repro.engine.cache.MemoCache`).
+Every batch takes one serial, in-memory path.  One pass over the tasks
+derives each key (each distinct spec and config object encoded once) and
+looks it up in the LRU (:class:`~repro.engine.cache.MemoCache`).  The
+distinct cold cells then run as one array program (:func:`_compute_grid`):
+one schedule-memo lookup per distinct entry, one candidate choice per
+algorithm over all its cells, one gathered table and one evaluation.
+Their records, which hold their own row values, enter the LRU in one
+insert.
 
 Failures are isolated per cell: a cell whose schedule construction raises
 yields a structured :class:`CellError` naming the cell instead of
@@ -28,18 +32,19 @@ module's parity contract, so an exception there is a bug and propagates.
 from __future__ import annotations
 
 import importlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence, cast
+from typing import Iterable, NamedTuple, NoReturn, Sequence, cast
+
+import numpy as np
 
 from repro import faults, obs
 from repro.algorithms.base import ConvAlgorithm
 from repro.algorithms.registry import effective_algorithm, get_algorithm
-from repro.engine.cache import MemoCache
+from repro.engine.cache import MemoCache, ScheduleMemo
 from repro.engine.keys import cache_key, calibration_fingerprint, canonical_json
 from repro.errors import EngineError, InjectedFaultError
 from repro.nn.layer import ConvSpec
-from repro.simulator.analytical.calibration import Calibration
+from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.simulator.analytical.grid import (
     PhaseRows,
     PhaseTable,
@@ -47,11 +52,6 @@ from repro.simulator.analytical.grid import (
 )
 from repro.simulator.analytical.model import LayerCycles
 from repro.simulator.hwconfig import HardwareConfig
-
-#: Bound of each engine's schedule memo; the paper grid needs 412 entries
-#: (28 layers x 4 algorithms x 4 vector lengths, less the layers Winograd
-#: does not apply to).
-_SCHEDULE_MEMO_SIZE = 4096
 
 #: A cell's key: (resolved algorithm, spec JSON, hw JSON, calibration
 #: fingerprint); :func:`~repro.engine.keys.cache_key` is its SHA-256.
@@ -61,8 +61,7 @@ _Key = tuple[str, str, str, str]
 _Cell = tuple[_Key, ConvSpec, HardwareConfig]
 
 
-@dataclass(frozen=True)
-class EvalTask:
+class EvalTask(NamedTuple):
     """One grid cell: an algorithm applied to a layer on a configuration."""
 
     algorithm: str
@@ -126,130 +125,117 @@ def _cell_token(name: str, spec: ConvSpec, hw: HardwareConfig) -> str:
     return f"{name}:{spec.index}:{hw.vlen_bits}:{hw.l2_mib:g}"
 
 
-class ScheduleMemo:
-    """Bounded LRU of schedules and their PhaseTable rows, per engine.
-
-    An entry is keyed on the algorithm instance, the layer's canonical
-    JSON (:func:`~repro.engine.keys.canonical_json`), and the values of
-    the hardware fields the algorithm declares its schedule reads
-    (:attr:`~repro.algorithms.base.ConvAlgorithm.schedule_reads`), and
-    holds each candidate schedule's :class:`PhaseRows` (and the candidates
-    themselves when the algorithm chooses between several).  Cells
-    that differ only in fields the schedule does not read — the L2 size,
-    for most algorithms — share one entry; Direct, which reads the L2 size
-    only to choose between its two tilings, makes that choice per cell.
-
-    The memo lives in the engine only.  ``ConvAlgorithm.schedule`` and
-    ``layer_cycles`` stay memo-free, an independent oracle for the
-    parity suites and benchmark checks.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def rows(
-        self, algo: ConvAlgorithm, spec: ConvSpec, spec_json: str, hw: HardwareConfig
-    ) -> PhaseRows:
-        """The PhaseTable rows of ``algo.schedule(spec, hw)``.
-
-        ``spec_json`` is ``canonical_json(spec)``.  Raises what
-        ``algo.check_applicable(spec)`` raises.  A memoized
-        algorithm is checked only when its entry is built: applicability
-        reads the spec alone, and an entry exists only for an (algorithm,
-        spec) pair that passed the check.
-        """
-        reads = algo.schedule_reads
-        if reads is None:  # undeclared: never memoized
-            algo.check_applicable(spec)
-            return PhaseRows.from_phases(algo.schedule(spec, hw))
-        key = (algo, spec_json, *[getattr(hw, name) for name in reads])
-        # pop + re-insert touches the entry with one key comparison
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            algo.check_applicable(spec)
-            self.misses += 1
-            candidates = algo.schedule_candidates(spec, hw)
-            rows = [PhaseRows.from_phases(c) for c in candidates]
-            # the schedules themselves are kept only when there is a choice
-            entry = (candidates if len(candidates) > 1 else None, rows)
-            if len(self._entries) >= _SCHEDULE_MEMO_SIZE:
-                self._entries.popitem(last=False)
-        else:
-            self.hits += 1
-        self._entries[key] = entry
-        candidates, rows = entry
-        if candidates is None:
-            return rows[0]
-        return rows[algo.choose_candidate(candidates, hw)]
-
-
 def _compute_grid(
-    items: list[_Cell],
+    cells: list[_Cell],
     calibration: Calibration | None,
     schedules: ScheduleMemo,
 ) -> list[LayerCycles | CellError]:
-    """Evaluate resolved cells through one tensorized grid call.
+    """Evaluate distinct cells, one result per cell, in order.
 
-    Returns one result per cell, in order.  A cell whose schedule
-    construction (or injected ``cell.error`` fault) raises yields its
-    :class:`CellError`; the analytical model then runs once over a
-    columnar :class:`~repro.simulator.analytical.grid.PhaseTable` covering
-    every surviving cell.  Schedules and their table rows come from the
-    engine's ``schedules`` memo.  Records are bit-identical to
-    :func:`repro.algorithms.registry.layer_cycles` by the grid module's
-    parity contract.
+    The cells become integer codes over the batch's distinct configs and
+    schedule-memo entries.  Each entry is asked of ``schedules`` once, an
+    algorithm with a choice of candidates picks for all its cells at once
+    (:meth:`~repro.algorithms.base.ConvAlgorithm.choose_candidates`), and
+    the analytical model runs once over a :class:`PhaseTable` gathered
+    from the chosen rows.  A cell whose entry raises, or whose injected
+    ``cell.error`` fault fires, yields its :class:`CellError`.
     """
     plan = faults.active_plan()
-    tracing = obs.enabled()  # per-cell ``engine.point`` spans only when on
     hits, misses = schedules.hits, schedules.misses
-    algos: dict[str, ConvAlgorithm] = {}  # one registry lookup per name
-    out: list[LayerCycles | CellError | None] = []
-    grid_cells = []  # (algorithm, rows, hw) for cells whose schedule built
-    grid_slots: list[int] = []  # position in `out` to fill with the record
-    with obs.span("engine.schedule", cat="engine", cells=len(items)):
-        for (name, spec_json, _, _), spec, hw in items:
-            with (
-                obs.span("engine.point", cat="engine", algorithm=name,
-                         layer=spec.index)
-                if tracing
-                else obs.NOOP_SPAN
-            ):
-                try:
-                    if plan is not None and plan.cell_fails(
-                        _cell_token(name, spec, hw)
-                    ):
-                        faults.mark_injected("engine.cell")
-                        raise InjectedFaultError(
-                            f"injected cell error for {_cell_token(name, spec, hw)}"
-                        )
-                    algo = algos.get(name)
-                    if algo is None:
-                        algo = algos[name] = get_algorithm(name)
-                    rows = schedules.rows(algo, spec, spec_json, hw)
-                except Exception as exc:  # per-cell isolation (not BaseException)
-                    out.append(CellError.from_exception(name, spec, hw, exc))
+    out: list[LayerCycles | CellError | None] = [None] * len(cells)
+    with obs.span("engine.schedule", cat="engine", cells=len(cells)):
+        algos: dict[str, ConvAlgorithm] = {}  # one registry lookup per name
+        configs: dict[str, int] = {}  # hw JSON -> config code
+        hws: list[HardwareConfig] = []
+        # algorithm -> hw JSON -> (config code, the batch's entries, by spec
+        # JSON, of the configs agreeing with it on the schedule reads)
+        lanes: dict[str, dict[str, tuple[int, dict]]] = {}
+        buckets: dict[tuple, dict] = {}  # (algorithm, read values) -> entries
+        rows: list[PhaseRows] = []  # every entry's candidate rows
+        # algorithm -> its entries' candidates, and per cell that chooses:
+        # its table position, its entry among those, and its config
+        choices: dict[str, tuple[list, list[int], list[int], list[int]]] = {}
+        slots: list[int] = []  # the position in `out` of each table cell
+        schedule_of_cell: list[int] = []
+        config_of_cell: list[int] = []
+        for slot, ((name, spec_json, hw_json, _), spec, hw) in enumerate(cells):
+            if plan is not None and plan.cell_fails(_cell_token(name, spec, hw)):
+                faults.mark_injected("engine.cell")
+                token = _cell_token(name, spec, hw)
+                exc = InjectedFaultError(f"injected cell error for {token}")
+                out[slot] = CellError.from_exception(name, spec, hw, exc)
+                continue
+            lane = lanes.get(name)
+            if lane is None:
+                lane = lanes[name] = {}
+                algos[name] = get_algorithm(name)
+            found = lane.get(hw_json)
+            if found is None:
+                config = configs.setdefault(hw_json, len(hws))
+                if config == len(hws):
+                    hws.append(hw)
+                reads = algos[name].schedule_reads
+                if reads is None:  # undeclared: one config's own entries
+                    signature: tuple = (config,)
                 else:
-                    grid_slots.append(len(out))
-                    out.append(None)
-                    grid_cells.append((algo.name, rows, hw))
-    if tracing:
+                    signature = tuple([getattr(hw, field) for field in reads])
+                bucket = buckets.setdefault((name, signature), {})
+                found = lane[hw_json] = (config, bucket)
+            config, bucket = found
+            entry = bucket.get(spec_json)
+            if entry is None:
+                try:
+                    candidates, entry_rows = schedules.entry(
+                        algos[name], spec, spec_json, hw
+                    )
+                except Exception as exc:  # per-cell isolation (not BaseException)
+                    entry = exc
+                else:
+                    choice = -1
+                    if candidates is not None:
+                        chosen = choices.setdefault(name, ([], [], [], []))[0]
+                        choice = len(chosen)
+                        chosen.append(candidates)
+                    entry = (len(rows), choice)
+                    rows.extend(entry_rows)
+                bucket[spec_json] = entry
+            if isinstance(entry, Exception):
+                out[slot] = CellError.from_exception(name, spec, hw, entry)
+                continue
+            first, choice = entry
+            if choice >= 0:
+                _, positions, entries, of_config = choices[name]
+                positions.append(len(slots))
+                entries.append(choice)
+                of_config.append(config)
+            slots.append(slot)
+            schedule_of_cell.append(first)
+            config_of_cell.append(config)
+        for name, (candidates, positions, entries, of_config) in choices.items():
+            picks = algos[name].choose_candidates(
+                candidates, hws, np.array(entries), np.array(of_config)
+            )
+            for position, pick in zip(positions, picks.tolist()):
+                schedule_of_cell[position] += pick
+    if obs.enabled():
         obs.count("engine.schedule_memo.hits", schedules.hits - hits)
         obs.count("engine.schedule_memo.misses", schedules.misses - misses)
-    if grid_cells:
-        with obs.span("engine.grid", cat="engine", cells=len(grid_cells)):
+        obs.count("engine.grid_cells", len(slots))
+    if slots:
+        cal = calibration or DEFAULT_CALIBRATION
+        with obs.span("engine.grid", cat="engine", cells=len(slots)):
             with obs.span("engine.table", cat="engine"):
-                table = PhaseTable.from_cells(grid_cells, calibration=calibration)
+                table = PhaseTable.gather(
+                    rows,
+                    np.array(schedule_of_cell),
+                    [(hw, cal) for hw in hws],
+                    np.array(config_of_cell),
+                    [cells[slot][0][0] for slot in slots],
+                )
             with obs.span("engine.evaluate", cat="engine", rows=table.n_rows):
                 records = evaluate_phase_table(table)
-        if tracing:
-            obs.count("engine.grid_cells", len(grid_cells))
         with obs.span("engine.assemble", cat="engine", cells=len(records)):
-            for slot, record in zip(grid_slots, records):
+            for slot, record in zip(slots, records):
                 out[slot] = record
     return cast("list[LayerCycles | CellError]", out)
 
@@ -314,9 +300,7 @@ class EvaluationEngine:
         result slots (duplicates of a failing cell share one error record)
         and never caches it.
         """
-        return self._evaluate(
-            [(t.algorithm, t.spec, t.hw, t.fallback) for t in tasks], on_error
-        )
+        return self._evaluate(list(tasks), on_error)
 
     def sweep(
         self,
@@ -345,7 +329,7 @@ class EvaluationEngine:
 
     def _evaluate(
         self,
-        tasks: list[tuple[str, ConvSpec, HardwareConfig, bool]],
+        tasks: Sequence[tuple[str, ConvSpec, HardwareConfig, bool]],
         on_error: str,
     ) -> list[LayerCycles | CellError]:
         """:meth:`evaluate_many` over ``(algorithm, spec, hw, fallback)``."""
@@ -355,11 +339,12 @@ class EvaluationEngine:
         with obs.span("engine.evaluate_many", cat="engine", tasks=len(tasks)):
             fingerprint = calibration_fingerprint(cal)
             encoded: dict[int, str] = {}  # id(spec or hw) -> its canonical JSON
-            # (algorithm, spec JSON) -> the algorithm Winograd* runs there
-            resolved: dict[tuple[str, str], str] = {}
+            # spec JSON -> algorithm -> the algorithm Winograd* runs there
+            resolved: dict[str, dict[str, str]] = {}
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
-            missing: dict[_Key, list[int]] = {}  # key -> task indices needing it
-            use_cache, get, put = self.use_cache, self.cache.get, self.cache.put
+            missing: dict[_Key, int] = {}  # key -> first task index needing it
+            repeats: list[tuple[int, _Key]] = []  # the later tasks needing one
+            use_cache, get = self.use_cache, self.cache.get
             for i, (algorithm, spec, hw, fallback) in enumerate(tasks):
                 spec_json = encoded.get(id(spec))
                 if spec_json is None:
@@ -368,41 +353,49 @@ class EvaluationEngine:
                 if hw_json is None:
                     hw_json = encoded[id(hw)] = canonical_json(hw)
                 if fallback:
-                    pair = (algorithm, spec_json)
-                    name = resolved.get(pair)
+                    runs = resolved.get(spec_json)
+                    if runs is None:
+                        runs = resolved[spec_json] = {}
+                    name = runs.get(algorithm)
                     if name is None:
                         name = effective_algorithm(algorithm, spec).name
-                        resolved[pair] = name
+                        runs[algorithm] = name
                     algorithm = name
                 key = (algorithm, spec_json, hw_json, fingerprint)
                 record = get(key) if use_cache else None
-                if record is None:
-                    missing.setdefault(key, []).append(i)
-                else:
+                if record is not None:
                     results[i] = record
+                elif missing.setdefault(key, i) != i:
+                    repeats.append((i, key))
 
             if obs.enabled():
-                served = len(tasks) - sum(len(ix) for ix in missing.values())
+                served = len(tasks) - len(missing) - len(repeats)
                 obs.count("engine.cache.memory_hits", served)
                 obs.count("engine.cache.misses", len(missing))
 
             if missing:
                 # one representative cell per distinct key, in first-seen order
-                cells = [
-                    (key, tasks[indices[0]][1], tasks[indices[0]][2])
-                    for key, indices in missing.items()
-                ]
+                cells = [(key, tasks[i][1], tasks[i][2]) for key, i in missing.items()]
                 computed = _compute_grid(cells, cal, self.schedules)
-                for (key, indices), record in zip(missing.items(), computed):
-                    if isinstance(record, CellError):
-                        obs.count("engine.cell_errors")
-                        if on_error == "raise":
-                            record.reraise()
-                        # failed cells are never cached: a later retry of
-                        # the same key recomputes instead of replaying the
-                        # failure from the cache
-                    elif use_cache:
-                        put(key, record)
-                    for i in indices:
-                        results[i] = record
+                keys: list[_Key] = []
+                records: list[LayerCycles] = []
+                failure = None
+                for (key, i), record in zip(missing.items(), computed):
+                    results[i] = record
+                    if not isinstance(record, CellError):
+                        keys.append(key)
+                        records.append(record)
+                        continue
+                    obs.count("engine.cell_errors")
+                    if on_error == "raise":
+                        failure = record
+                        break
+                    # failed cells are never cached: a later retry of the
+                    # same key recomputes instead of replaying the failure
+                if use_cache:
+                    self.cache.put_many(keys, records)
+                if failure is not None:
+                    failure.reraise()
+                for i, key in repeats:
+                    results[i] = results[missing[key]]
         return cast("list[LayerCycles | CellError]", results)

@@ -63,11 +63,14 @@ def _canonical(value, annotation):
     Values that already have their annotated type keep their encoding, so
     their keys do not change.
     """
+    cast = _CASTS.get(annotation)
+    kind = type(value)
+    if kind is cast or kind is str:  # the common case: already canonical
+        return value + 0.0 if kind is float else value
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (np.bool_, np.integer, np.floating)):
         value = value.item()
-    cast = _CASTS.get(annotation)
     if cast is not None and isinstance(value, (int, float)) and type(value) is not cast:
         try:
             canonical = cast(value)

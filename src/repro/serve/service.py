@@ -78,8 +78,8 @@ class PredictionService:
             if failed:
                 out.append(failed[0])
                 continue
-            # ``cycles`` sums the phases on every read: read it once;
-            # min keeps the first of equal keys: legend-order ties
+            # an engine record holds its cycles (an O(1) read); min keeps
+            # the first of equal keys: legend-order ties
             ok = [
                 (n, r, r.cycles) for n, r in priced
                 if isinstance(r, LayerCycles)

@@ -8,11 +8,12 @@ cell, wasteful for a grid.  This module evaluates *every phase of every
 cell at once*:
 
 * :class:`PhaseTable` — a columnar structure-of-arrays with one row per
-  (cell, phase): instruction-count columns straight from the
-  :class:`~repro.simulator.analytical.phases.Phase` descriptors,
-  zero-padded ``(rows, max_streams)`` stream columns, and per-cell
-  hardware/calibration columns derived with the *same scalar Python
-  expressions* the per-cell model uses;
+  (cell, phase), gathered by index from a batch's distinct schedules
+  (:class:`PhaseRows`) and configurations: instruction-count columns
+  straight from the :class:`~repro.simulator.analytical.phases.Phase`
+  descriptors, zero-padded ``(rows, max_streams)`` stream columns, and
+  per-cell hardware/calibration columns derived with the *same scalar
+  Python expressions* the per-cell model uses;
 * :func:`evaluate_phase_table` — evaluates all rows through one of two
   interchangeable backends (the :mod:`repro.simulator.replay_backend`
   idiom): ``numpy`` (always available) computes each
@@ -27,7 +28,11 @@ Both backends are **bit-identical** to the per-cell path by contract:
 every elementwise operation (``np.ceil`` chimes, lane ``np.maximum``,
 the left-to-right per-stream folds) mirrors the exact IEEE-754 op
 sequence of :meth:`AnalyticalTimingModel.phase_cycles`, so the assembled
-:class:`LayerCycles` records compare equal field by field.  Locked by
+:class:`LayerCycles` records compare equal field by field.  Records are
+built from the row columns without :class:`PhaseCycles` objects
+(:meth:`LayerCycles.from_rows`), each with its ``cycles`` and
+``dram_bytes`` folded once, left to right, as the record folds its
+phases.  Locked by
 ``tests/test_analytical_grid.py`` (full 448-point grid, both backends)
 and the hypothesis suite in ``tests/test_property_analytical_grid.py``.
 
@@ -37,8 +42,8 @@ and the hypothesis suite in ``tests/test_property_analytical_grid.py``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +53,7 @@ from repro.errors import SimulationError
 from repro.simulator import _compiled
 from repro.simulator.analytical.cachemodel import effective_l2_bytes
 from repro.simulator.analytical.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.simulator.analytical.model import LayerCycles, PhaseCycles
+from repro.simulator.analytical.model import LayerCycles
 from repro.simulator.analytical.phases import Phase
 from repro.simulator.hwconfig import HardwareConfig, VectorUnitStyle
 from repro.simulator.memory import DramModel
@@ -82,23 +87,21 @@ _OP_FIELDS = (
 _STREAM_FIELDS = ("bytes", "passes", "reuse_ws", "scalar_access", "resident_source")
 
 #: Per-cell :class:`PhaseTable` columns, in :func:`_hw_columns` order; the
-#: flags travel as 0.0/1.0 until the table is built.
+#: flags travel as 0.0/1.0.
 _HW_FIELDS = (
     "chime_den_unit", "chime_den_nonunit", "deadtime", "vector_issue",
     "vmem_issue", "scalar_cpi", "l2_bytes_per_cycle", "cache_bytes",
     "vec_exposure", "line_bytes", "dram_latency", "mlp", "dram_bw",
     "phase_startup", "scalar_exposure_on", "resident_source_on",
 )
-_HW_FLAGS = ("scalar_exposure_on", "resident_source_on")
 
 
 class PhaseRows(NamedTuple):
     """One schedule's :class:`PhaseTable` rows, extracted once.
 
-    :meth:`PhaseTable.from_cells` accepts these in place of a ``Phase``
-    list, so a caller that evaluates one schedule on many configs (the
-    engine's schedule memo) walks its phases and streams once, not once
-    per config.
+    :meth:`PhaseTable.gather` indexes these, so a caller that evaluates
+    one schedule on many configs (the engine's schedule memo) walks its
+    phases and streams once, not once per config.
     """
 
     #: Phase name per row.
@@ -166,59 +169,100 @@ def _hw_columns(cfg: HardwareConfig, cal: Calibration) -> tuple:
 class PhaseTable:
     """Columnar (structure-of-arrays) form of a batch of schedules.
 
-    One row per (cell, phase), cells contiguous in input order.  Stream
-    columns are ``(rows, max_streams)`` matrices padded with neutral
-    values (``bytes=0``, ``passes=1``, ``reuse_ws=0``, masks ``False``)
-    so every padded term folds to exactly ``+0.0`` — the left-to-right
-    per-stream accumulation therefore matches the per-cell ``sum()`` /
-    ``+=`` loops bit for bit.  Per-cell hardware/calibration columns are
-    derived with the same scalar expressions the per-cell model uses,
-    so no precision is gained or lost on the way in.
+    One row per (cell, phase), cells contiguous in input order.  Each cell
+    is one of the table's distinct schedules on one of its distinct
+    configurations, and :meth:`gather` builds every column by indexing
+    those, so a schedule or configuration shared by many cells is read
+    once.  Stream columns are ``(max_streams, rows)`` matrices padded with
+    neutral values (``bytes=0``, ``passes=1``, ``reuse_ws=0``, flags
+    ``0.0``) so every padded term folds to exactly ``+0.0`` — the
+    left-to-right per-stream accumulation therefore matches the per-cell
+    ``sum()`` / ``+=`` loops bit for bit.  Per-cell hardware/calibration
+    columns are derived with the same scalar expressions the per-cell
+    model uses, so no precision is gained or lost on the way in.
     """
 
     n_cells: int
     n_rows: int
     #: Algorithm name per cell (the record label).
     algorithms: tuple[str, ...]
-    #: Phases per cell; rows of cell ``i`` start at ``sum(counts[:i])``.
+    #: Phases per cell, and the row each cell's rows start at.
     phase_counts: np.ndarray  # (n_cells,) int64
+    row_start: np.ndarray  # (n_cells,) int64
     #: Row -> owning cell index.
     cell_of_row: np.ndarray  # (n_rows,) int64
-    #: Phase name per row (kept as Python strings for record assembly).
-    phase_names: tuple[str, ...]
+    #: Phase names of each distinct schedule, and each cell's schedule.
+    schedule_names: tuple[tuple[str, ...], ...]
+    schedule_of_cell: np.ndarray  # (n_cells,) int64
 
-    # -- phase instruction columns, one value per row ------------------- #
-    vector_ops: np.ndarray
-    vector_active: np.ndarray
-    vmem_ops: np.ndarray
-    vmem_active: np.ndarray
-    nonunit_fraction: np.ndarray
-    scalar_ops: np.ndarray
+    #: Instruction columns, ``(len(_OP_FIELDS), n_rows)``.
+    ops: np.ndarray
+    #: Stream columns, ``(len(_STREAM_FIELDS), max_streams, n_rows)``: a
+    #: row's stream slots in order, the flags (consumed by scalar loads;
+    #: produced by an earlier phase or layer) as 0.0/1.0.
+    streams: np.ndarray
+    #: Per-cell hardware/calibration columns, ``(len(_HW_FIELDS),
+    #: n_cells)``, the flags as 0.0/1.0.
+    config_columns: np.ndarray
 
-    # -- stream columns, (n_rows, max_streams) -------------------------- #
-    stream_bytes: np.ndarray
-    stream_passes: np.ndarray
-    stream_reuse_ws: np.ndarray
-    stream_scalar: np.ndarray  # bool: consumed by scalar loads
-    stream_resident: np.ndarray  # bool: produced by an earlier phase/layer
+    @classmethod
+    def gather(
+        cls,
+        schedules: Sequence[PhaseRows],
+        schedule_of_cell: np.ndarray,
+        configs: Sequence[tuple[HardwareConfig, Calibration]],
+        config_of_cell: np.ndarray,
+        algorithms: Sequence[str],
+    ) -> "PhaseTable":
+        """Build the table by index: cell ``i`` is
+        ``schedules[schedule_of_cell[i]]`` on the ``(hardware,
+        calibration)`` pair ``configs[config_of_cell[i]]``, labelled
+        ``algorithms[i]``.
 
-    # -- per-cell hardware/calibration columns, (n_cells,) -------------- #
-    chime_den_unit: np.ndarray  # max(1.0, datapath)
-    chime_den_nonunit: np.ndarray  # max(1.0, datapath / nonunit_penalty)
-    deadtime: np.ndarray
-    vector_issue: np.ndarray
-    vmem_issue: np.ndarray
-    scalar_cpi: np.ndarray
-    l2_bytes_per_cycle: np.ndarray
-    cache_bytes: np.ndarray  # effective L2 capacity for residency
-    vec_exposure: np.ndarray
-    line_bytes: np.ndarray
-    dram_latency: np.ndarray
-    mlp: np.ndarray
-    dram_bw: np.ndarray  # dram_efficiency * dram_bytes_per_cycle
-    phase_startup: np.ndarray
-    scalar_exposure_on: np.ndarray  # bool
-    resident_source_on: np.ndarray  # bool
+        Each schedule's rows are stacked once and each configuration's
+        columns derived once, then gathered for every cell that uses them.
+        """
+        counts = np.array([len(r.names) for r in schedules], dtype=np.int64)
+        first = counts.cumsum() - counts  # first stacked row per schedule
+        phase_counts = counts[schedule_of_cell]
+        n_cells = len(phase_counts)
+        row_end = phase_counts.cumsum()
+        row_start = row_end - phase_counts
+        n_rows = int(row_end[-1]) if n_cells else 0
+        cell_of_row = np.arange(n_cells, dtype=np.int64).repeat(phase_counts)
+        # the stacked schedule row behind each table row
+        source = np.arange(n_rows, dtype=np.int64) + (
+            first[schedule_of_cell] - row_start
+        ).repeat(phase_counts)
+        ops = _stack([r.ops for r in schedules], len(_OP_FIELDS))
+        ops = ops.T.take(source, 1)
+        # stream slots of every stacked row, padded, then gathered per row
+        streams = _stack([r.streams for r in schedules], len(_STREAM_FIELDS))
+        stream_at = _stack([r.stream_at for r in schedules], 2, np.int64)
+        row = stream_at[:, 0] + first.repeat([len(r.streams) for r in schedules])
+        col = stream_at[:, 1]
+        s_width = max(1, int(col.max()) + 1 if len(col) else 0)
+        padded = np.zeros((len(_STREAM_FIELDS), s_width, int(counts.sum())))
+        padded[1] = 1.0  # passes
+        padded[:, col, row] = streams.T
+        padded = padded.take(source, 2)
+
+        per_config = np.array(
+            [_hw_columns(hw, cal) for hw, cal in configs], dtype=np.float64
+        ).reshape(-1, len(_HW_FIELDS))
+        return cls(
+            n_cells=n_cells,
+            n_rows=n_rows,
+            algorithms=tuple(algorithms),
+            phase_counts=phase_counts,
+            row_start=row_start,
+            cell_of_row=cell_of_row,
+            schedule_names=tuple([r.names for r in schedules]),
+            schedule_of_cell=schedule_of_cell,
+            ops=ops,
+            streams=padded,
+            config_columns=np.ascontiguousarray(per_config[config_of_cell].T),
+        )
 
     @classmethod
     def from_cells(
@@ -231,87 +275,52 @@ class PhaseTable:
         ``phases`` is a schedule's ``Phase`` list or its already extracted
         :class:`PhaseRows`.  ``calibration`` is the table-wide default
         (``None`` → :data:`DEFAULT_CALIBRATION`); a 4-tuple cell overrides
-        it for that cell only.  The schedules themselves are built by the
-        caller (``ConvAlgorithm.schedule``), so this constructor is pure
-        data movement plus the per-config scalar derivations.
+        it for that cell only.  Cells sharing a ``phases`` object share its
+        rows, and cells sharing a (config, calibration) pair of objects
+        share its columns (:meth:`gather`).
         """
         default_cal = calibration or DEFAULT_CALIBRATION
+        schedules: list[PhaseRows] = []
+        configs: list[tuple[HardwareConfig, Calibration]] = []
+        schedule_index: dict[int, int] = {}  # id(phases) -> schedule
+        config_index: dict[tuple[int, int], int] = {}  # (id(hw), id(cal))
         algorithms: list[str] = []
-        rows: list[PhaseRows] = []
-        hw_index: dict[tuple[int, int], int] = {}  # (id(hw), id(cal)) -> row
-        hw_rows: list[tuple] = []
-        hw_of_cell: list[int] = []
-        for cell in cells:
-            if len(cell) == 4:
-                name, phases, hw, cal = cell
-            else:
-                name, phases, hw = cell
-                cal = None
-            cal = cal or default_cal
+        schedule_of_cell: list[int] = []
+        config_of_cell: list[int] = []
+        for name, phases, hw, *override in cells:
+            cal = (override[0] if override else None) or default_cal
+            s = schedule_index.setdefault(id(phases), len(schedules))
+            if s == len(schedules):
+                if not isinstance(phases, PhaseRows):
+                    phases = PhaseRows.from_phases(phases)
+                schedules.append(phases)
+            c = config_index.setdefault((id(hw), id(cal)), len(configs))
+            if c == len(configs):
+                configs.append((hw, cal))
             algorithms.append(name)
-            if not isinstance(phases, PhaseRows):
-                phases = PhaseRows.from_phases(phases)
-            rows.append(phases)
-            # one derivation per distinct (config, calibration) object
-            slot = hw_index.setdefault((id(hw), id(cal)), len(hw_rows))
-            if slot == len(hw_rows):
-                hw_rows.append(_hw_columns(hw, cal))
-            hw_of_cell.append(slot)
-
-        n_cells = len(rows)
-        phase_counts = np.array([len(r.names) for r in rows], dtype=np.int64)
-        n_rows = int(phase_counts.sum())
-        cell_of_row = np.repeat(np.arange(n_cells, dtype=np.int64), phase_counts)
-        ops = _stack([r.ops for r in rows], len(_OP_FIELDS))
-        streams = _stack([r.streams for r in rows], len(_STREAM_FIELDS))
-        stream_at = _stack([r.stream_at for r in rows], 2, np.int64)
-        # stream (row, slot) in the table: each cell's rows start after the
-        # rows of the cells before it
-        first_row = np.cumsum(phase_counts) - phase_counts
-        row = stream_at[:, 0] + np.repeat(
-            first_row, [len(r.streams) for r in rows]
+            schedule_of_cell.append(s)
+            config_of_cell.append(c)
+        return cls.gather(
+            schedules,
+            np.array(schedule_of_cell, dtype=np.int64),
+            configs,
+            np.array(config_of_cell, dtype=np.int64),
+            algorithms,
         )
-        col = stream_at[:, 1]
-        s_width = max(1, int(col.max()) + 1 if len(col) else 0)
-        stream_bytes = np.zeros((n_rows, s_width))
-        stream_passes = np.ones((n_rows, s_width))
-        stream_reuse_ws = np.zeros((n_rows, s_width))
-        stream_scalar = np.zeros((n_rows, s_width), dtype=bool)
-        stream_resident = np.zeros((n_rows, s_width), dtype=bool)
-        stream_bytes[row, col] = streams[:, 0]
-        stream_passes[row, col] = streams[:, 1]
-        stream_reuse_ws[row, col] = streams[:, 2]
-        stream_scalar[row, col] = streams[:, 3] != 0.0
-        stream_resident[row, col] = streams[:, 4] != 0.0
 
-        # one contiguous array per column, like the per-cell scalars
-        op_columns = dict(zip(_OP_FIELDS, np.ascontiguousarray(ops.T)))
-        per_config = np.array(hw_rows, dtype=np.float64).reshape(-1, len(_HW_FIELDS))
-        hw_columns = dict(
-            zip(_HW_FIELDS, np.ascontiguousarray(per_config[hw_of_cell].T))
-        )
-        for flag in _HW_FLAGS:
-            hw_columns[flag] = hw_columns[flag] != 0.0
 
-        return cls(
-            n_cells=n_cells,
-            n_rows=n_rows,
-            algorithms=tuple(algorithms),
-            phase_counts=phase_counts,
-            cell_of_row=cell_of_row,
-            phase_names=tuple(chain.from_iterable(r.names for r in rows)),
-            stream_bytes=stream_bytes,
-            stream_passes=stream_passes,
-            stream_reuse_ws=stream_reuse_ws,
-            stream_scalar=stream_scalar,
-            stream_resident=stream_resident,
-            **op_columns,
-            **hw_columns,
-        )
+def fold(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, left to right from 0.0: each element is what
+    a Python ``total = 0.0; total += term`` loop gives (NumPy's own
+    reductions add in other orders)."""
+    total = terms[0] + 0.0  # 0.0 + x, which turns -0.0 into 0.0
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _stack(blocks: list[np.ndarray], width: int, dtype=np.float64) -> np.ndarray:
-    """Concatenate per-cell row blocks (an empty table has no blocks)."""
+    """Concatenate row blocks (an empty table has no blocks)."""
     return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype)
 
 
@@ -334,84 +343,59 @@ def _rows_numpy_impl(t: PhaseTable) -> RowCycles:
     """The numpy evaluation proper.
 
     Every expression below is the elementwise image of one line of
-    :meth:`AnalyticalTimingModel.phase_cycles`; the per-stream loops
-    become left-to-right folds over the padded stream columns (padded
-    terms are exactly ``+0.0``, so ``acc + term`` reproduces the scalar
-    ``+=`` accumulation bit for bit).
+    :meth:`AnalyticalTimingModel.phase_cycles`; the per-stream terms are
+    computed over the whole ``(max_streams, rows)`` matrices at once, and
+    the per-stream loops become left-to-right folds over their slots
+    (padded terms are exactly ``+0.0``, so ``acc + term`` reproduces the
+    scalar ``+=`` accumulation bit for bit).
     """
-    c = t.cell_of_row
-    den_unit = t.chime_den_unit[c]
-    den_nonunit = t.chime_den_nonunit[c]
-    deadtime = t.deadtime[c]
-    vissue = t.vector_issue[c]
-    missue = t.vmem_issue[c]
+    (
+        den_unit, den_nonunit, deadtime, vissue, missue, scalar_cpi,
+        l2_bytes_per_cycle, cache, vec_exposure, line_bytes, dram_latency,
+        mlp, dram_bw, startup, scalar_on, resident_on,
+    ) = t.config_columns.take(t.cell_of_row, 1)
+    vector_ops, vector_active, vmem_ops, vmem_active, nonunit, scalar_ops = t.ops
+    b, passes, ws, scalar_access, resident_source = t.streams
 
     # vec = vector_ops * (max(issue, chime(active)) + deadtime)
-    chime_v = np.maximum(1.0, np.ceil(t.vector_active / den_unit))
-    vec = t.vector_ops * (np.maximum(vissue, chime_v) + deadtime)
+    chime_v = np.maximum(1.0, np.ceil(vector_active / den_unit))
+    vec = vector_ops * (np.maximum(vissue, chime_v) + deadtime)
     # += unit/strided vmem terms, guarded exactly like `if phase.vmem_ops:`
-    unit_ops = t.vmem_ops * (1.0 - t.nonunit_fraction)
-    strided_ops = t.vmem_ops * t.nonunit_fraction
-    chime_m = np.maximum(1.0, np.ceil(t.vmem_active / den_unit))
-    chime_mn = np.maximum(1.0, np.ceil(t.vmem_active / den_nonunit))
+    unit_ops = vmem_ops * (1.0 - nonunit)
+    strided_ops = vmem_ops * nonunit
+    chime_m = np.maximum(1.0, np.ceil(vmem_active / den_unit))
+    chime_mn = np.maximum(1.0, np.ceil(vmem_active / den_nonunit))
     vec_full = (
         vec + unit_ops * ((missue + chime_m) + deadtime)
     ) + strided_ops * ((missue + chime_mn) + deadtime)
-    vector_cycles = np.where(t.vmem_ops > 0.0, vec_full, vec)
+    vector_cycles = np.where(vmem_ops > 0.0, vec_full, vec)
 
-    scalar_cycles = t.scalar_ops * t.scalar_cpi[c]
+    scalar_cycles = scalar_ops * scalar_cpi
 
-    cache = t.cache_bytes[c]
-    vec_exposure = t.vec_exposure[c]
-    scalar_on = t.scalar_exposure_on[c]
-    resident_on = t.resident_source_on[c]
-    line_bytes = t.line_bytes[c]
-    dram_latency = t.dram_latency[c]
-    mlp = t.mlp[c]
-
-    n = t.n_rows
-    l2_bytes = np.zeros(n)
-    dram_bytes = np.zeros(n)
-    latency = np.zeros(n)
-    for j in range(t.stream_bytes.shape[1]):
-        b = t.stream_bytes[:, j]
-        passes = t.stream_passes[:, j]
-        ws = t.stream_reuse_ws[:, j]
-        # L2-port traffic: every pass streams through the L2 interface
-        l2_bytes = l2_bytes + b * passes
-        # fractional residency (reuse_ws <= 0 -> fully resident)
-        pos_ws = ws > 0.0
-        res = np.where(
-            pos_ws, np.minimum(1.0, cache / np.where(pos_ws, ws, 1.0)), 1.0
-        )
-        pos_b = b > 0.0
-        res_src = np.where(
-            pos_b, np.minimum(1.0, cache / np.where(pos_b, b, 1.0)), 1.0
-        )
-        compulsory = np.where(
-            t.stream_resident[:, j] & resident_on, b * (1.0 - res_src), b
-        )
-        extra = b * (passes - 1.0) * (1.0 - res)
-        sbytes = compulsory + extra
-        dram_bytes = dram_bytes + sbytes
-        exposure = np.where(
-            t.stream_scalar[:, j] & scalar_on, 1.0, vec_exposure
-        )
-        latency = latency + (
-            exposure * (sbytes / line_bytes) * dram_latency / mlp
-        )
-
-    l2_cycles = l2_bytes / t.l2_bytes_per_cycle[c]
-    dram_cycles = dram_bytes / t.dram_bw[c]
-    startup_cycles = t.phase_startup[c] + np.zeros(n)
+    # fractional residency min(1.0, cache / ws), and 1.0 for ws <= 0: the
+    # ratio is below 1.0 exactly where cache < ws
+    res = np.divide(cache, ws, out=np.ones(ws.shape), where=cache < ws)
+    res_src = np.divide(cache, b, out=np.ones(b.shape), where=cache < b)
+    compulsory = np.where(resident_source * resident_on, b * (1.0 - res_src), b)
+    sbytes = compulsory + b * (passes - 1.0) * (1.0 - res)
+    exposure = np.where(scalar_access * scalar_on, 1.0, vec_exposure)
+    # per stream slot: L2-port traffic (every pass streams through the L2
+    # interface), DRAM traffic, exposed latency; each folded over the slots
+    terms = np.empty((len(b), 3, t.n_rows))
+    np.multiply(b, passes, out=terms[:, 0])
+    terms[:, 1] = sbytes
+    np.divide(
+        exposure * (sbytes / line_bytes) * dram_latency, mlp, out=terms[:, 2]
+    )
+    l2_bytes, dram_bytes, latency = fold(terms)
 
     return RowCycles(
         vector_cycles=vector_cycles,
         scalar_cycles=scalar_cycles,
-        l2_cycles=l2_cycles,
-        dram_cycles=dram_cycles,
+        l2_cycles=l2_bytes / l2_bytes_per_cycle,
+        dram_cycles=dram_bytes / dram_bw,
         latency_cycles=latency,
-        startup_cycles=startup_cycles,
+        startup_cycles=startup,
         dram_bytes=dram_bytes,
         l2_bytes=l2_bytes,
     )
@@ -422,22 +406,17 @@ def _rows_numpy_impl(t: PhaseTable) -> RowCycles:
 # --------------------------------------------------------------------- #
 def _evaluate_rows_compiled(t: PhaseTable) -> RowCycles:
     n = t.n_rows
-    out = RowCycles(*(np.zeros(n) for _ in range(8)))
+    out = RowCycles(*np.zeros((len(RowCycles._fields), n)))
     if n:
+        # the kernel indexes stream columns [row, slot]
+        b, passes, ws, scalar_access, resident_source = t.streams.transpose(0, 2, 1)
+        *config, scalar_on, resident_on = t.config_columns
         _compiled.analytical_grid_kernel(
             t.cell_of_row,
-            t.vector_ops, t.vector_active, t.vmem_ops, t.vmem_active,
-            t.nonunit_fraction, t.scalar_ops,
-            t.stream_bytes, t.stream_passes, t.stream_reuse_ws,
-            t.stream_scalar, t.stream_resident,
-            t.chime_den_unit, t.chime_den_nonunit, t.deadtime,
-            t.vector_issue, t.vmem_issue, t.scalar_cpi,
-            t.l2_bytes_per_cycle, t.cache_bytes, t.vec_exposure,
-            t.line_bytes, t.dram_latency, t.mlp, t.dram_bw,
-            t.phase_startup, t.scalar_exposure_on, t.resident_source_on,
-            out.vector_cycles, out.scalar_cycles, out.l2_cycles,
-            out.dram_cycles, out.latency_cycles, out.startup_cycles,
-            out.dram_bytes, out.l2_bytes,
+            *t.ops,
+            b, passes, ws, scalar_access != 0.0, resident_source != 0.0,
+            *config, scalar_on != 0.0, resident_on != 0.0,
+            *out,
         )
     return out
 
@@ -542,14 +521,35 @@ def evaluate_phase_table(
     if obs.enabled():
         obs.count(f"analytical.grid_backend.{impl.name}")
         obs.count("analytical.grid_rows", table.n_rows)
-    # bulk ndarray -> Python-float conversion (one C pass per column)
-    cols = [col.tolist() for col in rows]
-    phases = list(map(PhaseCycles, table.phase_names, *cols))
-    stops = np.cumsum(table.phase_counts).tolist()
-    return [
-        LayerCycles(name, phases[start:stop])
-        for name, start, stop in zip(table.algorithms, [0] + stops[:-1], stops)
-    ]
+    return _records(table, rows)
+
+
+def _records(t: PhaseTable, rows: RowCycles) -> list[LayerCycles]:
+    """Grid-built records of the evaluated rows (:meth:`LayerCycles.from_rows`).
+
+    Each cell's ``cycles`` and ``dram_bytes`` fold its phases left to
+    right from 0.0, as the record itself does: a phase's cycles are
+    Python's ``max`` over its four lanes (the first of equal lanes wins)
+    plus latency plus startup, and each cell's phases are padded to the
+    widest cell with ``+0.0``, which leaves a fold unchanged.
+    """
+    lane = rows.vector_cycles
+    for other in (rows.scalar_cycles, rows.l2_cycles, rows.dram_cycles):
+        lane = np.where(other > lane, other, lane)
+    per_row = np.zeros((2, t.n_rows + 1))  # the last column is the padding
+    np.add(lane + rows.latency_cycles, rows.startup_cycles, out=per_row[0, :-1])
+    per_row[1, :-1] = rows.dram_bytes
+    counts, start = t.phase_counts, t.row_start
+    phase = np.arange(max(1, int(counts.max()) if t.n_cells else 1))[:, None]
+    padded = per_row[:, np.where(phase < counts, start + phase, t.n_rows)]
+    cycles, dram_bytes = fold(padded.transpose(1, 0, 2)).tolist()
+    # each record's row values, phase after phase, in an array('d') of its
+    # own: one copy out of the batch's arrays, no float objects
+    flat = array("d", np.array(rows).T.tobytes())
+    bounds = (t.row_start * len(rows)).tolist() + [len(flat)]
+    values = map(flat.__getitem__, map(slice, bounds, bounds[1:]))
+    names = map(t.schedule_names.__getitem__, t.schedule_of_cell.tolist())
+    return LayerCycles.from_rows(t.algorithms, names, values, cycles, dram_bytes)
 
 
 def evaluate_cells(

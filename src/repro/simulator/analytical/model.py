@@ -21,7 +21,7 @@ hide (reduced by prefetching).  Layer cycles are the sum over phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.simulator.analytical.cachemodel import (
@@ -69,20 +69,133 @@ class PhaseCycles:
         return max(lanes, key=lanes.get)
 
 
-@dataclass(slots=True)
+def _fold(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the order the grid folds its per-cell totals
+    in (``sum`` compensates float additions on Python 3.12 and later)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+#: Floats per phase in a grid-built record's values: the :class:`PhaseCycles`
+#: fields after ``name``, in declaration order.
+_PHASE_WIDTH = 8
+
+
+def _read_phases(record: LayerCycles) -> list[PhaseCycles]:
+    if record._values is not None:  # first read of a grid-built record
+        record._phases = record._phase_list()
+        record._values = None
+    return record._phases
+
+
+def _write_phases(record: LayerCycles, phases: list[PhaseCycles]) -> None:
+    record._phases = phases
+    record._values = None
+
+
+@dataclass(init=False, repr=False, eq=False)
 class LayerCycles:
-    """Cycle estimate for one layer under one algorithm and config."""
+    """Cycle estimate for one layer under one algorithm and config.
+
+    A constructor-built record holds its ``phases`` list, and ``cycles``
+    and ``dram_bytes`` fold it on every read.  A grid-built record
+    (:meth:`from_rows`) holds its phase names, its row values (an
+    ``array('d')``) and both totals instead: no :class:`PhaseCycles` or
+    float objects, so a cache of them keeps one collector-tracked object
+    per record.  It builds its ``phases`` list the first time that is read
+    and is list-backed from then on, so a later edit of the list shows in
+    ``cycles``.  Either kind compares, prints, copies and pickles as the
+    same record.
+    """
+
+    __slots__ = (
+        "algorithm", "_phases", "_names", "_values", "_cycles", "_dram_bytes",
+    )
 
     algorithm: str
-    phases: list[PhaseCycles] = field(default_factory=list)
+    # a dataclass field (``fields``, ``asdict``) stored in ``_phases``
+    phases: list[PhaseCycles] = property(  # type: ignore[assignment]
+        _read_phases, _write_phases
+    )
+
+    def __init__(
+        self, algorithm: str, phases: list[PhaseCycles] | None = None
+    ) -> None:
+        self.algorithm = algorithm
+        self._phases = [] if phases is None else phases
+        self._values: Sequence[float] | None = None
+        # the other slots, which only from_rows sets
+        self._names: tuple[str, ...]
+        self._cycles: float
+        self._dram_bytes: float
+
+    @classmethod
+    def from_rows(
+        cls,
+        algorithms: Iterable[str],
+        names: Iterable[tuple[str, ...]],
+        values: Iterable[Sequence[float]],
+        cycles: Iterable[float],
+        dram_bytes: Iterable[float],
+    ) -> list[LayerCycles]:
+        """Grid-built records, one per item of the zipped columns.
+
+        ``values`` holds a record's :data:`_PHASE_WIDTH` floats per phase,
+        phase after phase; ``cycles`` and ``dram_bytes`` are the
+        :func:`_fold` of its phases' values.
+        """
+        records = []
+        new = object.__new__
+        for algorithm, n, v, c, d in zip(
+            algorithms, names, values, cycles, dram_bytes
+        ):
+            record = new(cls)
+            record.algorithm = algorithm
+            record._names = n
+            record._values = v
+            record._cycles = c
+            record._dram_bytes = d
+            records.append(record)
+        return records
+
+    def _phase_list(self) -> list[PhaseCycles]:
+        """The phases; built afresh, and not kept, for a grid-built record."""
+        values = self._values
+        if values is None:
+            return self._phases
+        w = _PHASE_WIDTH
+        return [
+            PhaseCycles(name, *values[k * w : (k + 1) * w])
+            for k, name in enumerate(self._names)
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LayerCycles):
+            return NotImplemented
+        return (self.algorithm, self._phase_list()) == (
+            other.algorithm,
+            other._phase_list(),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(algorithm={self.algorithm!r}, "
+            f"phases={self._phase_list()!r})"
+        )
 
     @property
     def cycles(self) -> float:
-        return sum(p.cycles for p in self.phases)
+        if self._values is None:
+            return _fold(p.cycles for p in self._phases)
+        return self._cycles
 
     @property
     def dram_bytes(self) -> float:
-        return sum(p.dram_bytes for p in self.phases)
+        if self._values is None:
+            return _fold(p.dram_bytes for p in self._phases)
+        return self._dram_bytes
 
     def seconds(self, freq_ghz: float) -> float:
         return self.cycles / (freq_ghz * 1e9)

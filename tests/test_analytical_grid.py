@@ -29,6 +29,27 @@ from repro.simulator.analytical.model import AnalyticalTimingModel
 from repro.simulator.hwconfig import HardwareConfig
 from tests.oracle import percell_records, records_identical
 
+def _assert_record_contract(record, expected) -> None:
+    """``record`` behaves as the constructor-built ``expected`` does."""
+    from repro.simulator.analytical.model import LayerCycles, PhaseCycles
+
+    assert type(record) is LayerCycles and not hasattr(record, "__dict__")
+    assert record == expected and not record != expected
+    assert repr(record) == repr(expected)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == expected and copied is not record
+        assert records_identical(copied, expected)
+        assert copied.cycles == expected.cycles
+    assert dataclasses.asdict(record) == dataclasses.asdict(expected)
+    assert not any(hasattr(p, "__dict__") for p in record.phases)
+    # an edit of the list shows in the totals, as for a constructor-built one
+    extra = PhaseCycles("extra", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+    record.phases.append(extra)
+    grown = LayerCycles(expected.algorithm, [*expected.phases, extra])
+    assert record.cycles == grown.cycles
+    assert record.dram_bytes == grown.dram_bytes
+
+
 needs_numba = pytest.mark.skipif(
     not HAVE_NUMBA,
     reason="Numba not installed (the [compiled] extra); CI's compiled "
@@ -111,20 +132,96 @@ class TestGridParity:
             assert (a == b).all(), f"column {name} diverged"
 
     def test_grid_records_keep_the_record_contract(self, paper_grid_cells):
-        """Grid-built records behave like constructor-built ones under
-        ``==``, ``repr``, ``asdict``, pickle and ``deepcopy``, and carry
-        no per-record ``__dict__``."""
+        """Grid-built records — from the table and from the engine, before
+        and after ``phases`` is first read — behave like constructor-built
+        ones under ``==``, ``repr``, ``asdict``, pickle and ``deepcopy``,
+        are ``LayerCycles`` with no per-record ``__dict__``, and show an
+        edit of their ``phases`` list in ``cycles``."""
         cells, expected = paper_grid_cells
-        got = grid.evaluate_cells(cells[:64])
-        for g, e in zip(got, expected[:64]):
-            assert g == e and repr(g) == repr(e)
-            assert dataclasses.asdict(g) == dataclasses.asdict(e)
-            for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
-                assert copied == e and copied is not g
-                assert records_identical(copied, e)
-            for record in (g, e):
-                assert not hasattr(record, "__dict__")
-                assert not any(hasattr(p, "__dict__") for p in record.phases)
+        specs = [ConvSpec(ic=8, oc=16, ih=12, iw=12, index=i) for i in (1, 2)]
+        hws = [HardwareConfig.paper2_rvv(v, 3.0) for v in (512, 4096)]
+        tasks = [
+            EvalTask(name, spec, hw, fallback=False)
+            for spec in specs for hw in hws for name in ALGORITHM_NAMES
+        ]
+        built = [
+            AnalyticalTimingModel(t.hw).evaluate(
+                t.algorithm, get_algorithm(t.algorithm).schedule(t.spec, t.hw)
+            )
+            for t in tasks
+        ]
+        for read_first in (False, True):
+            sources = [
+                (grid.evaluate_cells(cells[:64]), expected[:64]),
+                (EvaluationEngine(use_cache=False).evaluate_many(tasks), built),
+            ]
+            for got, want in sources:
+                for g, e in zip(got, want):
+                    if read_first:
+                        assert g.phases == e.phases
+                    _assert_record_contract(g, e)
+
+    def test_engine_records_keep_no_batch_arrays_alive(self, monkeypatch):
+        """After a full-grid batch into a capacity-1 engine, the record the
+        LRU keeps reaches only its own strings, tuples, floats and row
+        values: none of its batch's table or row arrays survive it."""
+        import gc
+        import weakref
+        from array import array
+
+        import numpy as np
+
+        import repro.engine.executor as executor
+        from repro.engine import MemoCache
+        from repro.nn.models import vgg16_conv_specs, yolov3_conv_specs
+        from repro.simulator.analytical.model import LayerCycles
+
+        arrays = []
+        records_of = grid._records
+
+        def spy(table, rows):
+            arrays.extend(
+                weakref.ref(a)
+                for a in (*vars(table).values(), *rows)
+                if isinstance(a, np.ndarray)
+            )
+            return records_of(table, rows)
+
+        monkeypatch.setattr(grid, "_records", spy)
+        engine = EvaluationEngine(cache=MemoCache(capacity=1))
+        hws = [
+            HardwareConfig.paper2_rvv(v, l2)
+            for v in (512, 1024, 2048, 4096) for l2 in (1.5, 3.0, 6.0, 12.0)
+        ]
+        tasks = [
+            EvalTask(name, spec, hw)
+            for spec in vgg16_conv_specs() + yolov3_conv_specs()
+            for hw in hws for name in ALGORITHM_NAMES
+        ]
+        assert len(tasks) == 1792
+        del executor  # the spy reaches the engine through the grid module
+        records = engine.evaluate_many(tasks)
+        survivor = records[-1]
+        del records
+        gc.collect()
+        assert len(engine.cache) == 1 and arrays
+        assert all(ref() is None for ref in arrays)
+        # everything the survivor reaches, short of its class
+        seen, stack = {}, [survivor]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+        kinds = {type(obj) for obj in seen.values()}
+        assert kinds <= {LayerCycles, str, tuple, float, array}, kinds
+        # its row values are its own copy, not the batch's flat array
+        width = len(grid.RowCycles._fields)
+        assert all(
+            len(obj) == width * len(survivor.phases)
+            for obj in seen.values() if isinstance(obj, array)
+        )
 
     def test_calibration_column_parity(self):
         """Non-default and per-cell calibrations flow through the table."""
@@ -228,8 +325,11 @@ class TestEngineGridFastPath:
         try:
             records = EvaluationEngine().evaluate_many(tasks)
             assert (rec.counters.get("engine.grid_cells") or 0) > 0
-            names = {s.name for s in rec.spans}
-            assert "engine.grid" in names and "engine.point" in names
+            names = [s.name for s in rec.spans]
+            for stage in ("engine.grid", "engine.schedule", "engine.table",
+                          "engine.evaluate", "engine.assemble"):
+                assert names.count(stage) == 1, stage  # one span per batch
+            assert "engine.point" not in names  # no per-cell spans
         finally:
             obs.disable()
         for got, want in zip(records, percell_records(tasks)):

@@ -1,7 +1,8 @@
-"""The engine's schedule memo (``repro.engine.executor.ScheduleMemo``).
+"""The engine's schedule memo (``repro.engine.cache.ScheduleMemo``).
 
 The memo keys each schedule on the hardware fields its algorithm declares
-(``ConvAlgorithm.schedule_reads``).  These tests pin the declarations
+(``ConvAlgorithm.schedule_reads``), and a batch asks it once per distinct
+entry.  These tests pin the declarations
 themselves — a recording proxy shows every memoized schedule reads no
 other field — and the memo's bound, fallbacks and observability.  The
 order-independence property lives in ``test_property_engine.py``.
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm, layer_cycles
-from repro.engine import EvalTask, EvaluationEngine, executor
-from repro.engine.executor import ScheduleMemo
+from repro.engine import EvalTask, EvaluationEngine
+from repro.engine import cache as engine_cache
+from repro.engine.cache import ScheduleMemo
 from repro.engine.keys import canonical_json
 from repro.nn.layer import ConvSpec
 from repro.nn.models import vgg16_conv_specs, yolov3_conv_specs
@@ -202,6 +204,42 @@ def test_engine_direct_pick_equals_choose_candidate(cell):
     assert records_identical(record, want)
 
 
+@settings(max_examples=50, deadline=None)
+@given(cells=st.lists(direct_cells(), min_size=1, max_size=40))
+def test_direct_batched_pick_equals_choose_candidate(cells):
+    """Direct's column of picks is ``choose_candidate`` cell by cell, on
+    entries built at another L2 size and L2 sizes near each crossover."""
+    entries, configs, entry, config = [], [], [], []
+    for spec, hw in cells:
+        entry.append(len(entries))
+        entries.append(
+            DIRECT.schedule_candidates(
+                spec, HardwareConfig.paper2_rvv(hw.vlen_bits, 1.0)
+            )
+        )
+        config.append(len(configs))
+        configs.append(hw)
+    # every entry on every config, in a shuffled order
+    order = np.random.default_rng(len(cells)).permutation(len(cells) ** 2)
+    e = np.array(entry)[order // len(cells)]
+    c = np.array(config)[order % len(cells)]
+    picks = DIRECT.choose_candidates(entries, configs, e, c)
+    assert picks.dtype == np.int64
+    assert picks.tolist() == [
+        DIRECT.choose_candidate(entries[i], configs[j])
+        for i, j in zip(e.tolist(), c.tolist())
+    ]
+
+
+def test_single_candidate_algorithms_pick_the_first():
+    algo = get_algorithm("im2col_gemm3")
+    hw = CONFIGS[0]
+    candidates = [algo.schedule_candidates(SPECS[0], hw)]
+    picks = algo.choose_candidates(candidates, [hw], np.zeros(3, np.int64),
+                                   np.zeros(3, np.int64))
+    assert picks.tolist() == [0, 0, 0]
+
+
 # ---------------------------------------------------------------------- #
 # the memo itself
 # ---------------------------------------------------------------------- #
@@ -216,24 +254,27 @@ def test_l2_sweep_builds_each_schedule_once():
         get_algorithm(name).applicable(spec)
         for spec in specs for name in ALGORITHM_NAMES
     )
+    # one batch asks once per distinct entry: every entry is a miss
     assert len(engine.schedules) == engine.schedules.misses == applicable
-    assert engine.schedules.hits == 3 * applicable
+    assert engine.schedules.hits == 0
+    # a new batch at another L2 size: its cells are cold, its entries hits
+    engine.sweep(specs, [HardwareConfig.paper2_rvv(512, 2.0)], ALGORITHM_NAMES)
+    assert engine.schedules.hits == applicable
 
 
 def test_memo_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(executor, "_SCHEDULE_MEMO_SIZE", 2)
+    monkeypatch.setattr(engine_cache, "_SCHEDULE_MEMO_SIZE", 2)
     memo = ScheduleMemo()
     algo = get_algorithm("im2col_gemm3")
     spec = SPECS[0]
     hws = [HardwareConfig.paper2_rvv(v, 1.0) for v in (512, 1024, 2048)]
     spec_json = canonical_json(spec)
     for hw in hws + hws[-1:]:
-        assert rows_equal(
-            memo.rows(algo, spec, spec_json, hw),
-            PhaseRows.from_phases(algo.schedule(spec, hw)),
-        )
+        candidates, (rows,) = memo.entry(algo, spec, spec_json, hw)
+        assert candidates is None  # one candidate: nothing to choose
+        assert rows_equal(rows, PhaseRows.from_phases(algo.schedule(spec, hw)))
     assert len(memo) == 2 and (memo.misses, memo.hits) == (3, 1)
-    memo.rows(algo, spec, spec_json, hws[0])  # evicted first: a miss again
+    memo.entry(algo, spec, spec_json, hws[0])  # evicted first: a miss again
     assert memo.misses == 4
 
 
@@ -273,4 +314,6 @@ def test_grid_path_spans_and_counters():
         assert names.count(stage) == 1, stage  # one span per batch
     hits = rec.counters.get("engine.schedule_memo.hits")
     misses = rec.counters.get("engine.schedule_memo.misses")
-    assert hits == misses == rec.counters.get("engine.grid_cells") / 2
+    # the two L2 sizes share each entry, which the batch asks for once
+    assert misses == rec.counters.get("engine.grid_cells") / 2
+    assert not hits
