@@ -10,10 +10,12 @@ These mirror the paper's Paper I pseudocode exactly:
   contiguous inner-loop accesses, software-prefetch markers, and the same
   vectorized micro-kernel.
 
-The traced kernels issue one machine call per register block, not one per
-instruction: a C block loads and stores with ``vload_seq``/``vstore_seq``,
-its whole k-loop runs as one
-:meth:`~repro.isa.machine.VectorMachine.vfmacc_vf_kloop`, and each packing
+The traced kernels run as whole kernels, as ``DirectConv.run_vectorized``
+does: C is one whole-matrix fold over k (each product rounded to float32
+before its add, as ``vfmacc_vf`` rounds it), and the trace is one
+:meth:`~repro.isa.trace.InstructionTrace.emit_loop` per strip-vl class
+(of each ``(j1, k1, i1)`` block in the 6-loop kernel) holding the scalar
+and memory rows, plus one ``emit_vector`` for the FMAs; each packing
 block is one multi-row
 :meth:`~repro.isa.machine.VectorMachine.vcopy_strips`.  Outputs and the
 decoded trace equal those of the one-call-per-instruction reference in
@@ -29,8 +31,10 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError, IsaError, ShapeError
 from repro.isa.machine import Buffer, VectorMachine
+from repro.isa.trace import KIND_MEMORY, KIND_SCALAR, LoopRow
+from repro.isa.types import E32, VType
 from repro.simulator.analytical.phases import DataStream, Phase
 from repro.simulator.hwconfig import HardwareConfig
 
@@ -47,6 +51,9 @@ BLOCK_N = 512
 BLOCK_K = 128
 
 _DTYPE_BYTES = 4
+
+#: The strip's ``vsetvl`` row, first in every traced strip.
+_VSETVL = LoopRow(KIND_SCALAR, "vsetvl", 1)
 
 
 def _check_unroll(unroll: int) -> None:
@@ -96,6 +103,88 @@ def _scale_a_rows(a: np.ndarray, m: int, k: int, alpha: float) -> np.ndarray:
     return (np.float64(alpha) * rows).astype(np.float32)
 
 
+def _check_operands(op: str, operands: tuple[tuple[str, Buffer, int], ...]) -> None:
+    """Each ``(role, buffer, extent)`` must hold SEW-wide elements and the
+    first ``extent`` elements, all the kernel touches of it."""
+    for role, buf, extent in operands:
+        if buf.array.itemsize != E32.bytes:
+            raise IsaError(
+                f"{op} at SEW=32 on buffer {buf.name!r} of "
+                f"{buf.array.itemsize}-byte elements"
+            )
+        if extent > buf.array.size:
+            raise IsaError(
+                f"{op} {role} of {extent} elements overruns buffer "
+                f"{buf.name!r} ({buf.array.size} elements)"
+            )
+
+
+def _fold_c(
+    a_buf: Buffer, b_buf: Buffer, c_buf: Buffer, m: int, k: int, n: int,
+    alpha: float,
+) -> None:
+    """``C[i, j] += a[i, kk] * B[kk, j]`` over the whole ``(m, n)`` matrix,
+    one ``kk`` at a time in order, starting from C's current contents.
+
+    ``a`` is :func:`_scale_a_rows` of A, and each product is rounded to
+    float32 before its add, as ``vfmacc_vf`` does per element, so C ends
+    bit-identical to the per-instruction fold.
+    """
+    if not (m and n and k):
+        return
+    a = _scale_a_rows(a_buf.array, m, k, alpha)
+    b = b_buf.array[: k * n].reshape(k, n)
+    c = c_buf.array[: m * n].reshape(m, n)
+    product = np.empty_like(c)
+    for kk in range(k):
+        np.multiply(a[:, kk, None], b[kk], out=product)
+        c += product
+
+
+def _emit_strips(
+    machine: VectorMachine,
+    length: int,
+    block_row: LoopRow,
+    step: str,
+    block_sizes: list[int],
+    k: int,
+    row_bases: np.ndarray,
+) -> None:
+    """Trace a micro-kernel strip-mined over ``length`` columns.
+
+    Per strip of ``vl`` columns: one ``vsetvl``; then per register block of
+    ``u`` C rows (``block_sizes``) the ``block_row`` scalars, ``u`` C
+    loads, per k step a ``step`` row of 2, one B load, one ``a_load`` row
+    of ``u`` and ``u`` ``vfmacc.vf``, then ``u`` C stores.  ``row_bases``
+    holds the memory rows' byte addresses at column 0.  One ``emit_loop``
+    per strip-vl class carries the scalar and memory rows, one
+    ``emit_vector`` its FMAs; ``vtype`` ends as the last ``vsetvl`` leaves
+    it.
+    """
+    elem = E32.bytes
+    vlmax = machine.vlmax()
+    full, tail = divmod(length, vlmax)
+    classes = ((vlmax, np.arange(full, dtype=np.int64) * vlmax),) if full else ()
+    if tail:
+        classes += ((tail, np.array([full * vlmax], dtype=np.int64)),)
+    for vl, starts in classes:
+        load = LoopRow(KIND_MEMORY, "vle", vl, elem, elem)
+        store = LoopRow(KIND_MEMORY, "vse", vl, elem, elem, True)
+        body = [_VSETVL]
+        for u in block_sizes:
+            body.append(block_row)
+            body += (load,) * u
+            body += (
+                LoopRow(KIND_SCALAR, step, 2), load, LoopRow(KIND_SCALAR, "a_load", u)
+            ) * k
+            body += (store,) * u
+        machine.trace.emit_loop(tuple(body), row_bases + starts[:, None] * elem)
+        machine.trace.emit_vector(
+            "vfmacc.vf", vl, 32, starts.size * sum(block_sizes) * k
+        )
+        machine.vtype = VType(sew=E32, vl=vl)
+
+
 def gemm3_vectorized(
     machine: VectorMachine,
     a_buf: Buffer,
@@ -109,62 +198,48 @@ def gemm3_vectorized(
 ) -> None:
     """Optimized 3-loop GEMM (Paper I Fig. 2) on the vector machine.
 
-    Register map: v0 holds the B vector; v1..v``unroll`` hold the C
-    accumulators of the unrolled i-block.  C is assumed zero-initialised
-    (Darknet's GEMM is ``C += alpha*A*B`` with C pre-zeroed by
-    ``fill_cpu``).  ``unroll`` is the schedulable knob searched by
+    ``C += alpha * A @ B`` on row-major ``(m, k)``, ``(k, n)`` and
+    ``(m, n)`` buffers (Darknet's GEMM, whose C ``fill_cpu`` pre-zeroes in
+    a convolution).  ``unroll`` is the schedulable knob searched by
     :mod:`repro.schedule` (default: the paper's 16).
+
+    The instructions are those of the per-op loop in
+    ``tests/trace_oracle.py`` (register map: v0 holds the B vector,
+    v1..v``unroll`` the C accumulators): per strip of ``vl`` columns one
+    ``vsetvl``, then per i-block of ``u`` rows a ``loop_i`` row and the
+    micro-kernel of :func:`_emit_strips` (``loop_k`` per k step).
+    ``len(trace)`` grows by ``strips * (1 + blocks * (1 + 3k) + m * (2 + k))``:
+    per strip one ``vsetvl`` row, and per block its ``loop_i`` row, two
+    scalar rows per k step and its memory and vector rows.
+
+    C is one whole-matrix fold (:func:`_fold_c`); the trace is one
+    ``emit_loop`` per strip-vl class and one ``emit_vector``.  A, B and C
+    are checked first (element width, extent touched), so an
+    :class:`~repro.errors.IsaError` leaves C and the trace untouched.
+    Vector-register contents after the call are unspecified.
     """
     _check_unroll(unroll)
-    a_scaled = _scale_a_rows(a_buf.array, m, k, alpha)
-    k_rows = np.arange(k, dtype=np.int64) * n
-    j = 0
-    while j < n:
-        gvl = machine.vsetvl(n - j)
-        for i0 in range(0, m, unroll):
-            u = min(unroll, m - i0)
-            machine.scalar(2, "loop_i")
-            rows = (i0 + np.arange(u, dtype=np.int64)) * n + j
-            machine.vload_seq(1, c_buf, rows)
-            machine.vfmacc_vf_kloop(
-                1, a_scaled[i0 : i0 + u], 0, b_buf, k_rows + j, ("loop_k", 2)
-            )
-            machine.vstore_seq(1, c_buf, rows)
-        j += gvl
-
-
-def _pack_b_block(
-    machine: VectorMachine,
-    b_buf: Buffer,
-    packed: Buffer,
-    k0: int,
-    kb: int,
-    j0: int,
-    jb: int,
-    n: int,
-) -> None:
-    """Pack B[k0:k0+kb, j0:j0+jb] row-major into ``packed`` (one call)."""
-    rows = np.arange(kb, dtype=np.int64)
-    machine.vcopy_strips(
-        b_buf, (k0 + rows) * n + j0, packed, rows * jb, jb, loop=("pack_b_loop", 2)
+    _check_operands(
+        "gemm3_vectorized",
+        (
+            ("A", a_buf, m * k if n else 0),
+            ("B", b_buf, k * n if m else 0),
+            ("C", c_buf, m * n),
+        ),
     )
-
-
-def _pack_a_block(
-    machine: VectorMachine,
-    a_buf: Buffer,
-    packed: Buffer,
-    i0: int,
-    ib: int,
-    k0: int,
-    kb: int,
-    k: int,
-) -> None:
-    """Pack A[i0:i0+ib, k0:k0+kb] row-major into ``packed`` (one call)."""
-    rows = np.arange(ib, dtype=np.int64)
-    machine.vcopy_strips(
-        a_buf, (i0 + rows) * k + k0, packed, rows * kb, kb, loop=("pack_a_loop", 2)
-    )
+    with obs.span("im2col_gemm3.gemm", cat="kernel"):
+        _fold_c(a_buf, b_buf, c_buf, m, k, n, alpha)
+    with obs.span("im2col_gemm3.emit", cat="kernel"):
+        c_rows = c_buf.base + np.arange(m, dtype=np.int64) * n * E32.bytes
+        b_rows = b_buf.base + np.arange(k, dtype=np.int64) * n * E32.bytes
+        blocks = [c_rows[i0 : i0 + unroll] for i0 in range(0, m, unroll)]
+        row_bases = np.concatenate(
+            [part for c in blocks for part in (c, b_rows, c)] or [c_rows]
+        )
+        _emit_strips(
+            machine, n, LoopRow(KIND_SCALAR, "loop_i", 2), "loop_k",
+            [c.size for c in blocks], k, row_bases,
+        )
 
 
 def gemm6_vectorized(
@@ -182,35 +257,67 @@ def gemm6_vectorized(
 ) -> None:
     """BLIS-like 6-loop GEMM (Paper I Fig. 3) on the vector machine.
 
-    Prefetch intents are recorded as named scalar markers — the RVV toolchain
-    of the paper ignores them (no Zicbop) and so does the decoupled timing
-    model; platforms with prefetch benefit through the latency model instead.
+    ``C += alpha * A @ B`` as :func:`gemm3_vectorized`, blocked.  The
+    instructions are those of the per-op loop in ``tests/trace_oracle.py``:
+    per (j1, k1) block, B's block is packed row-major into ``packB`` (one
+    multi-row :meth:`~repro.isa.machine.VectorMachine.vcopy_strips`: per
+    row a ``pack_b_loop`` row, a ``vsetvl`` row, and a load and a store per
+    strip); per i1 block, A's block is packed into ``packA`` the same way
+    (``pack_a_loop``), then per strip of ``vl`` columns come one
+    ``vsetvl``, one ``prefetch_c`` row and the micro-kernel of
+    :func:`_emit_strips` (``prefetch_ab`` per k step) over packed B.  With
+    ``s(x) = ceil(x / VLMAX)``, ``len(trace)`` grows per (j1, k1) block by
+    ``kb * (2 + 2 s(jb))`` and per i1 block by ``ib * (2 + 2 s(kb)) +
+    s(jb) * (2 + 2 ib + kb * (3 + ib))``: per strip a ``vsetvl`` and a
+    ``prefetch_c`` row, and two scalar rows per k step beside the memory
+    and vector rows.  Prefetch intents are recorded as named scalar
+    markers — the RVV toolchain of the paper ignores them (no Zicbop) and
+    so does the decoupled timing model; platforms with prefetch benefit
+    through the latency model instead.
+
+    C is stored and reloaded exactly between K-blocks, so it is the same
+    whole-matrix fold as in :func:`gemm3_vectorized`; each (j1, k1, i1)
+    block traces as one ``emit_loop`` per strip-vl class and one
+    ``emit_vector``.  Operand checks and registers are as there; the
+    packing buffers end holding the last packed blocks.
     """
+    _check_operands(
+        "gemm6_vectorized",
+        (
+            ("A", a_buf, m * k if n else 0),
+            ("B", b_buf, k * n),
+            ("C", c_buf, m * n if k else 0),
+        ),
+    )
     packed_b = machine.alloc("packB", block_k * block_n, np.float32, unique=True)
     packed_a = machine.alloc("packA", block_m * block_k, np.float32, unique=True)
-    for j1 in range(0, n, block_n):
-        jb = min(block_n, n - j1)
-        for k1 in range(0, k, block_k):
-            kb = min(block_k, k - k1)
-            k_rows = np.arange(kb, dtype=np.int64) * jb
-            with obs.span("gemm6.pack_b", cat="kernel"):
-                _pack_b_block(machine, b_buf, packed_b, k1, kb, j1, jb, n)
-            for i1 in range(0, m, block_m):
-                ib = min(block_m, m - i1)
-                with obs.span("gemm6.pack_a", cat="kernel"):
-                    _pack_a_block(machine, a_buf, packed_a, i1, ib, k1, kb, k)
-                pa_scaled = _scale_a_rows(packed_a.array, ib, kb, alpha)
-                j = 0
-                while j < jb:
-                    gvl = machine.vsetvl(jb - j)
-                    machine.scalar(3, "prefetch_c")
-                    rows = (i1 + np.arange(ib, dtype=np.int64)) * n + j1 + j
-                    machine.vload_seq(1, c_buf, rows)
-                    machine.vfmacc_vf_kloop(
-                        1, pa_scaled, 0, packed_b, k_rows + j, ("prefetch_ab", 2)
+    with obs.span("im2col_gemm6.gemm", cat="kernel"):
+        _fold_c(a_buf, b_buf, c_buf, m, k, n, alpha)
+    with obs.span("im2col_gemm6.emit", cat="kernel"):
+        rows = np.arange(max(block_m, block_k), dtype=np.int64)
+        for j1 in range(0, n, block_n):
+            jb = min(block_n, n - j1)
+            for k1 in range(0, k, block_k):
+                kb = min(block_k, k - k1)
+                with obs.span("gemm6.pack_b", cat="kernel"):
+                    machine.vcopy_strips(
+                        b_buf, (k1 + rows[:kb]) * n + j1, packed_b,
+                        rows[:kb] * jb, jb, loop=("pack_b_loop", 2),
                     )
-                    machine.vstore_seq(1, c_buf, rows)
-                    j += gvl
+                b_rows = packed_b.base + rows[:kb] * jb * E32.bytes
+                for i1 in range(0, m, block_m):
+                    ib = min(block_m, m - i1)
+                    with obs.span("gemm6.pack_a", cat="kernel"):
+                        machine.vcopy_strips(
+                            a_buf, (i1 + rows[:ib]) * k + k1, packed_a,
+                            rows[:ib] * kb, kb, loop=("pack_a_loop", 2),
+                        )
+                    c_rows = c_buf.base + ((i1 + rows[:ib]) * n + j1) * E32.bytes
+                    _emit_strips(
+                        machine, jb, LoopRow(KIND_SCALAR, "prefetch_c", 3),
+                        "prefetch_ab", [ib], kb,
+                        np.concatenate((c_rows, b_rows, c_rows)),
+                    )
 
 
 # --------------------------------------------------------------------- #

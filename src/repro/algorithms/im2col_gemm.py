@@ -49,11 +49,10 @@ class _Im2colGemmBase(ConvAlgorithm):
         c_buf = machine.alloc(
             "gemm_c", spec.gemm_m * spec.gemm_n, np.float32, unique=True
         )
-        with obs.span(f"{self.name}.gemm", cat="kernel"):
-            kernel(
-                machine, a_buf, col_buf, c_buf,
-                spec.gemm_m, spec.gemm_k, spec.gemm_n,
-            )
+        # spans as <name>.gemm (the numerics) and <name>.emit (the trace)
+        kernel(
+            machine, a_buf, col_buf, c_buf, spec.gemm_m, spec.gemm_k, spec.gemm_n
+        )
         with obs.span(f"{self.name}.unpack", cat="kernel"):
             return col2im_output(
                 spec, c_buf.array.reshape(spec.gemm_m, spec.gemm_n)

@@ -5,7 +5,9 @@ The paper's kernels use the EPI LLVM builtins (``__builtin_epi_vsetvl``,
 module provides a façade with those spellings so the kernel sources in
 :mod:`repro.algorithms` read like the original C, which makes the
 line-by-line correspondence with the paper's pseudocode (Paper I, Figs. 1-4)
-auditable.
+auditable.  Every spelling is one instruction; the kernels' batched fast
+paths (whole-kernel numerics plus ``InstructionTrace.emit_loop``) have no
+EPI spelling and are not part of the façade.
 """
 
 from __future__ import annotations
@@ -80,16 +82,6 @@ class EpiIntrinsics:
 
     def vredsum(self, vs: int) -> float:
         return self.m.vredsum(vs)
-
-    # -- batched sequences (one call per unrolled block) ------------------ #
-    # The EPI toolchain has no direct spelling for these; they model the
-    # fully unrolled instruction runs the compiler emits for the kernels'
-    # register-blocked inner loops (Paper I Figs. 2-3).
-    def vload_seq(self, vd0: int, buf: Buffer, offsets) -> None:
-        self.m.vload_seq(vd0, buf, offsets)
-
-    def vstore_seq(self, vs0: int, buf: Buffer, offsets) -> None:
-        self.m.vstore_seq(vs0, buf, offsets)
 
     # -- SEW shortcuts mirroring the C type suffixes ---------------------- #
     def vsetvl_e32(self, rvl: int) -> int:

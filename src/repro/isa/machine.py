@@ -23,13 +23,7 @@ import numpy as np
 
 from repro.errors import IsaError, RegisterError
 from repro.isa.registers import VectorRegisterFile
-from repro.isa.trace import (
-    KIND_MEMORY,
-    KIND_SCALAR,
-    KIND_VECTOR,
-    InstructionTrace,
-    LoopRow,
-)
+from repro.isa.trace import KIND_MEMORY, KIND_SCALAR, InstructionTrace, LoopRow
 from repro.isa.types import (
     E32,
     ElementType,
@@ -39,10 +33,6 @@ from repro.isa.types import (
 )
 
 _ALIGN = 64  # buffers are cache-line aligned
-
-#: Elements per product temporary of :meth:`VectorMachine.vfmacc_vf_kloop`
-#: (bounds its memory on long k-loops and wide registers).
-_KLOOP_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -441,170 +431,13 @@ class VectorMachine:
     # ------------------------------------------------------------------ #
     # batched intrinsics (fast path)
     # ------------------------------------------------------------------ #
-    # Each method below is semantically a run of the per-op intrinsics
-    # above it — same register effects, same memory rows in the same order
-    # and the same instruction counts, same element-wise fp rounding —
-    # issued as ONE Python call: a register block (vload_seq/vstore_seq), a
-    # whole micro-kernel k-loop (vfmacc_vf_kloop), or every row of a
-    # strip-mined copy (vcopy_strips).  They compute with NumPy on the
-    # register file and buffers and write their memory rows as one columnar
-    # block, which is what lets the kernels in
-    # repro.algorithms.{im2col,gemm_kernels} amortize interpreter overhead.
-
-    def _seq_block(self, reg0: int, count: int) -> np.ndarray | None:
-        """2-D (count, VLMAX) view for a register run, or None if the
-        LMUL-grouped fallback must be used."""
-        if self.vtype.lmul != 1:
-            return None
-        return self.regs.block_view(reg0, count, self.vtype.sew)
-
-    def vload_seq(
-        self, vd0: int, buf: Buffer, offsets, vl: int | None = None
-    ) -> None:
-        """Unit-stride loads ``buf[offsets[i]] -> v(vd0+i)`` for each i.
-
-        Equivalent to ``len(offsets)`` successive :meth:`vload` calls (the
-        recorded memory rows carry the same addresses in the same order).
-        """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        n = self._active(vl)
-        sew = self.vtype.sew
-        self._check_width("vload_seq", buf, sew)
-        count = offsets.size
-        if count == 0:
-            return
-        lo, hi = int(offsets.min()), int(offsets.max())
-        if lo < 0 or hi + n > buf.array.size:
-            raise IsaError(
-                f"vload_seq of {n} elements at offsets [{lo}, {hi}] overruns "
-                f"buffer {buf.name!r} ({buf.array.size} elements)"
-            )
-        block = self._seq_block(vd0, count)
-        if block is None:
-            for it, off in enumerate(offsets):
-                self.vload(vd0 + it * self.vtype.lmul, buf, int(off), vl=n)
-            return
-        gathered = buf.array[offsets[:, None] + np.arange(n)]
-        block[:, :n] = gathered.astype(sew.dtype, copy=False)
-        self.trace.emit_memory_rows(
-            "vle",
-            buf.base + offsets * buf.array.itemsize,
-            sew.bytes,
-            n,
-            sew.bytes,
-            False,
-        )
-
-    def vstore_seq(
-        self, vs0: int, buf: Buffer, offsets, vl: int | None = None
-    ) -> None:
-        """Unit-stride stores ``v(vs0+i) -> buf[offsets[i]]`` for each i.
-
-        Equivalent to successive :meth:`vstore` calls; the target windows
-        must not overlap (kernels store to distinct output rows).
-        """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        n = self._active(vl)
-        sew = self.vtype.sew
-        self._check_width("vstore_seq", buf, sew)
-        count = offsets.size
-        if count == 0:
-            return
-        lo, hi = int(offsets.min()), int(offsets.max())
-        if lo < 0 or hi + n > buf.array.size:
-            raise IsaError(
-                f"vstore_seq of {n} elements at offsets [{lo}, {hi}] overruns "
-                f"buffer {buf.name!r} ({buf.array.size} elements)"
-            )
-        block = self._seq_block(vs0, count)
-        if block is None:
-            for it, off in enumerate(offsets):
-                self.vstore(vs0 + it * self.vtype.lmul, buf, int(off), vl=n)
-            return
-        buf.array[offsets[:, None] + np.arange(n)] = block[:, :n]
-        self.trace.emit_memory_rows(
-            "vse",
-            buf.base + offsets * buf.array.itemsize,
-            sew.bytes,
-            n,
-            sew.bytes,
-            True,
-        )
-
-    def vfmacc_vf_kloop(
-        self,
-        vd0: int,
-        scalars,
-        vs2: int,
-        b_buf: Buffer,
-        b_offsets,
-        loop: tuple[str, int],
-    ) -> None:
-        """A GEMM micro-kernel k-loop of vector-scalar FMAs, as one call.
-
-        ``scalars`` has shape ``(count, k)``.  Equivalent to::
-
-            for kk in range(k):
-                machine.scalar(loop[1], loop[0])           # loop bookkeeping
-                machine.vload(vs2, b_buf, b_offsets[kk])
-                machine.scalar(count, "a_load")            # the FMAs' scalars
-                for i in range(count):
-                    machine.vfmacc_vf(vd0 + i, scalars[i, kk], vs2)
-
-        bit for bit: each product is rounded to SEW before its add, and the
-        adds run in ``kk`` order.  ``vs2`` is left holding the last loaded
-        row and must not lie in the destination run.
-        """
-        scalars = np.asarray(scalars)
-        b_offsets = np.asarray(b_offsets, dtype=np.int64)
-        n = self._active(None)
-        sew = self.vtype.sew
-        lmul = self.vtype.lmul
-        self._check_width("vfmacc_vf_kloop", b_buf, sew)
-        count, k = scalars.shape
-        if count == 0 or k == 0:
-            return
-        if vd0 <= vs2 < vd0 + count * lmul:
-            raise IsaError(
-                f"vfmacc_vf_kloop source v{vs2} overlaps destinations "
-                f"v{vd0}..v{vd0 + count * lmul - 1}"
-            )
-        lo, hi = int(b_offsets.min()), int(b_offsets.max())
-        if lo < 0 or hi + n > b_buf.array.size:
-            raise IsaError(
-                f"vfmacc_vf_kloop load of {n} elements at offsets [{lo}, {hi}] "
-                f"overruns buffer {b_buf.name!r} ({b_buf.array.size} elements)"
-            )
-        block = self._seq_block(vd0, count)
-        if block is None:
-            for kk, off in enumerate(b_offsets):
-                self.scalar(loop[1], loop[0])
-                self.vload(vs2, b_buf, int(off))
-                self.scalar(count, "a_load")
-                for it in range(count):
-                    self.vfmacc_vf(vd0 + it * lmul, float(scalars[it, kk]), vs2)
-            return
-        b_rows = b_buf.array[b_offsets[:, None] + np.arange(n)].astype(
-            sew.dtype, copy=False
-        )
-        self._write_group(vs2, b_rows[-1])
-        a_cols = scalars.T.astype(sew.dtype, copy=False)
-        acc = block[:, :n]
-        # k-chunks bound the (chunk, count, n) product temporary
-        step = max(1, _KLOOP_CHUNK_ELEMS // max(1, count * n))
-        for k0 in range(0, k, step):
-            products = a_cols[k0 : k0 + step, :, None] * b_rows[k0 : k0 + step, None, :]
-            products[0] += acc  # acc + p0 first, then a strict left-to-right fold
-            acc[:] = np.add.accumulate(products, axis=0)[-1]
-        width = sew.bytes
-        body = (
-            LoopRow(KIND_SCALAR, loop[0], loop[1]),
-            LoopRow(KIND_MEMORY, "vle", n, width, width),
-            LoopRow(KIND_SCALAR, "a_load", count),
-        ) + (LoopRow(KIND_VECTOR, "vfmacc.vf", n, sew.bits),) * count
-        self.trace.emit_loop(
-            body, (b_buf.base + b_offsets * b_buf.array.itemsize)[:, None]
-        )
+    # vcopy_strips is semantically a run of the per-op intrinsics above —
+    # same data movement, same memory rows in the same order, same
+    # instruction counts — issued as ONE Python call for every row of a
+    # strip-mined copy: it moves the data with NumPy and writes its rows
+    # through one emit_loop, which is what lets the packing and im2col
+    # kernels in repro.algorithms.{im2col,gemm_kernels} amortize
+    # interpreter overhead.
 
     def vcopy_strips(
         self,

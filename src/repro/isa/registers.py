@@ -3,7 +3,9 @@
 RVV exposes 32 architectural vector registers of VLEN bits each.  We store
 each register as a raw byte buffer and hand out dtype-punned views, so a
 register written with e32 elements can (as on hardware) be reinterpreted at a
-different SEW.
+different SEW.  The per-op intrinsics read and write one register (or LMUL
+group) at a time; the whole-kernel fast paths in :mod:`repro.algorithms`
+compute on host arrays instead and leave register contents unspecified.
 """
 
 from __future__ import annotations
@@ -65,21 +67,6 @@ class VectorRegisterFile:
                 f"writing {values.size} elements into register of {view.size} at {sew}"
             )
         view[: values.size] = values.astype(sew.dtype, copy=False)
-
-    def block_view(self, reg: int, count: int, sew: ElementType) -> np.ndarray:
-        """A writable 2-D view of ``count`` consecutive registers.
-
-        Shape is ``(count, VLEN/SEW)`` — one row per register.  This is the
-        storage the batched intrinsics (:meth:`VectorMachine.vfmacc_vf_kloop`
-        and friends) operate on: one NumPy block op updates a whole run of
-        accumulator registers, instead of one Python-level read-modify-write
-        per register.
-        """
-        if count <= 0:
-            raise RegisterError(f"register block count must be positive, got {count}")
-        self._check_reg(reg)
-        self._check_reg(reg + count - 1)
-        return self._data[reg : reg + count].view(sew.dtype)
 
     def clear(self) -> None:
         """Zero the whole register file."""

@@ -156,16 +156,12 @@ class TestMachine:
             m.vload(0, src, 0)
 
     def test_batched_overrun_rejected(self):
-        """The k-loop and multi-row copy check every row they touch."""
+        """The multi-row copy checks every row it touches (the GEMM
+        kernels' operand checks are in test_trace_equivalence.py)."""
         m = VectorMachine(512)
         src = m.alloc("src", 64)
         dst = m.alloc("dst", 64)
         m.vsetvl(16)
-        scalars = np.ones((2, 3), dtype=np.float32)
-        with pytest.raises(IsaError, match="overruns"):
-            m.vfmacc_vf_kloop(1, scalars, 0, src, [0, 16, 49], ("loop_k", 2))
-        with pytest.raises(IsaError, match="overlaps"):
-            m.vfmacc_vf_kloop(1, scalars, 2, src, [0, 16, 32], ("loop_k", 2))
         with pytest.raises(IsaError, match="overruns"):
             m.vcopy_strips(src, [0, 8], dst, [0, 50], 16)
         with pytest.raises(IsaError, match="overruns"):  # strided row below 0
@@ -250,7 +246,6 @@ class TestMachine:
         m = VectorMachine(512)
         wide = m.alloc_from("wide", np.arange(16, dtype=np.float64))
         m.vsetvl(4)
-        ones = np.ones((1, 2), dtype=np.float32)
         calls = {
             "vload": lambda: m.vload(1, wide, 2),
             "vstore": lambda: m.vstore(1, wide, 2),
@@ -258,11 +253,6 @@ class TestMachine:
             "vstore_strided": lambda: m.vstore_strided(1, wide, 0, 2),
             "vgather": lambda: m.vgather(1, wide, np.arange(4)),
             "vscatter": lambda: m.vscatter(1, wide, np.arange(4)),
-            "vload_seq": lambda: m.vload_seq(1, wide, [0, 4]),
-            "vstore_seq": lambda: m.vstore_seq(1, wide, [0, 4]),
-            "vfmacc_vf_kloop": lambda: m.vfmacc_vf_kloop(
-                1, ones, 0, wide, [0, 4], ("loop_k", 2)
-            ),
         }
         for op, call in calls.items():
             with pytest.raises(

@@ -352,6 +352,26 @@ class TestInstrumentation:
         names = {s.name for s in rec.spans}
         assert {"direct.pack", "direct.gemm", "direct.unpack"} <= names
 
+    @pytest.mark.parametrize("name", ["im2col_gemm3", "im2col_gemm6"])
+    def test_gemm_spans_split_numerics_from_emission(self, name):
+        """``<name>.gemm`` times the fold of C, and the trace rows follow in
+        a sibling ``<name>.emit`` span."""
+        from repro.algorithms.registry import get_algorithm
+        from repro.isa import VectorMachine
+        from repro.nn.layer import ConvSpec
+
+        spec = ConvSpec(ic=4, oc=4, ih=10, iw=10, kh=3, kw=3, index=1)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((4, 10, 10)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        rec = obs.enable()
+        get_algorithm(name).run_vectorized(spec, x, w, VectorMachine(512))
+        spans = {s.name: s for s in rec.spans}
+        gemm, emit = spans[f"{name}.gemm"], spans[f"{name}.emit"]
+        assert gemm.parent_id == emit.parent_id
+        assert gemm.start_ns + gemm.dur_ns <= emit.start_ns
+        assert f"{name}.unpack" in spans
+
 
 # --------------------------------------------------------------------- #
 # CLI --profile flow

@@ -216,56 +216,41 @@ def test_gemm_batched_matches_perop(vlen, alpha, fast, perop):
     _assert_equivalent(vlen, run(perop), run(fast))
 
 
+@pytest.mark.parametrize("fault", ["short", "wide"])
+@pytest.mark.parametrize("operand", ["A", "B", "C"])
+@pytest.mark.parametrize(
+    "kernel", [gk.gemm3_vectorized, gk.gemm6_vectorized], ids=["gemm3", "gemm6"]
+)
+def test_gemm_kernels_check_operands_first(kernel, operand, fault):
+    """A, B and C are checked (element width against SEW, the extent the
+    kernel touches) before C is written or a row recorded: a short operand
+    used to raise part-way through (or, for gemm3's A, as NumPy's
+    ValueError)."""
+    m, k, n = 5, 3, 20
+    sizes = {"A": m * k, "B": k * n, "C": m * n}
+    rng = np.random.default_rng(3)
+    machine = VectorMachine(512)
+    bufs = {}
+    for name, size in sizes.items():
+        faulty = name == operand
+        data = rng.standard_normal(size - (faulty and fault == "short"))
+        dtype = np.float64 if faulty and fault == "wide" else np.float32
+        bufs[name] = machine.alloc_from(name, data.astype(dtype))
+    c_before = bufs["C"].array.tobytes()
+    if fault == "wide":
+        message = f"at SEW=32 on buffer '{operand}' of 8-byte elements"
+    else:
+        message = f"{operand} of {sizes[operand]} elements overruns buffer '{operand}'"
+    with pytest.raises(IsaError, match=message):
+        kernel(machine, bufs["A"], bufs["B"], bufs["C"], m, k, n)
+    assert bufs["C"].array.tobytes() == c_before
+    assert len(machine.trace) == 0
+    assert machine.trace.stats.total_instrs == 0
+
+
 # --------------------------------------------------------------------- #
-# batched intrinsics under LMUL register grouping
+# vcopy_strips under LMUL register grouping
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("vlen", [128, 512])
-@pytest.mark.parametrize("lmul", [1, 2, 4])
-def test_seq_intrinsics_match_perop_under_lmul(vlen, lmul):
-    """The register-block intrinsics (``vload_seq``, ``vfmacc_vf_kloop``,
-    ``vstore_seq``) must equal their per-op runs row for row at every LMUL
-    (the kernels run at LMUL=1; the grouped path falls back to per-op calls
-    internally and must stay equivalent)."""
-    rng = np.random.default_rng(7)
-    data = rng.standard_normal(1024).astype(np.float32)
-    offsets = np.array([3, 77, 150, 400], dtype=np.int64)
-    b_offsets = np.array([500, 9, 640, 233, 500], dtype=np.int64)
-    scalars = rng.standard_normal((offsets.size, b_offsets.size)).astype(np.float32)
-    count, step = offsets.size, lmul
-
-    def build():
-        machine = VectorMachine(vlen)
-        buf = machine.alloc_from("buf", data)
-        out = machine.alloc("out", 1024)
-        machine.vsetvl(37, lmul=lmul)
-        return machine, buf, out
-
-    m1, b1, o1 = build()
-    for it, off in enumerate(offsets):
-        m1.vload(8 + it * step, b1, int(off))
-    for kk, off in enumerate(b_offsets):
-        m1.scalar(2, "loop_k")
-        m1.vload(0, b1, int(off))
-        m1.scalar(count, "a_load")
-        for it in range(count):
-            m1.vfmacc_vf(8 + it * step, float(scalars[it, kk]), 0)
-    for it, off in enumerate(offsets):
-        m1.vstore(8 + it * step, o1, int(off))
-
-    m2, b2, o2 = build()
-    m2.vload_seq(8, b2, offsets)
-    m2.vfmacc_vf_kloop(8, scalars, 0, b2, b_offsets, ("loop_k", 2))
-    m2.vstore_seq(8, o2, offsets)
-
-    assert np.array_equal(o1.array, o2.array)
-    assert m1.trace.stats == m2.trace.stats
-    assert trace_view(m1.trace) == trace_view(m2.trace)
-    assert len(m1.trace) == len(m2.trace)
-    n = m1.vl
-    for reg in [0] + [8 + it * step for it in range(count)]:
-        assert np.array_equal(m1.reg_values(reg, n), m2.reg_values(reg, n))
-
-
 @pytest.mark.parametrize("vlen", [128, 512])
 @pytest.mark.parametrize("lmul", [1, 2, 4])
 @pytest.mark.parametrize("stride", [1, 3])
