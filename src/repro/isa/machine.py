@@ -495,9 +495,9 @@ class VectorMachine:
                 f"({dst_buf.array.size} elements)"
             )
         vlmax = self.vlmax(sew, lmul)
-        nstrips = -(-length // vlmax)
+        full, tail = divmod(length, vlmax)
+        nstrips = full + (tail > 0)
         starts = np.arange(nstrips, dtype=np.int64) * vlmax
-        vls = np.minimum(length - starts, vlmax)
         # -- data movement (src dtype -> SEW register dtype -> dst dtype) -- #
         elems = np.arange(length, dtype=np.int64)
         src_vals = src_buf.array[src_off[:, None] + src_stride * elems]
@@ -506,16 +506,15 @@ class VectorMachine:
         # -- trace: per row, [loop], vsetvl, then load/store per strip ---- #
         width = sew.bytes
         load = LoopRow(
-            KIND_MEMORY, "vle" if src_stride == 1 else "vlse", 0, width,
+            KIND_MEMORY, "vle" if src_stride == 1 else "vlse", vlmax, width,
             src_stride * width,
         )
-        store = LoopRow(KIND_MEMORY, "vse", 0, width, width, True)
+        store = LoopRow(KIND_MEMORY, "vse", vlmax, width, width, True)
+        strips = (load, store) * full
+        if tail:
+            strips += (load._replace(vl=tail), store._replace(vl=tail))
         head = () if loop is None else (LoopRow(KIND_SCALAR, *loop),)
-        body = head + (LoopRow(KIND_SCALAR, "vsetvl", nstrips),) + tuple(
-            row._replace(vl=strip_vl)
-            for strip_vl in vls.tolist()
-            for row in (load, store)
-        )
+        body = head + (LoopRow(KIND_SCALAR, "vsetvl", nstrips),) + strips
         bases = np.empty((src_off.size, 2 * nstrips), dtype=np.int64)
         bases[:, 0::2] = src_buf.base + (
             src_off[:, None] + starts * src_stride
@@ -525,8 +524,7 @@ class VectorMachine:
         ) * dst_buf.array.itemsize
         self.trace.emit_loop(body, bases)
         # -- end state: vl/vtype and vreg as the per-op loop leaves them -- #
-        last_vl = int(vls[-1])
-        self.vtype = VType(sew=sew, vl=last_vl, lmul=lmul)
+        self.vtype = VType(sew=sew, vl=tail or vlmax, lmul=lmul)
         last_row = data_sew[-1]
         if nstrips >= 2:
             pen = int(starts[-2])

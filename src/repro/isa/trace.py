@@ -252,15 +252,19 @@ class InstructionTrace:
         return MemoryColumns(*views, indexed)
 
     def memory_line_stream(
-        self, line_bytes: int
+        self, line_bytes: int, start: int = 0, stop: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Expand the memory rows to one cache-line stream with op markers.
+        """Expand memory rows ``start:stop`` to one cache-line stream with
+        op markers (``0 <= start <= stop <=`` the row count; by default
+        every row).
 
         Returns ``(lines, op_ids)``: ``lines`` lists, row by row in trace
         order, the line addresses each memory op touches with consecutive
         repeats collapsed *within* the op (never across op boundaries), and
-        ``op_ids[k]`` is the memory row that access ``k`` belongs to.  An
-        op with ``vl`` 0 touches nothing.
+        ``op_ids[k]`` is the memory row, counted from ``start``, that
+        access ``k`` belongs to.  An op with ``vl`` 0 touches nothing.
+        Since no repeat collapses across ops, the streams of consecutive
+        row ranges concatenate to the stream of their union.
 
         A strided op expands straight to its lines: with ``|stride|`` at
         most a line, its elements visit every line from the first element's
@@ -268,20 +272,26 @@ class InstructionTrace:
         its own.  Only indexed ops expand element by element (over their
         whole offset list), so the temporaries are the size of the output.
         """
-        m = self._n
-        vl = self._vl[:m]
-        base = self._base[:m]
-        stride = self._stride[:m]
-        # strided ops: access k of an op is line (start + step * k) // L * L
+        if stop is None:
+            stop = self._n
+        m = stop - start
+        vl = self._vl[start:stop]
+        base = self._base[start:stop]
+        stride = self._stride[start:stop]
+        # strided ops: access k of an op is line (origin + step * k) // L * L
         first = base // line_bytes
         last = (base + stride * (vl - 1)) // line_bytes
         narrow = np.abs(stride) <= line_bytes
         counts = np.where(narrow, np.abs(last - first) + 1, vl)
-        start = np.where(narrow, first * line_bytes, base)
+        origin = np.where(narrow, first * line_bytes, base)
         step = np.where(narrow, np.sign(last - first) * line_bytes, stride)
         del first, last, narrow
-        # indexed ops: per-element lines, then the within-op collapse
-        ops, g_start, g_len, store = self._gather_table()
+        # indexed ops in the range: per-element lines, then the within-op
+        # collapse
+        rows, g_start, g_len, store = self._gather_table()
+        lo, hi = np.searchsorted(rows, (start, stop))
+        ops = rows[lo:hi] - start
+        g_start, g_len = g_start[lo:hi], g_len[lo:hi]
         lens = np.where(vl[ops] > 0, g_len, 0)
         elem_op = np.repeat(ops, lens)
         rank = np.arange(elem_op.size) - np.repeat(np.cumsum(lens) - lens, lens)
@@ -290,7 +300,7 @@ class InstructionTrace:
         keep = rank == 0  # an op's first element always survives
         np.logical_or(keep[1:], g_lines[1:] != g_lines[:-1], out=keep[1:])
         counts[ops] = np.bincount(elem_op[keep], minlength=m)[ops]
-        start[ops] = 0
+        origin[ops] = 0
         step[ops] = 0
         counts[vl <= 0] = 0
         # lay the ops out back to back
@@ -298,7 +308,7 @@ class InstructionTrace:
         k = np.arange(op_ids.size, dtype=np.int64) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        lines = (start[op_ids] + step[op_ids] * k) // line_bytes * line_bytes
+        lines = (origin[op_ids] + step[op_ids] * k) // line_bytes * line_bytes
         if ops.size:
             is_gather = np.zeros(m, dtype=bool)
             is_gather[ops] = True

@@ -255,18 +255,20 @@ def memory_cost_fold_kernel(
     line_bytes: int,
     bytes_per_cycle: float,
     vector_at_l2: bool,
+    start: float,
 ) -> float:
-    """Fused per-memory-op pricing + left-to-right fold, compiled.
+    """Fused per-memory-op pricing + left-to-right fold from ``start``,
+    compiled.
 
     Every arithmetic step mirrors the NumPy expression in
     ``replay_backend._memory_cost_fold_numpy`` (same operations, same
     order, scalar subexpressions hoisted exactly as NumPy evaluates them
     once), so the returned float is bit-identical to
-    ``exact_sum((startup + chime) + penalty)``.
+    ``exact_sum((startup + chime) + penalty, start)``.
     """
     strided_dp = datapath / nonunit_factor
     dram_den = mlp * prefetch_factor
-    acc = 0.0
+    acc = start
     for i in range(vl.shape[0]):
         s = stride[i]
         if s < 0:

@@ -55,8 +55,12 @@ class ReplayBackend:
     ``replay_sets(tags, dirty, lru, sets, lines, stores, tick0)``
     mutates the cache state arrays in place, giving access ``k`` the
     LRU tick ``tick0 + 1 + k``, and returns per-access
-    ``(hits, writebacks, victims)``; ``memory_cost_fold`` returns the
-    strict left-to-right accumulated cycle total of the memory ops.
+    ``(hits, writebacks, victims)``.  ``memory_cost_fold(vl, elem_bytes,
+    stride, indexed, l1_misses, l2_misses, params, start)`` prices each
+    memory op and returns ``start`` with every op's cost added strictly
+    left to right (``acc = start``, then ``acc = acc + cost`` per op), so
+    folding consecutive chunks of ops, each from the previous chunk's
+    result, is bit-identical to one fold over all of them from ``0.0``.
     """
 
     name: str
@@ -64,16 +68,16 @@ class ReplayBackend:
     memory_cost_fold: Callable
 
 
-def exact_sum(costs: np.ndarray) -> float:
-    """Strict left-to-right fold of ``costs`` starting from 0.0.
+def exact_sum(costs: np.ndarray, start: float) -> float:
+    """Strict left-to-right fold of ``costs`` continuing from ``start``.
 
     ``np.add.accumulate`` is sequential by definition (unlike
     ``np.sum``'s pairwise reduction), so this reproduces a per-event
     ``res.field += cost`` accumulation bit for bit.
     """
     if costs.size == 0:
-        return 0.0
-    return float(np.add.accumulate(costs)[-1])
+        return float(start)
+    return float(np.add.accumulate(np.concatenate(([start], costs)))[-1])
 
 
 # --------------------------------------------------------------------- #
@@ -217,8 +221,10 @@ def _memory_cost_fold_numpy(
     l1_misses: np.ndarray,
     l2_misses: np.ndarray,
     params: MemoryCostParams,
+    start: float,
 ) -> float:
-    """Price every memory op in one vectorized pass, then fold."""
+    """Price every memory op in one vectorized pass, then fold from
+    ``start``."""
     unit = ~indexed & (np.abs(stride) == elem_bytes)
     eff_dp = np.where(
         unit, float(params.datapath), params.datapath / params.nonunit_factor
@@ -237,7 +243,7 @@ def _memory_cost_fold_numpy(
     penalty = np.maximum(
         penalty, (l2_misses * params.line_bytes) / params.bytes_per_cycle
     )
-    return exact_sum((params.startup_cycles + chime) + penalty)
+    return exact_sum((params.startup_cycles + chime) + penalty, start)
 
 
 # --------------------------------------------------------------------- #
@@ -258,10 +264,10 @@ def _replay_sets_compiled(tags, dirty, lru, sets, lines, stores, tick0):
 
 def _memory_cost_fold_compiled(
     vl, elem_bytes, stride, indexed, l1_misses, l2_misses,
-    params: MemoryCostParams,
+    params: MemoryCostParams, start: float,
 ):
     if vl.size == 0:
-        return 0.0
+        return float(start)
     return float(
         _compiled.memory_cost_fold_kernel(
             np.ascontiguousarray(vl, dtype=np.int64),
@@ -280,6 +286,7 @@ def _memory_cost_fold_compiled(
             int(params.line_bytes),
             float(params.bytes_per_cycle),
             bool(params.vector_at_l2),
+            float(start),
         )
     )
 

@@ -17,9 +17,14 @@ events.  A vector instruction costs ``max(issue, ceil(vl / denom))``
 cycles, an integer, so compute cycles are one sum of count x cost over the
 trace's distinct ``(vl, SEW)`` keys, and scalar cycles are the scalar
 instruction count; both equal a per-instruction ``+=`` fold bit for bit.
-Memory ops are priced per op, folded left to right in trace order, after
-their line stream runs through the set-partitioned cache walk in
-:mod:`repro.simulator.cache_fast`.  The one-op-at-a-time reference
+Memory ops are replayed in trace order in chunks of at most
+:data:`REPLAY_CHUNK_ROWS` rows, split at row boundaries: a chunk's line
+stream runs through the set-partitioned cache walk in
+:mod:`repro.simulator.cache_fast` (the hierarchy keeps its state from one
+chunk to the next), then its ops are priced and folded left to right,
+continuing from the running total of the chunks before it.  Replay's
+temporaries thus follow the chunk, not the layer, and every result equals
+the one-chunk replay's bit for bit.  The one-op-at-a-time reference
 (``tests/trace_oracle.py``) must produce bit-identical
 :class:`TimingResult` fields and cache state
 (``tests/test_replay_equivalence.py``).
@@ -60,6 +65,10 @@ VMEM_STARTUP_CYCLES = 2.0
 #: Strided/indexed memory ops sustain fewer elements per cycle than unit
 #: stride; penalize their chime by this factor.
 NONUNIT_CHIME_FACTOR = 4.0
+#: Memory rows replay expands, walks and prices at a time, so its
+#: temporaries follow this bound, not the layer (docs/PERF.md, "Trace
+#: timing replay", has the measurement behind the value).
+REPLAY_CHUNK_ROWS = 1 << 16
 
 
 @dataclass
@@ -146,37 +155,40 @@ class TraceTimingModel:
             res.scalar_instrs = sum(trace.scalar_counts.values())
             res.scalar_cycles = float(res.scalar_instrs)
 
-        # memory instructions: expand to the line stream once, replay both
-        # cache levels set-partitioned, then price every op in one pass
+        # memory instructions, a chunk of rows at a time: the hierarchy
+        # keeps its state between chunks and the fold continues from the
+        # running total, so the result equals one pass over every row
         mem = trace.columns()
         num_ops = mem.vl.size
         res.memory_instrs = num_ops
-        if num_ops:
-            with obs.span("timing.memory", cat="timing", ops=num_ops):
+        params = MemoryCostParams(
+            datapath=float(datapath),
+            nonunit_factor=NONUNIT_CHIME_FACTOR,
+            startup_cycles=VMEM_STARTUP_CYCLES,
+            l2_latency=float(cfg.l2_latency),
+            mlp=float(self.dram.mlp),
+            dram_latency=float(self.dram.latency_cycles),
+            prefetch_factor=4.0 if prefetch else 1.0,
+            line_bytes=int(cfg.line_bytes),
+            bytes_per_cycle=float(self.dram.bytes_per_cycle),
+            vector_at_l2=bool(self.hierarchy.vector_at_l2),
+        )
+        for lo in range(0, num_ops, REPLAY_CHUNK_ROWS):
+            hi = min(lo + REPLAY_CHUNK_ROWS, num_ops)
+            with obs.span("timing.memory", cat="timing", ops=hi - lo):
                 lines, op_ids = trace.memory_line_stream(
-                    self.hierarchy.line_bytes
+                    self.hierarchy.line_bytes, lo, hi
                 )
                 l1_m, l2_m = replay_line_stream(
-                    self.hierarchy, lines, mem.is_store[op_ids], op_ids,
-                    num_ops, backend=impl.name,
+                    self.hierarchy, lines, mem.is_store[lo:hi][op_ids],
+                    op_ids, hi - lo, backend=impl.name,
                 )
-                res.l1_misses = int(l1_m.sum())
-                res.l2_misses = int(l2_m.sum())
+                del lines, op_ids  # before the next chunk expands its own
+                res.l1_misses += int(l1_m.sum())
+                res.l2_misses += int(l2_m.sum())
                 res.memory_cycles = impl.memory_cost_fold(
-                    mem.vl, mem.elem_bytes, mem.stride, mem.indexed,
-                    l1_m, l2_m,
-                    MemoryCostParams(
-                        datapath=float(datapath),
-                        nonunit_factor=NONUNIT_CHIME_FACTOR,
-                        startup_cycles=VMEM_STARTUP_CYCLES,
-                        l2_latency=float(cfg.l2_latency),
-                        mlp=float(self.dram.mlp),
-                        dram_latency=float(self.dram.latency_cycles),
-                        prefetch_factor=4.0 if prefetch else 1.0,
-                        line_bytes=int(cfg.line_bytes),
-                        bytes_per_cycle=float(self.dram.bytes_per_cycle),
-                        vector_at_l2=bool(self.hierarchy.vector_at_l2),
-                    ),
+                    mem.vl[lo:hi], mem.elem_bytes[lo:hi], mem.stride[lo:hi],
+                    mem.indexed[lo:hi], l1_m, l2_m, params, res.memory_cycles,
                 )
 
         overlap = 0.6 if cfg.out_of_order else 1.0

@@ -286,14 +286,19 @@ def test_empty_stream_is_a_noop(replay_kwargs):
     ),
     vector_at_l2=st.booleans(),
     prefetch=st.booleans(),
+    # 12.8 GiB/s at 2 GHz: line fills priced in non-dyadic cycles
+    bytes_per_cycle=st.sampled_from([16.0, 12.8 * 2**30 / 2e9]),
+    start=st.just(0.0) | st.floats(0.0, 1e12),
+    split=st.integers(0, 40),
 )
 @settings(max_examples=80, deadline=None)
-def test_memory_fold_kernel_matches_numpy(rows, vector_at_l2, prefetch):
-    cols = (
+def test_memory_fold_kernel_matches_numpy(
+    rows, vector_at_l2, prefetch, bytes_per_cycle, start, split
+):
+    cols = [
         np.array([r[i] for r in rows], dtype=np.int64) for i in range(6)
-    )
-    vl, elem_bytes, stride, indexed, l1_m, l2_m = cols
-    indexed = indexed.astype(bool)
+    ]
+    cols[3] = cols[3].astype(bool)  # indexed
     params = rb.MemoryCostParams(
         datapath=16.0,
         nonunit_factor=4.0,
@@ -303,13 +308,15 @@ def test_memory_fold_kernel_matches_numpy(rows, vector_at_l2, prefetch):
         dram_latency=120.0,
         prefetch_factor=4.0 if prefetch else 1.0,
         line_bytes=LINE,
-        bytes_per_cycle=16.0,
+        bytes_per_cycle=bytes_per_cycle,
         vector_at_l2=vector_at_l2,
     )
-    a = rb._memory_cost_fold_numpy(
-        vl, elem_bytes, stride, indexed, l1_m, l2_m, params
-    )
-    b = rb._memory_cost_fold_compiled(
-        vl, elem_bytes, stride, indexed, l1_m, l2_m, params
-    )
+    folds = (rb._memory_cost_fold_numpy, rb._memory_cost_fold_compiled)
+    a, b = (fold(*cols, params, start) for fold in folds)
     assert a == b  # bit-exact float equality, not approx
+    # the ops folded in two pieces, the second continuing from the first's
+    # total, are the same left-to-right fold
+    k = min(split, len(rows))
+    for fold in folds:
+        head = fold(*(c[:k] for c in cols), params, start)
+        assert fold(*(c[k:] for c in cols), params, head) == a

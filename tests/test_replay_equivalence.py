@@ -13,6 +13,8 @@ registered backend.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.errors import SimulationError
 from repro.isa.machine import VectorMachine
 from repro.isa.trace import InstructionTrace
 from repro.nn.layer import ConvSpec
+from repro.simulator import timing
 from repro.simulator._compiled import HAVE_NUMBA
 from repro.simulator.cache import CacheHierarchy, SetAssociativeCache
 from repro.simulator.cache_fast import replay_line_stream, simulate_cache_stream
@@ -185,6 +188,67 @@ def test_victim_stream_parity_across_modes(backend):
     assert cache_ref.stats == cache_fast.stats
 
 
+#: Tiny caches, so a few dozen rows evict and write back at both levels
+#: (the second is the decoupled ``vector_at_l2`` organization); 3 GiB/s of
+#: DRAM prices line fills in non-dyadic cycles, so reassociating the
+#: memory-cost fold changes its last bits.
+CHUNK_CONFIGS = [
+    make().with_(l1_kib=1, l2_mib=1 / 64, dram_bw_gib_s=3.0)
+    for make in (HardwareConfig.paper2_rvv, HardwareConfig.paper1_riscvv)
+]
+
+
+@st.composite
+def _chunked_replay_cases(draw):
+    """A trace, a chunk of 1-7 memory rows and a small-cache config.
+
+    The trace has more memory rows than one chunk, indexed rows on both
+    sides of the first chunk boundary, a ``vl == 0`` row, and vector and
+    scalar rows between the memory rows."""
+    chunk = draw(st.integers(1, 7))
+    rows = draw(st.integers(chunk + 1, 30))
+    zero = draw(st.integers(0, rows - 1))
+    trace = InstructionTrace()
+    for row in range(rows):
+        if draw(st.booleans()):
+            trace.emit_scalar("loop", draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            trace.emit_vector("vfmacc.vf", draw(st.integers(1, 32)), 32)
+        indexed = row in (chunk - 1, chunk) or draw(st.booleans())
+        elem = draw(st.sampled_from([4, 8]))
+        indices = draw(
+            st.lists(st.integers(-64, 4096), max_size=48).map(tuple)
+        ) if indexed else None
+        emit(trace, MemoryOp(
+            "vluxei" if indexed else "vle",
+            draw(st.integers(0, 1 << 14)), elem,
+            0 if row == zero else draw(st.integers(1, 48)),
+            draw(st.sampled_from([0, elem, -elem, 60, 64, 68, 192])),
+            draw(st.booleans()), indices,
+        ))
+    return trace, chunk, draw(st.sampled_from(CHUNK_CONFIGS))
+
+
+@pytest.mark.parametrize("backend", REPLAY_MODES)
+@given(case=_chunked_replay_cases())
+@settings(max_examples=80, deadline=None)
+def test_chunked_replay_matches_one_chunk_and_the_oracle(backend, case):
+    """Replay in chunks of 1-7 memory rows equals the one-chunk replay and
+    the per-op oracle: every ``TimingResult`` field and the whole
+    hierarchy, over two back-to-back runs without flush."""
+    trace, chunk, cfg = case
+    assert trace.stats.memory_instrs <= timing.REPLAY_CHUNK_ROWS
+    ref, whole, chunked = (TraceTimingModel(cfg) for _ in range(3))
+    for _ in range(2):
+        r_ref = sequential_replay(ref, trace)
+        r_whole = whole.run(trace, backend=backend)
+        with mock.patch.object(timing, "REPLAY_CHUNK_ROWS", chunk):
+            r_chunked = chunked.run(trace, backend=backend)
+        assert r_chunked == r_whole == r_ref  # bit-exact float comparison
+        _assert_hierarchy_equal(chunked.hierarchy, whole.hierarchy)
+        _assert_hierarchy_equal(chunked.hierarchy, ref.hierarchy)
+
+
 def test_engines_can_interleave_on_one_model():
     """Per-event then columnar replay on one model: state stays consistent."""
     cfg = HardwareConfig.paper2_rvv(512, 1.0)
@@ -260,6 +324,12 @@ def test_memory_line_stream_matches_line_addresses(case):
     assert np.array_equal(lines, np.concatenate([np.empty(0, np.int64), *expected]))
     expected_ids = np.repeat(np.arange(len(expected)), [e.size for e in expected])
     assert np.array_equal(op_ids, expected_ids)
+    # two consecutive row ranges expand to the two pieces of the stream
+    cut = len(expected) // 2
+    head, head_ids = trace.memory_line_stream(line, 0, cut)
+    tail, tail_ids = trace.memory_line_stream(line, cut)
+    assert np.array_equal(np.concatenate([head, tail]), lines)
+    assert np.array_equal(np.concatenate([head_ids, tail_ids + cut]), op_ids)
 
 
 def test_columns_are_read_only_views():
